@@ -52,6 +52,18 @@ inline CsrGraph rmat_graph(std::uint64_t n, std::uint64_t m,
     return csr_from_edges(edges);
 }
 
+/// The paper's engine policy for `threads` workers on `topo` (0 = all
+/// of them): serial at one thread, Algorithm 2 (kBitmap) within one
+/// socket, Algorithm 3 (kMultiSocket) across sockets. Figure and table
+/// reproductions pin it explicitly, so they keep measuring the paper's
+/// algorithms whatever kAuto resolves to (kHybrid on one socket).
+inline BfsEngine paper_engine(const Topology& topo, int threads) {
+    if (threads == 0) threads = topo.max_threads();
+    if (threads <= 1) return BfsEngine::kSerial;
+    return topo.sockets_used(threads) <= 1 ? BfsEngine::kBitmap
+                                           : BfsEngine::kMultiSocket;
+}
+
 /// Runs `runs` timed BFS traversals from pseudo-random non-isolated
 /// roots (after one untimed warmup) and returns the best processing rate
 /// in edges/second — the paper reports peak rates per configuration.

@@ -45,6 +45,12 @@ and — when the off side records a meaningful cold signal — no more
 major faults than prefetch-off: absorbing cold-start IO is the
 prefetcher's job. Any series reporting both prefetch_hits and
 prefetch_issued must satisfy hits <= issued.
+Likewise any file whose series carry an "engine" param (the direction
+ablation: the BfsEngine value, 2=bitmap, 4=hybrid) must show hybrid —
+kAuto's single-socket engine — no slower than bitmap by more than the
+tolerance on each low-diameter cell, and by more than 2x the tolerance
+on the grid cell, where hybrid stays top-down and only noise separates
+the two.
 Comparing a file against itself exercises only these intra-file guards.
 Independently of any baseline, a series whose params carry "faults"=0
 (bench_service clean runs) must report zero "degraded" and zero "shed"
@@ -357,6 +363,23 @@ def check_compare(errors, files, baseline, tolerance):
                  f"{describe(key)}: prefetch-on rate {on_rate:.3g} is more "
                  f"than {2.0 * tolerance:.0%} below prefetch-off "
                  f"{off_rate:.3g}")
+    # Direction guard (ablation_direction): kAuto runs hybrid on one
+    # socket, so hybrid (engine=4) must hold Algorithm 2's rate
+    # (engine=2). Bottom-up should win outright on the low-diameter
+    # cells, so they get the plain tolerance; on the 2-D grid hybrid
+    # never leaves top-down and does bitmap's exact work, so its cell
+    # gets the 2x band the other same-work guards use.
+    for key, engines in sorted(split_by_param(current, "engine").items()):
+        bench, name, _ = key
+        bitmap, hybrid = engines.get(2), engines.get(4)
+        if bitmap is None or hybrid is None or bitmap <= 0:
+            continue
+        band = 2.0 * tolerance if "grid" in str(name) else tolerance
+        if hybrid < bitmap * (1.0 - band):
+            fail(errors, "compare",
+                 f"{describe(key)}: hybrid rate {hybrid:.3g} is more than "
+                 f"{band:.0%} below bitmap {bitmap:.3g}")
+
     faults = rate_cells(files, metric="major_faults")
     for key, modes in sorted(split_by_param(faults, "prefetch").items()):
         off_faults, on_faults = modes.get(0), modes.get(1)

@@ -48,9 +48,7 @@ inline BfsOptions suite_options(const Topology& topo, int threads) {
     BfsOptions options;
     options.threads = threads;
     options.topology = topo;
-    // kAuto reproduces the paper's policy: serial at 1 thread, bitmap
-    // within one socket, channels across sockets.
-    options.engine = BfsEngine::kAuto;
+    options.engine = paper_engine(topo, threads);
     return options;
 }
 

@@ -52,9 +52,9 @@ int main() {
                                     : uniform_graph(our_n, m, 3);
 
         BfsOptions options;
-        options.engine = BfsEngine::kAuto;
         options.topology = Topology::nehalem_ex();
         options.threads = 0;  // all 64 model threads
+        options.engine = paper_engine(*options.topology, options.threads);
         const double ours = bfs_rate(g, options) / 1e6;
 
         table.add_row({row.reference, row.system,

@@ -283,16 +283,16 @@ int main(int argc, char** argv) {
                 ++root;
             perm = bfs_visit_order(graph, root);
         } else if (cli.reorder == "shuffle") {
-            EdgeList edges = edges_from_csr(graph);
-            permute_vertices(edges, cli.seed + 99);
-            BuildOptions keep;
-            keep.make_undirected = false;
-            graph = csr_from_edges(edges, keep);
+            // The permutation depends only on n and the seed, so an
+            // edgeless list of n vertices draws it; relabelling through
+            // apply_vertex_permutation keeps the symmetry stamp.
+            EdgeList ids(graph.num_vertices());
+            perm = permute_vertices(ids, cli.seed + 99);
         } else {
             std::fprintf(stderr, "bad --reorder '%s'\n", cli.reorder.c_str());
             return 2;
         }
-        if (!perm.empty()) graph = apply_vertex_permutation(graph, perm);
+        graph = apply_vertex_permutation(graph, perm);
         std::printf("relabelled vertices: %s order\n", cli.reorder.c_str());
     }
     if (!cli.save.empty()) {
@@ -430,9 +430,15 @@ int main(int argc, char** argv) {
     }
 
     BfsRunner runner(options);
-    std::printf("engine: %s, %d threads on %s, %s schedule, %s frontiers, "
+    // --stats names the symmetry stamp next to the engine: hybrid (and
+    // so kAuto on one socket) goes bottom-up only on a stamped graph.
+    std::printf("engine: %s%s, %d threads on %s, %s schedule, %s frontiers, "
                 "%s backend\n",
-                to_string(runner.resolved_engine()).c_str(), runner.threads(),
+                to_string(runner.resolved_engine()).c_str(),
+                !cli.stats            ? ""
+                : graph.symmetric() ? " (graph stamped symmetric)"
+                                      : " (graph unstamped: no bottom-up levels)",
+                runner.threads(),
                 runner.topology().describe().c_str(),
                 to_string(options.schedule).c_str(),
                 to_string(options.frontier_gen).c_str(),

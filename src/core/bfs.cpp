@@ -67,7 +67,11 @@ BfsEngine resolve_engine(const BfsOptions& options, const Topology& topo,
     // The paper disables the inter-socket machinery when all workers fit
     // on one socket ("when the threads run on the same socket, we
     // disable inter-socket channels to get the highest performance").
-    if (topo.sockets_used(threads) <= 1) return BfsEngine::kBitmap;
+    // There the direction-optimizing engine runs Algorithm 2's top-down
+    // levels plus bottom-up sweeps on stamped graphs, and is the measured
+    // winner on every low-diameter workload (docs/PERF_MODEL.md
+    // "Direction optimization by default").
+    if (topo.sockets_used(threads) <= 1) return BfsEngine::kHybrid;
     return BfsEngine::kMultiSocket;
 }
 

@@ -27,7 +27,12 @@ enum class BfsEngine {
     kBitmap,       ///< Algorithm 2: visited bitmap + double-checked atomics
     kMultiSocket,  ///< Algorithm 3: per-socket queues + inter-socket channels
     kHybrid,       ///< extension: direction-optimizing (top-down/bottom-up)
-    kAuto,         ///< pick by thread count / sockets engaged
+    /// Pick by thread count / sockets engaged: kSerial for one thread,
+    /// kHybrid when the team fits on one socket, kMultiSocket across
+    /// sockets. kHybrid leaves top-down only on a graph stamped
+    /// symmetric (CsrGraph::symmetric()), so on an unstamped graph it
+    /// runs as Algorithm 2.
+    kAuto,
 };
 
 [[nodiscard]] std::string to_string(BfsEngine engine);
@@ -146,9 +151,11 @@ struct BfsOptions {
     bool remote_sender_filter = false;
 
     /// kHybrid: switch top-down -> bottom-up when the frontier's
-    /// unexplored out-edges exceed (remaining edges)/alpha, and back
-    /// when the frontier shrinks below vertices/beta. Beamer et al.'s
-    /// defaults.
+    /// out-arcs exceed both (unexplored arcs)/alpha and (all arcs)/beta
+    /// — the second, width guard keeps high-diameter graphs top-down —
+    /// and back when the frontier shrinks below vertices/beta. Beamer et
+    /// al.'s defaults. Bottom-up needs a graph stamped symmetric
+    /// (CsrGraph::symmetric()); on any other graph hybrid never flips.
     double hybrid_alpha = 14.0;
     double hybrid_beta = 24.0;
 

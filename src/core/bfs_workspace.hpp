@@ -107,6 +107,15 @@ class BfsWorkspace {
     std::vector<int> rank_in_socket;
     std::vector<int> socket_threads;
 
+    /// One thread's discoveries in the level just scanned (hybrid
+    /// engine): written by its owner before the level barrier, summed by
+    /// thread 0 after it. A line of its own, so the owner's store never
+    /// invalidates a line another worker reads.
+    struct alignas(kCacheLineSize) LevelTally {
+        std::uint64_t discovered = 0;         ///< vertices claimed
+        std::uint64_t discovered_degree = 0;  ///< their summed out-degrees
+    };
+
     /// Per-thread staging hoisted out of the engines' level loops so a
     /// prepared traversal is allocation-free (asserted in debug builds
     /// via aligned_alloc_count()).
@@ -114,6 +123,7 @@ class BfsWorkspace {
         LocalBatch<vertex_t> staged{0};               ///< NQ staging
         std::vector<LocalBatch<std::uint64_t>> remote;  ///< per-socket tuples
         AlignedBuffer<std::uint64_t> drain;           ///< channel drain buffer
+        LevelTally tally;                             ///< hybrid's per-level sums
     };
     std::vector<ThreadScratch> scratch;
 

@@ -38,14 +38,16 @@ CsrGraph csr_from_edges(const EdgeList& edges, const BuildOptions& opts) {
     }
 
     if (!opts.sort_neighbors && !opts.deduplicate)
-        return CsrGraph(std::move(offsets), std::move(targets));
+        return CsrGraph(std::move(offsets), std::move(targets),
+                        opts.make_undirected);
 
     // Pass 3: per-vertex sort (and optional dedup). Deduplication
     // compacts in place and rewrites offsets.
     if (!opts.deduplicate) {
         for (vertex_t v = 0; v < n; ++v)
             std::sort(targets.data() + offsets[v], targets.data() + offsets[v + 1]);
-        return CsrGraph(std::move(offsets), std::move(targets));
+        return CsrGraph(std::move(offsets), std::move(targets),
+                        opts.make_undirected);
     }
 
     edge_offset_t write = 0;
@@ -71,7 +73,7 @@ CsrGraph csr_from_edges(const EdgeList& edges, const BuildOptions& opts) {
     // does not pin the over-allocated storage for its lifetime.
     AlignedBuffer<vertex_t> compact(static_cast<std::size_t>(write));
     std::copy(targets.begin(), targets.begin() + write, compact.begin());
-    return CsrGraph(std::move(offsets), std::move(compact));
+    return CsrGraph(std::move(offsets), std::move(compact), opts.make_undirected);
 }
 
 EdgeList edges_from_csr(const CsrGraph& g) {

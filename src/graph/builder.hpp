@@ -8,7 +8,9 @@ namespace sge {
 /// CSR construction knobs.
 struct BuildOptions {
     /// Insert the reverse of every edge (the paper's BFS workloads are
-    /// symmetric traversals; generators emit one direction).
+    /// symmetric traversals; generators emit one direction). Stamps the
+    /// result CsrGraph::symmetric(); without it the graph is unstamped
+    /// even when the input happens to list both directions.
     bool make_undirected = true;
     /// Drop v -> v edges (they add scan work but never discover anyone).
     bool remove_self_loops = true;

@@ -36,10 +36,12 @@ const std::uint8_t* checked_decode_u64(const std::uint8_t* p,
 
 CompressedCsrGraph::CompressedCsrGraph(AlignedBuffer<edge_offset_t> byte_offsets,
                                        AlignedBuffer<vertex_t> degrees,
-                                       AlignedBuffer<std::uint8_t> blob)
+                                       AlignedBuffer<std::uint8_t> blob,
+                                       bool symmetric)
     : byte_offsets_(std::move(byte_offsets)),
       degrees_(std::move(degrees)),
-      blob_(std::move(blob)) {
+      blob_(std::move(blob)),
+      symmetric_(symmetric) {
     for (const vertex_t d : degrees_) num_edges_ += d;
 }
 
@@ -147,7 +149,7 @@ CompressedCsrGraph csr_compress(const CsrGraph& g) {
         }
     }
     return CompressedCsrGraph(std::move(byte_offsets), std::move(degrees),
-                              std::move(blob));
+                              std::move(blob), g.symmetric());
 }
 
 CsrGraph csr_decompress(const CompressedCsrGraph& g) {
@@ -160,7 +162,7 @@ CsrGraph csr_decompress(const CompressedCsrGraph& g) {
         vertex_t* out = targets.data() + offsets[v];
         g.neighbors_for_each(v, [&](vertex_t w) { *out++ = w; });
     }
-    return CsrGraph(std::move(offsets), std::move(targets));
+    return CsrGraph(std::move(offsets), std::move(targets), g.symmetric());
 }
 
 }  // namespace sge

@@ -105,9 +105,11 @@ class CompressedCsrGraph {
     /// num_vertices+1 entries delimiting each vertex's encoded run in
     /// `blob`, `degrees` one entry per vertex. Trusts its inputs; use
     /// csr_compress() / read_compressed_csr() for checked construction.
+    /// `symmetric` is the symmetry stamp (CsrGraph::symmetric()).
     CompressedCsrGraph(AlignedBuffer<edge_offset_t> byte_offsets,
                        AlignedBuffer<vertex_t> degrees,
-                       AlignedBuffer<std::uint8_t> blob);
+                       AlignedBuffer<std::uint8_t> blob,
+                       bool symmetric = false);
 
     CompressedCsrGraph(CompressedCsrGraph&&) noexcept = default;
     CompressedCsrGraph& operator=(CompressedCsrGraph&&) noexcept = default;
@@ -127,6 +129,10 @@ class CompressedCsrGraph {
     [[nodiscard]] edge_offset_t degree(vertex_t v) const noexcept {
         return degrees_[v];
     }
+
+    /// Symmetry stamp, carried over from the encoded CsrGraph
+    /// (CsrGraph::symmetric()); false after read_compressed_csr.
+    [[nodiscard]] bool symmetric() const noexcept { return symmetric_; }
 
     /// Encoded bytes of v's adjacency run.
     [[nodiscard]] std::size_t row_bytes(vertex_t v) const noexcept {
@@ -276,17 +282,19 @@ class CompressedCsrGraph {
     AlignedBuffer<vertex_t> degrees_;            // n out-degrees
     AlignedBuffer<std::uint8_t> blob_;           // varint payload
     edge_offset_t num_edges_ = 0;                // sum of degrees_
+    bool symmetric_ = false;
 };
 
-/// Encodes a plain CSR. Requires every adjacency list sorted ascending
-/// (duplicates allowed) — the BuildOptions::sort_neighbors default;
-/// throws std::invalid_argument diagnosing the first offending
-/// (vertex, position) otherwise, because an unsorted list would encode
-/// into garbage negative gaps silently.
+/// Encodes a plain CSR, keeping its symmetry stamp. Requires every
+/// adjacency list sorted ascending (duplicates allowed) — the
+/// BuildOptions::sort_neighbors default; throws std::invalid_argument
+/// diagnosing the first offending (vertex, position) otherwise, because
+/// an unsorted list would encode into garbage negative gaps silently.
 [[nodiscard]] CompressedCsrGraph csr_compress(const CsrGraph& g);
 
 /// Decodes back to a plain CSR (round-trip tests; materializing for a
-/// plain-backend consumer). csr_decompress(csr_compress(g)) == g.
+/// plain-backend consumer), keeping the stamp.
+/// csr_decompress(csr_compress(g)) == g.
 [[nodiscard]] CsrGraph csr_decompress(const CompressedCsrGraph& g);
 
 }  // namespace sge

@@ -26,8 +26,13 @@ class CsrGraph {
     /// Takes ownership of prebuilt arrays. `offsets` must have
     /// num_vertices+1 entries, be non-decreasing, start at 0 and end at
     /// targets.size(); use csr_from_edges() for checked construction.
-    CsrGraph(AlignedBuffer<edge_offset_t> offsets, AlignedBuffer<vertex_t> targets)
-        : offsets_(std::move(offsets)), targets_(std::move(targets)) {}
+    /// Pass `symmetric` only when the arrays are known to hold every
+    /// arc's reverse (see symmetric()).
+    CsrGraph(AlignedBuffer<edge_offset_t> offsets, AlignedBuffer<vertex_t> targets,
+             bool symmetric = false)
+        : offsets_(std::move(offsets)),
+          targets_(std::move(targets)),
+          symmetric_(symmetric) {}
 
     CsrGraph(CsrGraph&&) noexcept = default;
     CsrGraph& operator=(CsrGraph&&) noexcept = default;
@@ -48,6 +53,15 @@ class CsrGraph {
     [[nodiscard]] edge_offset_t degree(vertex_t v) const noexcept {
         return offsets_[v + 1] - offsets_[v];
     }
+
+    /// Symmetry stamp: true only where construction guarantees that
+    /// every arc (u, v) has its reverse (v, u) — csr_from_edges with
+    /// make_undirected, and graphs derived from a stamped graph
+    /// (permutations, subgraphs, encodings, spills, stream snapshots).
+    /// File readers leave it false. The direction-optimizing engine
+    /// reads out-arcs as in-arcs, so it goes bottom-up only on a
+    /// stamped graph.
+    [[nodiscard]] bool symmetric() const noexcept { return symmetric_; }
 
     /// The adjacency list of `v` as a read-only span.
     [[nodiscard]] std::span<const vertex_t> neighbors(vertex_t v) const noexcept {
@@ -108,12 +122,14 @@ class CsrGraph {
     /// the binary reader on untrusted files.
     [[nodiscard]] bool well_formed() const noexcept;
 
-    /// Deep structural equality (same offsets and targets).
+    /// Deep structural equality (same offsets and targets; the symmetry
+    /// stamp is metadata and not compared).
     friend bool operator==(const CsrGraph& a, const CsrGraph& b) noexcept;
 
   private:
     AlignedBuffer<edge_offset_t> offsets_;
     AlignedBuffer<vertex_t> targets_;
+    bool symmetric_ = false;
 };
 
 }  // namespace sge

@@ -15,7 +15,9 @@ namespace sge {
 void write_csr(const CsrGraph& g, const std::string& path);
 
 /// Reads a file written by write_csr. Throws std::runtime_error on
-/// malformed input (bad magic, truncation, non-well-formed CSR).
+/// malformed input (bad magic, truncation, non-well-formed CSR). The
+/// format carries no symmetry guarantee, so the graph is unstamped
+/// (CsrGraph::symmetric() is false), as from every reader here.
 CsrGraph read_csr(const std::string& path);
 
 /// Reads a whitespace-separated text edge list ("src dst" per line,

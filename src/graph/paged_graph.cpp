@@ -614,7 +614,9 @@ PagedGraph make_paged(const CsrGraph& g, const std::string& path,
                       const PagedWriteOptions& write_options,
                       const PagedOpenOptions& open_options) {
     write_paged_graph(g, path, write_options);
-    return open_paged_graph(path, open_options);
+    PagedGraph paged = open_paged_graph(path, open_options);
+    paged.symmetric_ = g.symmetric();  // the manifest carries no stamp
+    return paged;
 }
 
 void remove_paged_files(const std::string& path) noexcept {

@@ -127,6 +127,10 @@ class PagedGraph {
         return degrees_[v];
     }
 
+    /// Symmetry stamp (CsrGraph::symmetric()): make_paged carries the
+    /// source graph's; open_paged_graph, a file reader, leaves it false.
+    [[nodiscard]] bool symmetric() const noexcept { return symmetric_; }
+
     /// Payload bytes of v's adjacency run (4 * degree for plain
     /// payload, the varint run length otherwise).
     [[nodiscard]] std::size_t row_bytes(vertex_t v) const noexcept {
@@ -270,6 +274,9 @@ class PagedGraph {
   private:
     friend PagedGraph open_paged_graph(const std::string&,
                                        const PagedOpenOptions&);
+    friend PagedGraph make_paged(const CsrGraph&, const std::string&,
+                                 const PagedWriteOptions&,
+                                 const PagedOpenOptions&);
 
     struct Io;  // mapping, stripe fds, prefetcher (paged_graph.cpp)
 
@@ -278,6 +285,7 @@ class PagedGraph {
     const std::uint8_t* payload_ = nullptr;      // mapped, read-only
     edge_offset_t num_edges_ = 0;
     PagedPayload payload_kind_ = PagedPayload::kPlainTargets;
+    bool symmetric_ = false;
     std::unique_ptr<Io> io_;
 };
 
@@ -301,7 +309,8 @@ void write_paged_graph(const CompressedCsrGraph& g, const std::string& path,
 [[nodiscard]] PagedGraph open_paged_graph(const std::string& path,
                                           const PagedOpenOptions& options = {});
 
-/// write + open in one step (bench/test convenience).
+/// write + open in one step (bench/test convenience); the opened graph
+/// keeps `g`'s symmetry stamp.
 [[nodiscard]] PagedGraph make_paged(const CsrGraph& g, const std::string& path,
                                     const PagedWriteOptions& write_options = {},
                                     const PagedOpenOptions& open_options = {});

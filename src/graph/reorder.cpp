@@ -4,8 +4,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "graph/builder.hpp"
-
 namespace sge {
 
 std::vector<vertex_t> degree_descending_order(const CsrGraph& g) {
@@ -60,17 +58,21 @@ CsrGraph apply_vertex_permutation(const CsrGraph& g,
         hit[p] = true;
     }
 
-    EdgeList edges(n);
-    edges.reserve(static_cast<std::size_t>(g.num_edges()));
-    for (vertex_t v = 0; v < n; ++v)
-        for (const vertex_t w : g.neighbors(v)) edges.add(perm[v], perm[w]);
-
-    // Arcs are copied one-for-one; don't re-symmetrize or dedupe.
-    BuildOptions opts;
-    opts.make_undirected = false;
-    opts.remove_self_loops = false;
-    opts.deduplicate = false;
-    return csr_from_edges(edges, opts);
+    // Row perm[v] is row v relabelled and sorted like the builder's rows.
+    // Arcs are copied one-for-one, so multiplicity and the symmetry
+    // stamp carry over.
+    AlignedBuffer<edge_offset_t> offsets(static_cast<std::size_t>(n) + 1,
+                                         /*zeroed=*/true);
+    for (vertex_t v = 0; v < n; ++v) offsets[perm[v] + 1] = g.degree(v);
+    for (vertex_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+    AlignedBuffer<vertex_t> targets(static_cast<std::size_t>(g.num_edges()));
+    for (vertex_t v = 0; v < n; ++v) {
+        vertex_t* const row = targets.data() + offsets[perm[v]];
+        vertex_t* end = row;
+        for (const vertex_t w : g.neighbors(v)) *end++ = perm[w];
+        std::sort(row, end);
+    }
+    return CsrGraph(std::move(offsets), std::move(targets), g.symmetric());
 }
 
 }  // namespace sge

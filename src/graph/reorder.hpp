@@ -24,8 +24,8 @@ std::vector<vertex_t> degree_descending_order(const CsrGraph& g);
 /// neighbouring ids — the RCM idea without the bandwidth refinement.
 std::vector<vertex_t> bfs_visit_order(const CsrGraph& g, vertex_t root);
 
-/// Rebuilds the graph under `perm` (must be a permutation of [0, n)).
-/// Throws std::invalid_argument otherwise.
+/// Rebuilds the graph under `perm` (must be a permutation of [0, n)),
+/// keeping its symmetry stamp. Throws std::invalid_argument otherwise.
 CsrGraph apply_vertex_permutation(const CsrGraph& g,
                                   std::span<const vertex_t> perm);
 

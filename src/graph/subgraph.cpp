@@ -1,8 +1,7 @@
 #include "graph/subgraph.hpp"
 
+#include <algorithm>
 #include <stdexcept>
-
-#include "graph/builder.hpp"
 
 namespace sge {
 
@@ -19,23 +18,27 @@ Subgraph induced_subgraph(const CsrGraph& g, std::span<const vertex_t> vertices)
         out.original_of.push_back(v);
     }
 
-    EdgeList edges(static_cast<vertex_t>(out.original_of.size()));
-    for (vertex_t nv = 0; nv < out.original_of.size(); ++nv) {
-        const vertex_t old = out.original_of[nv];
-        for (const vertex_t w : g.neighbors(old)) {
-            if (out.new_of[w] == kInvalidVertex) continue;
-            edges.add(nv, out.new_of[w]);
-        }
+    // Two passes over the kept rows (count, then fill and sort like the
+    // builder). Arcs are copied one-for-one, so multiplicity is exact and
+    // an induced subgraph of a symmetric graph is symmetric.
+    const auto k = static_cast<vertex_t>(out.original_of.size());
+    AlignedBuffer<edge_offset_t> offsets(static_cast<std::size_t>(k) + 1);
+    offsets[0] = 0;
+    for (vertex_t nv = 0; nv < k; ++nv) {
+        edge_offset_t kept = 0;
+        for (const vertex_t w : g.neighbors(out.original_of[nv]))
+            kept += out.new_of[w] != kInvalidVertex;
+        offsets[nv + 1] = offsets[nv] + kept;
     }
-
-    // The arcs above are already directed pairs from a (typically)
-    // symmetric source; rebuild without re-symmetrizing so multiplicity
-    // is preserved exactly.
-    BuildOptions opts;
-    opts.make_undirected = false;
-    opts.remove_self_loops = false;
-    opts.deduplicate = false;
-    out.graph = csr_from_edges(edges, opts);
+    AlignedBuffer<vertex_t> targets(static_cast<std::size_t>(offsets[k]));
+    for (vertex_t nv = 0; nv < k; ++nv) {
+        vertex_t* const row = targets.data() + offsets[nv];
+        vertex_t* end = row;
+        for (const vertex_t w : g.neighbors(out.original_of[nv]))
+            if (out.new_of[w] != kInvalidVertex) *end++ = out.new_of[w];
+        std::sort(row, end);
+    }
+    out.graph = CsrGraph(std::move(offsets), std::move(targets), g.symmetric());
     return out;
 }
 

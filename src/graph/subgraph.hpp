@@ -19,8 +19,9 @@ struct Subgraph {
 
 /// Extracts the subgraph induced by `vertices` (deduplicated,
 /// order-preserving relabelling: the i-th distinct selected vertex
-/// becomes id i). Edges with both endpoints selected are kept. Throws
-/// std::out_of_range for ids outside the source graph.
+/// becomes id i). Edges with both endpoints selected are kept, and so is
+/// the source's symmetry stamp. Throws std::out_of_range for ids outside
+/// the source graph.
 Subgraph induced_subgraph(const CsrGraph& g, std::span<const vertex_t> vertices);
 
 /// Extracts the largest connected component — the standard preprocessing

@@ -28,7 +28,7 @@ CsrGraph DynamicGraph::snapshot() const {
         }
         std::copy(adj.begin(), adj.end(), targets.data() + offsets[v]);
     }
-    return CsrGraph(std::move(offsets), std::move(targets));
+    return CsrGraph(std::move(offsets), std::move(targets), symmetric_);
 }
 
 }  // namespace sge

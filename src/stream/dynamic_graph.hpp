@@ -35,8 +35,13 @@ class DynamicGraph {
 
     /// Builds from an existing static graph (arcs copied as-is; lists
     /// already sorted by the CSR builder snapshot straight through).
+    /// Inherits its symmetry stamp: mutations insert and remove both
+    /// arcs, so they keep a symmetric graph symmetric, but cannot make
+    /// an unstamped one trustworthy.
     explicit DynamicGraph(const CsrGraph& g)
-        : adjacency_(g.num_vertices()), sorted_(g.num_vertices()) {
+        : adjacency_(g.num_vertices()),
+          sorted_(g.num_vertices()),
+          symmetric_(g.symmetric()) {
         for (vertex_t v = 0; v < g.num_vertices(); ++v) {
             const auto adj = g.neighbors(v);
             adjacency_[v].assign(adj.begin(), adj.end());
@@ -49,6 +54,11 @@ class DynamicGraph {
         return static_cast<vertex_t>(adjacency_.size());
     }
     [[nodiscard]] std::uint64_t num_arcs() const noexcept { return num_arcs_; }
+
+    /// Symmetry stamp of every snapshot() (CsrGraph::symmetric()): true
+    /// for a graph grown from DynamicGraph(n), the source's stamp for
+    /// DynamicGraph(const CsrGraph&).
+    [[nodiscard]] bool symmetric() const noexcept { return symmetric_; }
 
     /// Monotonic mutation counter: bumped once per add_vertex, add_edge
     /// and (successful) remove_edge. Consumers that maintain state
@@ -162,6 +172,7 @@ class DynamicGraph {
     mutable std::vector<std::uint8_t> sorted_;
     std::uint64_t num_arcs_ = 0;
     std::uint64_t version_ = 0;
+    bool symmetric_ = true;
 };
 
 }  // namespace sge

@@ -217,11 +217,11 @@ TEST(BfsRunner, AutoPicksSerialForOneThread) {
     EXPECT_EQ(BfsRunner(opts).resolved_engine(), BfsEngine::kSerial);
 }
 
-TEST(BfsRunner, AutoPicksBitmapWithinOneSocket) {
+TEST(BfsRunner, AutoPicksHybridWithinOneSocket) {
     BfsOptions opts;
     opts.threads = 4;
     opts.topology = Topology::nehalem_ep();  // 4 threads fit socket 0
-    EXPECT_EQ(BfsRunner(opts).resolved_engine(), BfsEngine::kBitmap);
+    EXPECT_EQ(BfsRunner(opts).resolved_engine(), BfsEngine::kHybrid);
 }
 
 TEST(BfsRunner, AutoPicksMultiSocketAcrossSockets) {

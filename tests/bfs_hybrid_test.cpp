@@ -81,6 +81,79 @@ TEST(BfsHybrid, HighDiameterGraphStaysTopDown) {
     EXPECT_EQ(total_scanned(r), 2u * 1999);
 }
 
+TEST(BfsHybrid, FewHubsNextToTheRootFlipOnTheirArcs) {
+    // Root 0 touches kHubs hubs, each adjacent to every leaf, plus the
+    // head of a long path. The root's frontier is kHubs + 1 vertices —
+    // far under n/beta — but holds about half of all arcs, far over
+    // m/beta. A vertex-width guard keeps that level top-down and pays
+    // every hub arc; the arc guard flips it, and each leaf then finds
+    // hub 1 on its first arc. (The path keeps a vertex guard's scans
+    // above half of bitmap's, so this test separates the two guards.)
+    constexpr vertex_t kHubs = 8;
+    constexpr vertex_t kLeaves = 4000;
+    constexpr vertex_t kPath = 2000;
+    const vertex_t first_leaf = 1 + kHubs;
+    const vertex_t first_path = first_leaf + kLeaves;
+    EdgeList edges(first_path + kPath);
+    for (vertex_t h = 1; h <= kHubs; ++h) {
+        edges.add(0, h);
+        for (vertex_t l = first_leaf; l < first_path; ++l) edges.add(h, l);
+    }
+    edges.add(0, first_path);
+    for (vertex_t p = first_path; p + 1 < first_path + kPath; ++p)
+        edges.add(p, p + 1);
+    const CsrGraph g = csr_from_edges(edges);
+
+    const BfsOptions opts = hybrid_options();
+    ASSERT_LT(kHubs + 1, g.num_vertices() / opts.hybrid_beta);
+    ASSERT_GT(g.degree(1) * kHubs, g.num_edges() / opts.hybrid_beta);
+
+    BfsOptions bitmap = opts;
+    bitmap.engine = BfsEngine::kBitmap;
+    const BfsResult top_down = bfs(g, 0, bitmap);
+    const BfsResult hybrid = bfs(g, 0, opts);
+    BfsOptions serial;
+    serial.engine = BfsEngine::kSerial;
+    test::expect_equivalent(bfs(g, 0, serial), hybrid);
+    EXPECT_LT(total_scanned(hybrid), total_scanned(top_down) / 2);
+}
+
+TEST(BfsHybrid, DirectedGraphsNeverGoBottomUp) {
+    // Bottom-up reads out-arcs as in-arcs, which is wrong on a directed
+    // graph; an unstamped graph must run every level top-down, so both
+    // hybrid and kAuto (hybrid on one socket) scan exactly bitmap's arcs
+    // and reach serial's levels.
+    BfsOptions serial;
+    serial.engine = BfsEngine::kSerial;
+    BfsOptions bitmap = hybrid_options(2);
+    bitmap.engine = BfsEngine::kBitmap;
+    BfsOptions automatic = hybrid_options(2);
+    automatic.engine = BfsEngine::kAuto;
+    ASSERT_EQ(BfsRunner(automatic).resolved_engine(), BfsEngine::kHybrid);
+
+    BuildOptions directed;
+    directed.make_undirected = false;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        RmatParams params;
+        params.scale = 14;
+        params.num_edges = std::uint64_t{16} << params.scale;
+        params.seed = seed;
+        const CsrGraph g = csr_from_edges(generate_rmat(params), directed);
+        ASSERT_FALSE(g.symmetric());
+        vertex_t root = 0;
+        for (vertex_t v = 1; v < g.num_vertices(); ++v)
+            if (g.degree(v) > g.degree(root)) root = v;
+
+        const BfsResult expected = bfs(g, root, serial);
+        const std::uint64_t top_down = total_scanned(bfs(g, root, bitmap));
+        for (const BfsOptions& opts : {hybrid_options(2), automatic}) {
+            const BfsResult r = bfs(g, root, opts);
+            test::expect_equivalent(expected, r);
+            EXPECT_EQ(total_scanned(r), top_down) << "seed " << seed;
+        }
+    }
+}
+
 TEST(BfsHybrid, TinyAlphaOnPathScansEachArcOnce) {
     const CsrGraph g = test::path_graph(2000);
     BfsOptions opts = hybrid_options();

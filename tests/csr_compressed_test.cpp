@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -341,7 +343,10 @@ TEST(CompressedCsrSize, BlobNeverBeatsOneByteMinimum) {
 class CompressedCsrIoTest : public ::testing::Test {
   protected:
     void SetUp() override {
-        dir_ = std::filesystem::temp_directory_path() / "sge_zsr_test";
+        // Per-process dir: ctest -j runs each test in its own process,
+        // and a sibling's TearDown must not delete this test's files.
+        dir_ = std::filesystem::temp_directory_path() /
+               ("sge_zsr_test_" + std::to_string(::getpid()));
         std::filesystem::create_directories(dir_);
     }
     void TearDown() override { std::filesystem::remove_all(dir_); }

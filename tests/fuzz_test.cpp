@@ -89,7 +89,10 @@ class EngineFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(EngineFuzz, AllEnginesMatchSerialOnRandomWorkloads) {
     Xoshiro256 rng(GetParam() * 7919);
 
-    // Random workload.
+    // Random workload, symmetrized or left directed (unstamped: hybrid
+    // must then stay top-down).
+    BuildOptions build;
+    build.make_undirected = rng.next() & 1;
     CsrGraph g;
     switch (rng.next_below(3)) {
         case 0: {
@@ -97,7 +100,7 @@ TEST_P(EngineFuzz, AllEnginesMatchSerialOnRandomWorkloads) {
             params.num_vertices = static_cast<vertex_t>(2 + rng.next_below(3000));
             params.degree = static_cast<std::uint32_t>(1 + rng.next_below(12));
             params.seed = rng.next();
-            g = csr_from_edges(generate_uniform(params));
+            g = csr_from_edges(generate_uniform(params), build);
             break;
         }
         case 1: {
@@ -105,7 +108,7 @@ TEST_P(EngineFuzz, AllEnginesMatchSerialOnRandomWorkloads) {
             params.scale = static_cast<std::uint32_t>(6 + rng.next_below(6));
             params.num_edges = (2 + rng.next_below(14)) << params.scale;
             params.seed = rng.next();
-            g = csr_from_edges(generate_rmat(params));
+            g = csr_from_edges(generate_rmat(params), build);
             break;
         }
         default: {
@@ -115,7 +118,7 @@ TEST_P(EngineFuzz, AllEnginesMatchSerialOnRandomWorkloads) {
                 2 + rng.next_below(6));
             params.rewire_probability = rng.next_double();
             params.seed = rng.next();
-            g = csr_from_edges(generate_small_world(params));
+            g = csr_from_edges(generate_small_world(params), build);
             break;
         }
     }
@@ -128,8 +131,9 @@ TEST_P(EngineFuzz, AllEnginesMatchSerialOnRandomWorkloads) {
     // Random engine configuration.
     BfsOptions opts;
     const BfsEngine engines[] = {BfsEngine::kNaive, BfsEngine::kBitmap,
-                                 BfsEngine::kMultiSocket, BfsEngine::kHybrid};
-    opts.engine = engines[rng.next_below(4)];
+                                 BfsEngine::kMultiSocket, BfsEngine::kHybrid,
+                                 BfsEngine::kAuto};
+    opts.engine = engines[rng.next_below(5)];
     const int sockets = static_cast<int>(1 + rng.next_below(4));
     const int cores = static_cast<int>(1 + rng.next_below(4));
     opts.topology = Topology::emulate(sockets, cores, 1);
@@ -145,7 +149,8 @@ TEST_P(EngineFuzz, AllEnginesMatchSerialOnRandomWorkloads) {
     test::expect_equivalent(expected, actual);
     const ValidationReport report = validate_bfs_tree(g, root, actual);
     ASSERT_TRUE(report.ok) << to_string(opts.engine) << " t=" << opts.threads
-                           << ": " << report.error;
+                           << " undirected=" << build.make_undirected << ": "
+                           << report.error;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzz, ::testing::Range<std::uint64_t>(1, 41));

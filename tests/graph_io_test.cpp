@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
@@ -16,7 +19,10 @@ namespace {
 class GraphIoTest : public ::testing::Test {
   protected:
     void SetUp() override {
-        dir_ = std::filesystem::temp_directory_path() / "sge_io_test";
+        // Per-process dir: ctest -j runs each test in its own process,
+        // and a sibling's TearDown must not delete this test's files.
+        dir_ = std::filesystem::temp_directory_path() /
+               ("sge_io_test_" + std::to_string(::getpid()));
         std::filesystem::create_directories(dir_);
     }
     void TearDown() override { std::filesystem::remove_all(dir_); }

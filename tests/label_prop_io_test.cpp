@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <map>
 #include <set>
+#include <string>
 
 #include "analytics/label_propagation.hpp"
 #include "gen/ssca2.hpp"
@@ -122,7 +125,10 @@ TEST(LabelPropagation, EmptyGraph) {
 class WeightedIoTest : public ::testing::Test {
   protected:
     void SetUp() override {
-        dir_ = std::filesystem::temp_directory_path() / "sge_wio_test";
+        // Per-process dir: ctest -j runs each test in its own process,
+        // and a sibling's TearDown must not delete this test's files.
+        dir_ = std::filesystem::temp_directory_path() /
+               ("sge_wio_test_" + std::to_string(::getpid()));
         std::filesystem::create_directories(dir_);
     }
     void TearDown() override { std::filesystem::remove_all(dir_); }
