@@ -1,5 +1,7 @@
 // Ablation bench: the direction-optimizing engine — kAuto's choice on
 // one socket — vs the paper's Algorithm 2 across workload families.
+// Both run one level step (src/core/bfs_hybrid.cpp); kBitmap is that step
+// with direction flips off, so each cell isolates what flipping buys.
 //
 // The hybrid engine's win is algorithmic, not architectural — it
 // *examines fewer edges* on low-diameter graphs — so unlike the

@@ -23,12 +23,6 @@ Likewise any file whose series carry a "reuse" param (bench_throughput:
 0=one-shot bfs(), 1=reused runner + workspace) must show the reused
 queries_per_second no lower than one-shot by more than the tolerance on
 each matching cell — workspace reuse may never cost throughput.
-Likewise any file whose series carry a "frontier_gen" param (the
-frontier-generation ablation: 0=atomic, 1=compact) must show compact no
-slower than atomic by more than 2x the tolerance on each matching cell
-— the widened band absorbs the extra per-level barrier that a
-time-shared single-core CI host bills at (threads-1) x level wall,
-which real hardware does not (docs/PERF_MODEL.md).
 Likewise any file whose series carry a "backend" param (the compressed-
 backend ablation: 0=plain CSR, 1=delta+varint): on the hybrid engine's
 R-MAT cells — the bottom-up, bandwidth-bound configuration the backend
@@ -289,29 +283,13 @@ def check_compare(errors, files, baseline, tolerance):
                  f"{describe(key)}: reused queries/s {reused:.3g} is more "
                  f"than {tolerance:.0%} below one-shot {oneshot:.3g}")
 
-    # Frontier-generation guard: compact (1) must not be slower than
-    # atomic (0) on any engine x workload cell. The band is 2x the
-    # baseline tolerance: the compact path's one extra barrier per level
-    # costs nothing but cursor-free writes on real hardware, but an
-    # oversubscribed single-core CI host charges it (threads-1) x level
-    # wall of scheduler time, which would trip the plain tolerance on
-    # noise alone (measured spread on the CI shape: ~5-8%).
-    for key, gens in sorted(split_by_param(current, "frontier_gen").items()):
-        atomic, compact = gens.get(0), gens.get(1)
-        if atomic is None or compact is None or atomic <= 0:
-            continue
-        if compact < atomic * (1.0 - 2.0 * tolerance):
-            fail(errors, "compare",
-                 f"{describe(key)}: compact rate {compact:.3g} is more than "
-                 f"{2.0 * tolerance:.0%} below atomic {atomic:.3g}")
-
     # Backend guard: the compressed backend (backend=1) must hold its
     # rate against plain (backend=0) on the hybrid engine's R-MAT cells
     # — the bottom-up, bandwidth-bound configuration the encoding
     # targets. Other cells (top-down on a cached workload, uniform's
     # long gaps) legitimately pay the decode ALU, so they are reported
-    # but not gated. Same 2x band as the frontier guard: a single-core
-    # CI host overstates per-level costs.
+    # but not gated. The band is 2x the baseline tolerance: a
+    # single-core CI host overstates per-level costs.
     for key, backends in sorted(split_by_param(current, "backend").items()):
         bench, name, _ = key
         if not (isinstance(name, str) and "hybrid" in name and "rmat" in name):
@@ -348,12 +326,11 @@ def check_compare(errors, files, baseline, tolerance):
     # Prefetch guards (ablation_paged cold cells). Rate: frontier-ahead
     # prefetch must never lose to no-prefetch beyond the 2x band — on a
     # single-CPU CI host the inline WILLNEED batch is billed at
-    # (threads-1) x the barrier window, the same effect the frontier
-    # guard absorbs; on real hardware the background toucher overlaps
-    # stripe reads with the level's discovery. Major faults: the
-    # prefetcher's actual job is absorbing cold-start IO, so with a
-    # meaningful cold signal (off-side >= 8 majors) prefetch-on must
-    # not take more major faults than prefetch-off.
+    # (threads-1) x the barrier window; on real hardware the background
+    # toucher overlaps stripe reads with the level's discovery. Major
+    # faults: the prefetcher's actual job is absorbing cold-start IO, so
+    # with a meaningful cold signal (off-side >= 8 majors) prefetch-on
+    # must not take more major faults than prefetch-off.
     for key, modes in sorted(split_by_param(current, "prefetch").items()):
         off_rate, on_rate = modes.get(0), modes.get(1)
         if off_rate is None or on_rate is None or off_rate <= 0:

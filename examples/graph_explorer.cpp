@@ -49,10 +49,8 @@ struct Cli {
     std::string topology = "detect";
     std::string reorder = "none";
     std::string schedule = "edge_weighted";
-    std::string frontier_gen = "compact";
-    std::size_t chunk = 0;           // 0: keep BfsOptions default
-    std::size_t bottomup_chunk = 0;  // 0: engine derives from n/threads
-    double alpha = 0.0;              // 0: keep BfsOptions default
+    std::size_t chunk = 0;  // 0: keep BfsOptions default
+    double alpha = 0.0;     // 0: keep BfsOptions default
     double beta = 0.0;
     std::uint32_t scale = 16;
     std::uint64_t edges = 0;  // 0: 8x vertices
@@ -88,8 +86,7 @@ struct Cli {
         "          [--topology detect|ep|ex|SxCxT] [--threads N] [--runs N]\n"
         "          [--reorder none|shuffle|degree|bfs]\n"
         "          [--schedule static|edge_weighted|stealing]\n"
-        "          [--frontier-gen atomic|compact]\n"
-        "          [--chunk N] [--bottomup-chunk N] [--alpha X] [--beta X]\n"
+        "          [--chunk N] [--alpha X] [--beta X]\n"
         "          [--scale N] [--edges N] [--vertices N] [--degree N]\n"
         "          [--width N] [--height N] [--seed N] [--validate]\n"
         "          [--compress] [--save-compressed FILE] [--paged]\n"
@@ -101,14 +98,8 @@ struct Cli {
         "  --schedule        frontier division across workers: static\n"
         "                    chunking, edge_weighted (default; chunks cut\n"
         "                    by out-edge count), or stealing\n"
-        "  --frontier-gen    next-queue construction: compact (default;\n"
-        "                    per-thread buffers + prefix sum, no queue\n"
-        "                    atomics, SIMD bitmap sweeps) or atomic (the\n"
-        "                    legacy fetch_add appends, for ablation)\n"
         "  --chunk           vertices per static-schedule claim (default "
         "128)\n"
-        "  --bottomup-chunk  hybrid: vertices per bottom-up range claim\n"
-        "                    (default 0 = derive from n/threads)\n"
         "  --alpha, --beta   hybrid direction-switch thresholds\n"
         "                    (defaults 14, 24; Beamer et al.)\n"
         "  --compress        run on the delta+varint compressed CSR\n"
@@ -141,11 +132,8 @@ Cli parse(int argc, char** argv) {
         else if (arg == "--topology") cli.topology = next();
         else if (arg == "--reorder") cli.reorder = next();
         else if (arg == "--schedule") cli.schedule = next();
-        else if (arg == "--frontier-gen") cli.frontier_gen = next();
         else if (arg == "--chunk")
             cli.chunk = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--bottomup-chunk")
-            cli.bottomup_chunk = std::strtoull(next(), nullptr, 10);
         else if (arg == "--alpha") cli.alpha = std::atof(next());
         else if (arg == "--beta") cli.beta = std::atof(next());
         else if (arg == "--scale") cli.scale = std::strtoul(next(), nullptr, 10);
@@ -199,14 +187,6 @@ sge::BfsEngine parse_engine(const std::string& name) {
     if (name == "multisocket") return BfsEngine::kMultiSocket;
     if (name == "hybrid") return BfsEngine::kHybrid;
     std::fprintf(stderr, "bad --engine '%s'\n", name.c_str());
-    std::exit(2);
-}
-
-sge::FrontierGen parse_frontier_gen(const std::string& name) {
-    using sge::FrontierGen;
-    if (name == "atomic") return FrontierGen::kAtomic;
-    if (name == "compact") return FrontierGen::kCompact;
-    std::fprintf(stderr, "bad --frontier-gen '%s'\n", name.c_str());
     std::exit(2);
 }
 
@@ -357,9 +337,7 @@ int main(int argc, char** argv) {
     options.topology = parse_topology(cli.topology);
     options.threads = cli.threads;
     options.schedule = parse_schedule(cli.schedule);
-    options.frontier_gen = parse_frontier_gen(cli.frontier_gen);
     if (cli.chunk) options.chunk_size = cli.chunk;
-    options.bottomup_chunk = cli.bottomup_chunk;
     if (cli.alpha > 0) options.hybrid_alpha = cli.alpha;
     if (cli.beta > 0) options.hybrid_beta = cli.beta;
     if (cli.paged)
@@ -432,8 +410,7 @@ int main(int argc, char** argv) {
     BfsRunner runner(options);
     // --stats names the symmetry stamp next to the engine: hybrid (and
     // so kAuto on one socket) goes bottom-up only on a stamped graph.
-    std::printf("engine: %s%s, %d threads on %s, %s schedule, %s frontiers, "
-                "%s backend\n",
+    std::printf("engine: %s%s, %d threads on %s, %s schedule, %s backend\n",
                 to_string(runner.resolved_engine()).c_str(),
                 !cli.stats            ? ""
                 : graph.symmetric() ? " (graph stamped symmetric)"
@@ -441,7 +418,6 @@ int main(int argc, char** argv) {
                 runner.threads(),
                 runner.topology().describe().c_str(),
                 to_string(options.schedule).c_str(),
-                to_string(options.frontier_gen).c_str(),
                 to_string(options.backend).c_str());
 
     Xoshiro256 rng(cli.seed + 1000);

@@ -11,6 +11,7 @@
 
 #include "core/bfs_workspace.hpp"
 #include "core/engine_common.hpp"
+#include "core/level_driver.hpp"
 #include "graph/csr_compressed.hpp"
 #include "graph/paged_graph.hpp"
 #include "runtime/env.hpp"
@@ -25,14 +26,6 @@ std::string to_string(BfsEngine engine) {
         case BfsEngine::kMultiSocket: return "multisocket";
         case BfsEngine::kHybrid: return "hybrid";
         case BfsEngine::kAuto: return "auto";
-    }
-    return "unknown";
-}
-
-std::string to_string(FrontierGen gen) {
-    switch (gen) {
-        case FrontierGen::kAtomic: return "atomic";
-        case FrontierGen::kCompact: return "compact";
     }
     return "unknown";
 }
@@ -121,21 +114,15 @@ BfsResult BfsRunner::run(const PagedGraph& g, vertex_t root) {
 }
 
 const CompressedCsrGraph& BfsRunner::compressed_for(const CsrGraph& g) {
-    const void* tag = g.offsets().data();
-    if (!compressed_ || compressed_tag_ != tag ||
-        compressed_n_ != g.num_vertices() || compressed_m_ != g.num_edges()) {
+    if (!compressed_ || compressed_source_ != g.id()) {
         compressed_ = std::make_unique<CompressedCsrGraph>(csr_compress(g));
-        compressed_tag_ = tag;
-        compressed_n_ = g.num_vertices();
-        compressed_m_ = g.num_edges();
+        compressed_source_ = g.id();
     }
     return *compressed_;
 }
 
 const PagedGraph& BfsRunner::paged_for(const CsrGraph& g, bool compressed) {
-    const void* tag = g.offsets().data();
-    if (!paged_ || paged_tag_ != tag || paged_compressed_ != compressed ||
-        paged_n_ != g.num_vertices() || paged_m_ != g.num_edges()) {
+    if (!paged_ || paged_source_ != g.id() || paged_compressed_ != compressed) {
         // Unique spill basename: pid + a process-wide counter, under
         // $SGE_PAGED_DIR or the system temp dir. owns_files unlinks the
         // manifest and stripes when the cached graph is replaced or the
@@ -154,10 +141,8 @@ const PagedGraph& BfsRunner::paged_for(const CsrGraph& g, bool compressed) {
         oopts.validate_payload = false;
         oopts.owns_files = true;
         paged_ = std::make_unique<PagedGraph>(make_paged(g, path, wopts, oopts));
-        paged_tag_ = tag;
+        paged_source_ = g.id();
         paged_compressed_ = compressed;
-        paged_n_ = g.num_vertices();
-        paged_m_ = g.num_edges();
     }
     return *paged_;
 }
@@ -205,15 +190,14 @@ void BfsRunner::run_into_impl(BfsResult& result, const Graph& g,
         case BfsEngine::kNaive:
             detail::bfs_naive(g, root, options_, *team_, *workspace_, result);
             return;
-        case BfsEngine::kBitmap:
-            detail::bfs_bitmap(g, root, options_, *team_, *workspace_, result);
-            return;
         case BfsEngine::kMultiSocket:
             detail::bfs_multisocket(g, root, options_, *team_, *workspace_,
                                     result);
             return;
+        case BfsEngine::kBitmap:
         case BfsEngine::kHybrid:
-            detail::bfs_hybrid(g, root, options_, *team_, *workspace_, result);
+            detail::bfs_hybrid(g, root, engine, options_, *team_, *workspace_,
+                               result);
             return;
         default:
             break;  // resolved_engine never returns kAuto/kSerial here

@@ -37,22 +37,6 @@ enum class BfsEngine {
 
 [[nodiscard]] std::string to_string(BfsEngine engine);
 
-/// How the parallel engines build the next-level frontier queue (NQ);
-/// see docs/ALGORITHMS.md "Frontier generation".
-enum class FrontierGen {
-    /// Legacy path: producers reserve NQ slots with fetch_add (per
-    /// vertex in the naive engine, per 64-vertex batch elsewhere).
-    /// Retained for the bench/ablation_frontier A/B.
-    kAtomic,
-    /// Count -> parallel exclusive prefix sum -> contiguous writes
-    /// (FrontierCompactor): zero atomics in NQ construction, plus
-    /// word-at-a-time (SIMD-assisted) bitmap and lane-mask scans in the
-    /// bottom-up, harvest and MS-BFS sweeps. The default.
-    kCompact,
-};
-
-[[nodiscard]] std::string to_string(FrontierGen gen);
-
 /// Which adjacency representation a run traverses; see
 /// docs/ALGORITHMS.md "Compressed adjacency".
 enum class GraphBackend {
@@ -104,29 +88,13 @@ struct BfsOptions {
     /// adds per-thread ranges with intra-socket work stealing on top.
     SchedulePolicy schedule = SchedulePolicy::kEdgeWeighted;
 
-    /// How the next-level frontier is materialized (see FrontierGen and
-    /// docs/ALGORITHMS.md "Frontier generation"): kCompact (default)
-    /// builds NQ with per-thread buffers + a prefix sum — no atomics in
-    /// queue construction — and vectorizes the bottom-up/harvest bitmap
-    /// sweeps; kAtomic keeps the legacy fetch_add appends and scalar
-    /// sweeps for ablation (bench/ablation_frontier). The visited-claim
-    /// atomics (test_and_set / parent CAS) are required for correctness
-    /// and remain in both modes. Ignored by the serial engine.
-    FrontierGen frontier_gen = FrontierGen::kCompact;
-
     /// Adjacency representation for BfsRunner::run(const CsrGraph&) /
     /// bfs(): kCompressed makes the runner delta+varint-encode the graph
-    /// once (cached by graph identity, so back-to-back queries reuse the
+    /// once (cached by graph id, so back-to-back queries reuse the
     /// encoding) and traverse decode-on-scan. The
     /// run(const CompressedCsrGraph&) overloads ignore this — a graph
     /// that is already compressed is always traversed compressed.
     GraphBackend backend = GraphBackend::kPlain;
-
-    /// kHybrid: vertices per bottom-up range claim (and per conversion
-    /// sweep claim). 0 (default) derives n / (threads * 64) clamped to
-    /// [64, 4096], so big graphs get coarse claims and small graphs
-    /// still produce enough chunks to balance.
-    std::size_t bottomup_chunk = 0;
 
     /// FastForward ring capacity per inter-socket channel (entries).
     std::size_t channel_capacity = 1 << 15;
@@ -296,22 +264,19 @@ struct BfsLevelStats {
 
     /// Nanoseconds spent in the compact frontier-generation phase
     /// (exclusive prefix offsets + contiguous copy-out), summed across
-    /// threads. Zero under FrontierGen::kAtomic. This is the cost the
-    /// prefix-sum scheme pays to delete the queue atomics; compare
-    /// against barrier_wait_ns in docs/PERF_MODEL.md's crossover model.
+    /// threads — the cost the prefix-sum scheme pays to keep atomics out
+    /// of next-queue construction.
     std::uint64_t prefix_sum_ns = 0;
 
     /// Vertices written into next-level queues by compact copy-out this
     /// level. Invariant: compact_writes == the next level's
     /// frontier_size (exact cover — every discovery written exactly
     /// once), so summed over a run it equals vertices_visited - 1.
-    /// Zero under FrontierGen::kAtomic.
     std::uint64_t compact_writes = 0;
 
     /// Bitmap / lane-mask words examined by the word-at-a-time scans
     /// (bottom-up unvisited sweep, bits->queue harvest, MS-BFS frontier
-    /// scans), whether vector-skipped or iterated with ctz. Zero under
-    /// FrontierGen::kAtomic (those paths test per vertex instead).
+    /// scans), whether vector-skipped or iterated with ctz.
     std::uint64_t simd_words_scanned = 0;
 
     /// Largest per-thread edges_scanned this level — the numerator of
@@ -408,8 +373,7 @@ class BfsRunner {
     /// Runs a BFS from `root`. Throws std::out_of_range for an invalid
     /// root or std::invalid_argument for inconsistent options. With
     /// BfsOptions::backend == kCompressed the graph is encoded once
-    /// (cached by identity — offsets address + shape) and traversed
-    /// decode-on-scan.
+    /// (cached by the graph's id()) and traversed decode-on-scan.
     BfsResult run(const CsrGraph& g, vertex_t root);
 
     /// Runs over an already-compressed graph (always decode-on-scan,
@@ -455,14 +419,14 @@ class BfsRunner {
     void run_into_impl(BfsResult& result, const Graph& g, vertex_t root);
 
     /// run(const CsrGraph&) with backend == kCompressed: returns the
-    /// cached encoding of `g`, re-encoding only when the graph identity
-    /// (offsets address + shape) changed since the last query.
+    /// cached encoding of `g`, re-encoding only when `g.id()` changed
+    /// since the last query.
     const CompressedCsrGraph& compressed_for(const CsrGraph& g);
 
     /// run(const CsrGraph&) with backend == kPaged / kPagedCompressed:
     /// returns the cached spill of `g` — written once to
     /// $SGE_PAGED_DIR (default: the system temp directory) and
-    /// re-spilled only when the graph identity changed. The spill files
+    /// re-spilled only when `g.id()` changed. The spill files
     /// are owned by the cached graph and unlinked with it.
     const PagedGraph& paged_for(const CsrGraph& g, bool compressed);
 
@@ -471,18 +435,15 @@ class BfsRunner {
     std::unique_ptr<ThreadTeam> team_;  // null for serial-only runners
     std::unique_ptr<BfsWorkspace> workspace_;  // lazily built on first run
 
-    // Cached encoding for the backend == kCompressed plain-graph path.
+    // Cached encoding for the backend == kCompressed plain-graph path,
+    // and the id() of the graph it encodes.
     std::unique_ptr<CompressedCsrGraph> compressed_;
-    const void* compressed_tag_ = nullptr;  // source offsets address
-    vertex_t compressed_n_ = 0;
-    std::uint64_t compressed_m_ = 0;
+    std::uint64_t compressed_source_ = 0;
 
     // Cached spill for the backend == kPaged* plain-graph paths.
     std::unique_ptr<PagedGraph> paged_;
-    const void* paged_tag_ = nullptr;  // source offsets address
+    std::uint64_t paged_source_ = 0;
     bool paged_compressed_ = false;
-    vertex_t paged_n_ = 0;
-    std::uint64_t paged_m_ = 0;
 };
 
 /// One-shot convenience wrapper around BfsRunner.
@@ -505,51 +466,15 @@ BfsResult bfs(const PagedGraph& g, vertex_t root,
 
 namespace detail {
 
-// Engine entry points (exposed for tests; use BfsRunner in user code).
-// The parallel engines require a workspace already prepare()d for
-// (g, engine, options, team); they write into `result` after rewinding
-// it (reset_result). Each engine is one template body instantiated for
-// both CSR backends (docs/ALGORITHMS.md "Compressed adjacency") — the
-// overload pairs are the two instantiations.
+// The serial reference engine (exposed for tests; use BfsRunner in user
+// code), one template body instantiated for each graph backend. The
+// parallel engines are internal (core/level_driver.hpp).
 void bfs_serial(const CsrGraph& g, vertex_t root, const BfsOptions& options,
                 BfsResult& result);
 void bfs_serial(const CompressedCsrGraph& g, vertex_t root,
                 const BfsOptions& options, BfsResult& result);
 void bfs_serial(const PagedGraph& g, vertex_t root,
                 const BfsOptions& options, BfsResult& result);
-void bfs_naive(const CsrGraph& g, vertex_t root, const BfsOptions& options,
-               ThreadTeam& team, BfsWorkspace& ws, BfsResult& result);
-void bfs_naive(const CompressedCsrGraph& g, vertex_t root,
-               const BfsOptions& options, ThreadTeam& team, BfsWorkspace& ws,
-               BfsResult& result);
-void bfs_naive(const PagedGraph& g, vertex_t root,
-               const BfsOptions& options, ThreadTeam& team, BfsWorkspace& ws,
-               BfsResult& result);
-void bfs_bitmap(const CsrGraph& g, vertex_t root, const BfsOptions& options,
-                ThreadTeam& team, BfsWorkspace& ws, BfsResult& result);
-void bfs_bitmap(const CompressedCsrGraph& g, vertex_t root,
-                const BfsOptions& options, ThreadTeam& team, BfsWorkspace& ws,
-                BfsResult& result);
-void bfs_bitmap(const PagedGraph& g, vertex_t root,
-                const BfsOptions& options, ThreadTeam& team, BfsWorkspace& ws,
-                BfsResult& result);
-void bfs_multisocket(const CsrGraph& g, vertex_t root,
-                     const BfsOptions& options, ThreadTeam& team,
-                     BfsWorkspace& ws, BfsResult& result);
-void bfs_multisocket(const CompressedCsrGraph& g, vertex_t root,
-                     const BfsOptions& options, ThreadTeam& team,
-                     BfsWorkspace& ws, BfsResult& result);
-void bfs_multisocket(const PagedGraph& g, vertex_t root,
-                     const BfsOptions& options, ThreadTeam& team,
-                     BfsWorkspace& ws, BfsResult& result);
-void bfs_hybrid(const CsrGraph& g, vertex_t root, const BfsOptions& options,
-                ThreadTeam& team, BfsWorkspace& ws, BfsResult& result);
-void bfs_hybrid(const CompressedCsrGraph& g, vertex_t root,
-                const BfsOptions& options, ThreadTeam& team, BfsWorkspace& ws,
-                BfsResult& result);
-void bfs_hybrid(const PagedGraph& g, vertex_t root,
-                const BfsOptions& options, ThreadTeam& team, BfsWorkspace& ws,
-                BfsResult& result);
 
 }  // namespace detail
 

@@ -1,17 +1,9 @@
-#include <atomic>
 #include <cassert>
 
 #include "concurrency/channel.hpp"
-#include "concurrency/spin_barrier.hpp"
-#include "concurrency/versioned_bitmap.hpp"
-#include "core/bfs_workspace.hpp"
-#include "core/engine_common.hpp"
-#include "core/frontier.hpp"
+#include "core/level_driver.hpp"
 #include "graph/csr_compressed.hpp"
 #include "graph/paged_graph.hpp"
-#include "graph/partition.hpp"
-#include "runtime/prefetch.hpp"
-#include "runtime/timer.hpp"
 
 namespace sge::detail {
 
@@ -40,322 +32,189 @@ namespace {
 /// arenas — queues, channels, schedulers, per-thread staging — live in
 /// the workspace and were first-touched by each socket's own pinned
 /// workers, so back-to-back queries pay no allocation or page-placement
-/// cost.
+/// cost. Both phases' local discoveries compact into the socket's NQ at
+/// a per-socket prefix offset (the compactor groups claimants by socket).
 template <class Graph>
-void bfs_multisocket_impl(const Graph& g, vertex_t root,
-                          const BfsOptions& options, ThreadTeam& team,
-                          BfsWorkspace& ws, BfsResult& result) {
-    check_root(g, root);
-    const vertex_t n = g.num_vertices();
-    const int threads = team.size();
-    const int sockets = team.sockets_used();
-    const std::size_t chunk = options.chunk_size < 1 ? 1 : options.chunk_size;
-    const SocketPartition partition(n, sockets);
+class MultiSocketStep {
+  public:
+    MultiSocketStep(const Graph& g, const BfsOptions& options,
+                    const ThreadTeam& team, BfsWorkspace& ws)
+        : g_(g),
+          options_(options),
+          team_(team),
+          ws_(ws),
+          partition_(g.num_vertices(), team.sockets_used()),
+          chunk_(options.chunk_size < 1 ? 1 : options.chunk_size) {}
 
-    reset_result(result, n, options.compute_levels);
+    void seed(vertex_t root) {
+        ws_.visited.test_and_set(root);
+        ws_.socket_queues[0][partition_.socket_of(root)].push_one(root);
+        plan(0);
+    }
 
-    VersionedBitmap& bitmap = ws.visited;
-    // Per-socket queue pairs (queues[phase][socket]), channels and
-    // schedulers — workspace-owned, NUMA-placed at prepare() time.
-    std::vector<FrontierQueue>* const queues = ws.socket_queues;
-    auto& channels = ws.channels;
-    auto& wqs = ws.socket_wqs;
-    const std::vector<int>& rank_in_socket = ws.rank_in_socket;
-    // Compact frontier generation: each worker stages both phases'
-    // local discoveries in its private buffer and copies them into its
-    // *socket's* NQ at a per-socket prefix offset (the compactor groups
-    // claimants by socket) — no queue atomics. Channel traffic is
-    // untouched: tuples still batch through the rings; only the NQ
-    // append changes (docs/ALGORITHMS.md "Frontier generation").
-    const bool compact = options.frontier_gen == FrontierGen::kCompact;
-    FrontierCompactor& fc = ws.compactor;
-    SpinBarrier barrier(threads);
+    bool compacts() const noexcept { return true; }
 
-    struct Shared {
-        std::atomic<std::uint64_t> visited{0};
-        std::atomic<std::uint64_t> edges{0};
-        int current = 0;
-        bool done = false;
-        bool cancelled = false;  // written by tid 0 between barriers
-        // Atomic so the watchdog may snapshot it mid-run.
-        std::atomic<std::uint32_t> levels_run{0};
-    } shared;
-
-    LevelAccumLog& stats = ws.accum;
-    acquire_level_slot(stats, 0).frontier_size = 1;
-
-    vertex_t* const parent = result.parent.data();
-    level_t* const level = options.compute_levels ? result.level.data() : nullptr;
-    const bool double_check = options.bitmap_double_check;
-    const bool collect = options.collect_stats;
-    SpanRecorder spans(threads, collect);
-
-    // Diagnostic snapshot for the watchdog: level reached plus, per
-    // socket, both queue depths and the channel's pushed/popped totals
-    // (all read from atomics; a momentary view, not a quiescent one).
-    LevelWatchdog watchdog(resolve_watchdog_seconds(options), barrier, [&] {
-        std::string diag =
-            "level=" +
-            std::to_string(shared.levels_run.load(std::memory_order_relaxed)) +
-            " visited=" +
-            std::to_string(shared.visited.load(std::memory_order_relaxed));
-        for (int s = 0; s < sockets; ++s) {
-            diag += "; socket " + std::to_string(s) +
-                    ": q0=" + std::to_string(queues[0][s].size()) +
-                    " q1=" + std::to_string(queues[1][s].size()) +
-                    " channel pushed=" + std::to_string(channels[s]->pushed()) +
-                    " popped=" + std::to_string(channels[s]->popped());
-        }
-        return diag;
-    });
-
-#ifndef NDEBUG
-    const std::uint64_t allocs_before =
-        aligned_alloc_count().load(std::memory_order_relaxed);
-#endif
-    WallTimer timer;
-    team.run([&](int tid) {
-        const int my = team.socket_of(tid);
-        Channel<std::uint64_t, kEmptyVisit>& my_channel = *channels[my];
-
-        // No init pass: the workspace's epoch bump already cleared the
-        // bitmap; unreached parent/level slots are filled post-run.
-        if (tid == 0) {
-            bitmap.test_and_set(root);
-            parent[root] = root;
-            if (level != nullptr) level[root] = 0;
-            queues[0][partition.socket_of(root)].push_one(root);
-            shared.visited.fetch_add(1, std::memory_order_relaxed);
-            for (int s = 0; s < sockets; ++s)
-                plan_frontier(*wqs[s], queues[0][s].data(), queues[0][s].size(),
-                              g, options.schedule, chunk);
-        }
-        if (!barrier.arrive_and_wait()) return;
-
+    bool scan(LevelCtx& lv) {
+        // Locals, not members: the hot lambdas capture them directly.
+        const Graph& g = g_;
+        ThreadCounters& counters = lv.counters;
+        const int my = team_.socket_of(lv.tid);
+        const FrontierQueue& cq = ws_.socket_queues[current_][my];
         BfsWorkspace::ThreadScratch& scratch =
-            ws.scratch[static_cast<std::size_t>(tid)];
-        LocalBatch<vertex_t>& staged = scratch.staged;
+            ws_.scratch[static_cast<std::size_t>(lv.tid)];
         std::vector<LocalBatch<std::uint64_t>>& remote = scratch.remote;
-        AlignedBuffer<std::uint64_t>& drain = scratch.drain;
-        vertex_t* const cbuf = compact ? fc.buffer(tid) : nullptr;
-        std::size_t staged_count = 0;  // compact-mode discoveries per level
-
-        // Visit `v` (owned by this socket) with parent `u`; enqueue into
-        // `nq` on first visit. Shared by both phases.
-        const auto visit_local = [&](vertex_t v, vertex_t u, level_t next_level,
-                                     FrontierQueue& nq, ThreadCounters& counters,
-                                     std::uint64_t& discovered) {
-            ++counters.bitmap_checks;
-            if (double_check && bitmap.test(v)) {
-                counters.count_skip();
-                return;
-            }
-            ++counters.atomic_ops;
-            if (bitmap.test_and_set(v)) return;
-            counters.count_win();
-            parent[v] = u;
-            if (level != nullptr) level[v] = next_level;
-            ++discovered;
-            if (compact) {
-                cbuf[staged_count++] = v;  // plain store
-            } else if (staged.push(v)) {
-                nq.push_batch(staged.data(), staged.size());
-                staged.clear();
-            }
+        VersionedBitmap& visited = ws_.visited;
+        const bool double_check = options_.bitmap_double_check;
+        // Visit `v` (owned by this socket) with parent `u`; stage it for
+        // the socket's NQ on first visit. Shared by both phases.
+        const auto visit_local = [&](vertex_t v, vertex_t u) {
+            if (double_checked_claim(visited, v, double_check, counters))
+                lv.discover(v, u);
+        };
+        const auto ship = [&](int s) {
+            counters.count_batch_push(remote[s].size(), remote[s].capacity());
+            ws_.channels[s]->push_batch(remote[s].data(), remote[s].size());
+            remote[s].clear();
         };
 
-        level_t depth = 0;
-        std::uint64_t total_edges = 0;
-        std::uint64_t discovered = 0;
-        WallTimer level_timer;  // tid 0 stamps per-level wall time
-        for (;;) {
-            const std::uint64_t span_start = spans.now(timer);
-            const int cur = shared.current;
-            FrontierQueue& cq = queues[cur][my];
-            FrontierQueue& nq = queues[1 - cur][my];
-            ThreadCounters counters;
-            // Deque slots never relocate, so the reference stays valid
-            // across tid 0's acquire between the barriers.
-            LevelAccum& slot = stats[depth];
-
-            // ---- Phase 1: scan this socket's frontier. ----
-            std::size_t begin = 0;
-            std::size_t end = 0;
-            staged_count = 0;
-            WorkQueue::Claim cl;
-            while ((cl = wqs[my]->claim(rank_in_socket[tid], begin, end)) !=
-                   WorkQueue::Claim::kNone) {
-                counters.count_chunk(cl == WorkQueue::Claim::kStolen);
-                for (std::size_t i = begin; i < end; ++i) {
-                    const vertex_t u = cq[i];
-                    if (i + 1 < end) g.prefetch_adjacency(cq[i + 1]);
-                    scan_adjacency(
-                        g, u, counters, [](vertex_t) {},
-                        [&](vertex_t v) {
-                            const int s = partition.socket_of(v);
-                            if (s == my) {
-                                visit_local(v, u, depth + 1, nq, counters,
-                                            discovered);
+        // ---- Phase 1: scan this socket's frontier. ----
+        std::size_t begin = 0;
+        std::size_t end = 0;
+        WorkQueue::Claim cl;
+        while ((cl = ws_.socket_wqs[my]->claim(
+                    ws_.rank_in_socket[static_cast<std::size_t>(lv.tid)],
+                    begin, end)) != WorkQueue::Claim::kNone) {
+            counters.count_chunk(cl == WorkQueue::Claim::kStolen);
+            for (std::size_t i = begin; i < end; ++i) {
+                const vertex_t u = cq[i];
+                if (i + 1 < end) g.prefetch_adjacency(cq[i + 1]);
+                scan_adjacency(
+                    g, u, counters, [](vertex_t) {},
+                    [&](vertex_t v) {
+                        const int s = partition_.socket_of(v);
+                        if (s == my) {
+                            visit_local(v, u);
+                            return;
+                        }
+                        // Optional ablation: peek at the owner's bit
+                        // before shipping. Costs remote coherence traffic
+                        // (why the paper doesn't), saves channel volume
+                        // for already-visited hubs.
+                        if (options_.remote_sender_filter) {
+                            ++counters.bitmap_checks;
+                            if (visited.test(v)) {
+                                counters.count_skip();
                                 return;
                             }
-                            // Optional ablation: peek at the owner's bit
-                            // before shipping. Costs remote coherence
-                            // traffic (why the paper doesn't), saves
-                            // channel volume for already-visited hubs.
-                            if (options.remote_sender_filter) {
-                                ++counters.bitmap_checks;
-                                if (bitmap.test(v)) {
-                                    counters.count_skip();
-                                    return;
-                                }
-                            }
-                            ++counters.remote_tuples;
-                            if (remote[s].push(pack_visit(v, u))) {
-                                counters.count_batch_push(remote[s].size(),
-                                                          remote[s].capacity());
-                                channels[s]->push_batch(remote[s].data(),
-                                                        remote[s].size());
-                                remote[s].clear();
-                            }
-                        });
-                }
+                        }
+                        ++counters.remote_tuples;
+                        if (remote[s].push(pack_visit(v, u))) ship(s);
+                    });
             }
-            for (int s = 0; s < sockets; ++s) {
-                if (!remote[s].empty()) {
-                    counters.count_batch_push(remote[s].size(),
-                                              remote[s].capacity());
-                    channels[s]->push_batch(remote[s].data(), remote[s].size());
-                    remote[s].clear();
-                }
-            }
-            if (!staged.empty()) {
-                nq.push_batch(staged.data(), staged.size());
-                staged.clear();
-            }
-            if (!timed_wait(barrier, slot, collect)) return;
-
-            // ---- Phase 2: drain tuples other sockets sent us. ----
-            for (;;) {
-                const std::size_t k = my_channel.pop_batch(drain.data(), drain.size());
-                if (k == 0) break;
-                counters.count_batch_pop(k);
-                for (std::size_t j = 0; j < k; ++j)
-                    visit_local(visit_child(drain[j]), visit_parent(drain[j]),
-                                depth + 1, nq, counters, discovered);
-            }
-            // Producers went quiescent at the phase-1 barrier, so an
-            // empty pop here means every push this level — including
-            // each sender's final partial batch — has been consumed. A
-            // leftover tuple would be dropped silently (a missing tree
-            // edge), so fail loudly in debug builds.
-            assert(my_channel.drained());
-            if (compact) {
-                fc.publish(tid, staged_count);
-            } else if (!staged.empty()) {
-                nq.push_batch(staged.data(), staged.size());
-                staged.clear();
-            }
-            total_edges += counters.edges_scanned;
-            counters.flush_into(slot);
-            if (!timed_wait(barrier, slot, collect)) return;
-
-            if (compact) {
-                // Both phases' discoveries are published: copy each
-                // worker's segment into its socket's NQ at the socket-
-                // group prefix offset, then one more barrier so tid 0's
-                // set_size sees every segment.
-                compact_copy_out(fc, tid, nq.slots_mut(), slot);
-                if (!timed_wait(barrier, slot, collect)) return;
-            }
-
-            if (tid == 0) {
-                slot.seconds = level_timer.seconds();
-                level_timer.reset();
-                std::uint64_t next_frontier = 0;
-                for (int s = 0; s < sockets; ++s) {
-                    queues[cur][s].reset();
-                    if (compact)
-                        queues[1 - cur][s].set_size(fc.group_total(s));
-                    next_frontier += queues[1 - cur][s].size();
-                }
-                shared.current = 1 - cur;
-                shared.done = next_frontier == 0;
-                shared.levels_run.fetch_add(1, std::memory_order_relaxed);
-                if (!shared.done && poll_cancel(options)) {
-                    shared.cancelled = true;
-                    shared.done = true;
-                }
-                if (!shared.done) {
-                    acquire_level_slot(stats, depth + 1).frontier_size =
-                        next_frontier;
-                    for (int s = 0; s < sockets; ++s)
-                        plan_frontier(*wqs[s], queues[1 - cur][s].data(),
-                                      queues[1 - cur][s].size(), g,
-                                      options.schedule, chunk);
-                    // Per-socket queues are handed over one by one; the
-                    // prefetcher appends unprocessed same-level parts.
-                    for (int s = 0; s < sockets; ++s)
-                        prefetch_next_frontier(g, queues[1 - cur][s].data(),
-                                               queues[1 - cur][s].size());
-                }
-            }
-            if (!timed_wait(barrier, slot, collect)) return;
-            spans.record(tid, depth, span_start, spans.now(timer));
-            if (shared.done) break;
-            ++depth;
         }
+        for (int s = 0; s < static_cast<int>(remote.size()); ++s)
+            if (!remote[s].empty()) ship(s);
+        if (!lv.wait()) return false;
 
-        // Unreached sentinels for this socket's slice (replaces the old
-        // pre-init pass; writes only unvisited slots).
-        {
-            const auto [lo, hi] = partition.range(my);
-            const auto [b, e] = split_range(
-                hi - lo, ws.socket_threads[static_cast<std::size_t>(my)],
-                rank_in_socket[static_cast<std::size_t>(tid)]);
-            fill_unreached(bitmap, lo + b, lo + e, parent, level);
+        // ---- Phase 2: drain tuples other sockets sent us. ----
+        Channel<std::uint64_t, kEmptyVisit>& my_channel = *ws_.channels[my];
+        AlignedBuffer<std::uint64_t>& drain = scratch.drain;
+        for (;;) {
+            const std::size_t k = my_channel.pop_batch(drain.data(), drain.size());
+            if (k == 0) break;
+            counters.count_batch_pop(k);
+            for (std::size_t j = 0; j < k; ++j)
+                visit_local(visit_child(drain[j]), visit_parent(drain[j]));
         }
+        // Producers went quiescent at the phase-1 barrier, so an empty
+        // pop here means every push this level — including each sender's
+        // final partial batch — has been consumed. A leftover tuple would
+        // be dropped silently (a missing tree edge), so fail loudly in
+        // debug builds.
+        assert(my_channel.drained());
+        return true;
+    }
 
-        shared.edges.fetch_add(total_edges, std::memory_order_relaxed);
-        shared.visited.fetch_add(discovered, std::memory_order_relaxed);
-    }, &barrier);
-#ifndef NDEBUG
-    // A prepared workspace makes the traversal allocation-free.
-    assert(aligned_alloc_count().load(std::memory_order_relaxed) ==
-           allocs_before);
-#endif
-    const std::uint32_t levels = shared.levels_run.load(std::memory_order_relaxed);
-    finish_watchdog(watchdog, "bfs_multisocket", levels,
-                    shared.visited.load(std::memory_order_relaxed));
-    if (shared.cancelled)
-        throw_cancelled("bfs_multisocket", levels,
-                        shared.visited.load(std::memory_order_relaxed));
-    result.seconds = timer.seconds();
-    spans.collect_into(result);
+    vertex_t* next_slots(int tid) noexcept {
+        return ws_.socket_queues[1 - current_][team_.socket_of(tid)].slots_mut();
+    }
 
-    result.vertices_visited = shared.visited.load(std::memory_order_relaxed);
-    result.edges_traversed = shared.edges.load(std::memory_order_relaxed);
-    result.num_levels = levels;
-    if (options.collect_stats) copy_level_stats(result, stats, levels);
-}
+    std::uint64_t end_level() {
+        std::uint64_t next = 0;
+        for (int s = 0; s < partition_.sockets(); ++s) {
+            ws_.socket_queues[current_][s].reset();
+            FrontierQueue& nq = ws_.socket_queues[1 - current_][s];
+            nq.set_size(ws_.compactor.group_total(s));
+            next += nq.size();
+        }
+        current_ = 1 - current_;
+        return next;
+    }
+
+    void plan_next() {
+        plan(current_);
+        // Per-socket queues are handed over one by one; the prefetcher
+        // appends unprocessed same-level parts.
+        for (const FrontierQueue& q : ws_.socket_queues[current_])
+            prefetch_next_frontier(g_, q.data(), q.size());
+    }
+
+    bool convert(LevelCtx&) noexcept { return true; }
+
+    bool visited(std::size_t v) const noexcept { return ws_.visited.test(v); }
+
+    std::uint64_t edges_traversed(std::uint64_t scanned) const noexcept {
+        return scanned;
+    }
+
+    /// Per socket: both queue depths and the channel's pushed/popped
+    /// totals (a momentary view, not a quiescent one).
+    std::string diagnose() const {
+        std::string diag;
+        for (int s = 0; s < partition_.sockets(); ++s) {
+            diag += "; socket " + std::to_string(s) +
+                    ": q0=" + std::to_string(ws_.socket_queues[0][s].size()) +
+                    " q1=" + std::to_string(ws_.socket_queues[1][s].size()) +
+                    " channel pushed=" +
+                    std::to_string(ws_.channels[s]->pushed()) +
+                    " popped=" + std::to_string(ws_.channels[s]->popped());
+        }
+        return diag;
+    }
+
+  private:
+    void plan(int phase) {
+        for (int s = 0; s < partition_.sockets(); ++s) {
+            const FrontierQueue& q = ws_.socket_queues[phase][s];
+            plan_frontier(*ws_.socket_wqs[s], q.data(), q.size(), g_,
+                          options_.schedule, chunk_);
+        }
+    }
+
+    const Graph& g_;
+    const BfsOptions& options_;
+    const ThreadTeam& team_;
+    BfsWorkspace& ws_;
+    const SocketPartition partition_;
+    const std::size_t chunk_;
+    int current_ = 0;  // CQ phase; written by thread 0 between barriers
+};
 
 }  // namespace
 
-void bfs_multisocket(const CsrGraph& g, vertex_t root,
-                     const BfsOptions& options, ThreadTeam& team,
-                     BfsWorkspace& ws, BfsResult& result) {
-    bfs_multisocket_impl(g, root, options, team, ws, result);
+template <class Graph>
+void bfs_multisocket(const Graph& g, vertex_t root, const BfsOptions& options,
+                     ThreadTeam& team, BfsWorkspace& ws, BfsResult& result) {
+    MultiSocketStep<Graph> step(g, options, team, ws);
+    run_levels(g, root, "bfs_multisocket", options, team, ws, result, step);
 }
 
-void bfs_multisocket(const CompressedCsrGraph& g, vertex_t root,
-                     const BfsOptions& options, ThreadTeam& team,
-                     BfsWorkspace& ws, BfsResult& result) {
-    bfs_multisocket_impl(g, root, options, team, ws, result);
-}
-
-void bfs_multisocket(const PagedGraph& g, vertex_t root,
-                     const BfsOptions& options, ThreadTeam& team,
-                     BfsWorkspace& ws, BfsResult& result) {
-    bfs_multisocket_impl(g, root, options, team, ws, result);
-}
+template void bfs_multisocket(const CsrGraph&, vertex_t, const BfsOptions&,
+                              ThreadTeam&, BfsWorkspace&, BfsResult&);
+template void bfs_multisocket(const CompressedCsrGraph&, vertex_t,
+                              const BfsOptions&, ThreadTeam&, BfsWorkspace&,
+                              BfsResult&);
+template void bfs_multisocket(const PagedGraph&, vertex_t, const BfsOptions&,
+                              ThreadTeam&, BfsWorkspace&, BfsResult&);
 
 }  // namespace sge::detail

@@ -1,15 +1,9 @@
 #include <atomic>
-#include <cassert>
 
-#include "concurrency/spin_barrier.hpp"
-#include "core/bfs_workspace.hpp"
-#include "core/engine_common.hpp"
-#include "core/frontier.hpp"
+#include "core/level_driver.hpp"
 #include "graph/csr_compressed.hpp"
 #include "graph/paged_graph.hpp"
-#include "graph/partition.hpp"
 #include "runtime/prefetch.hpp"
-#include "runtime/timer.hpp"
 
 namespace sge::detail {
 
@@ -18,242 +12,131 @@ namespace {
 /// Algorithm 1: the high-level parallel BFS before any of the paper's
 /// optimizations. One shared current/next queue pair; the visited check
 /// is an unconditional atomic per neighbour (the listing's lines 10-12
-/// "must be executed atomically"); vertices are dequeued and enqueued
-/// one at a time (LockedDequeue/LockedEnqueue). This is the baseline
-/// curve of Figure 5.
+/// "must be executed atomically"). This is the baseline curve of
+/// Figure 5.
 ///
 /// Workspace reuse: the claim array packs `epoch | parent` per vertex
 /// (stale stamp == unclaimed), so back-to-back queries skip the O(n)
-/// parent/level re-initialisation — unreached sentinels are written by
-/// a post-traversal fill sweep instead.
+/// parent/level re-initialisation.
 template <class Graph>
-void bfs_naive_impl(const Graph& g, vertex_t root, const BfsOptions& options,
-                    ThreadTeam& team, BfsWorkspace& ws, BfsResult& result) {
-    check_root(g, root);
-    const vertex_t n = g.num_vertices();
-    const int threads = team.size();
-    const int sockets = team.sockets_used();
-    const SocketPartition partition(n, sockets);
+class NaiveStep {
+  public:
+    NaiveStep(const Graph& g, const BfsOptions& options, BfsWorkspace& ws)
+        : g_(g),
+          schedule_(options.schedule),
+          ws_(ws),
+          claim_(ws.claim.data()),
+          epoch_(ws.claim_epoch),
+          stamp_(static_cast<std::uint64_t>(ws.claim_epoch) << 32) {}
 
-    reset_result(result, n, options.compute_levels);
+    void seed(vertex_t root) {
+        claim_[root].store(stamp_ | root, std::memory_order_relaxed);
+        ws_.queues[0].push_one(root);
+        plan_frontier(*ws_.wq, ws_.queues[0].data(), 1, g_, schedule_, 1);
+    }
 
-    FrontierQueue* const queues = ws.queues;
-    WorkQueue& wq = *ws.wq;
-    // Compact frontier generation: discoveries go to private per-thread
-    // buffers and reach NQ via prefix-sum copy-out — no queue atomics
-    // (docs/ALGORITHMS.md "Frontier generation"). In the naive engine
-    // this deletes one fetch_add per discovered vertex, the largest
-    // relative saving of any engine (push_one has no batching).
-    const bool compact = options.frontier_gen == FrontierGen::kCompact;
-    FrontierCompactor& fc = ws.compactor;
-    std::atomic<std::uint64_t>* const claim = ws.claim.data();
-    const std::uint32_t epoch = ws.claim_epoch;
-    const std::uint64_t stamp = static_cast<std::uint64_t>(epoch) << 32;
-    SpinBarrier barrier(threads);
+    bool compacts() const noexcept { return true; }
 
-    struct Shared {
-        std::atomic<std::uint64_t> visited{0};
-        std::atomic<std::uint64_t> edges{0};
-        int current = 0;   // queue index; written by tid 0 between barriers
-        bool done = false; // written by tid 0 between barriers
-        bool cancelled = false;  // written by tid 0 between barriers
-        // Atomic so the watchdog may snapshot it mid-run.
-        std::atomic<std::uint32_t> levels_run{0};
-    } shared;
-
-    LevelAccumLog& stats = ws.accum;
-    acquire_level_slot(stats, 0).frontier_size = 1;
-
-    vertex_t* const parent = result.parent.data();
-    level_t* const level = options.compute_levels ? result.level.data() : nullptr;
-    const bool collect = options.collect_stats;
-    SpanRecorder spans(threads, collect);
-
-    LevelWatchdog watchdog(resolve_watchdog_seconds(options), barrier, [&] {
-        return "level=" +
-               std::to_string(shared.levels_run.load(std::memory_order_relaxed)) +
-               " q0=" + std::to_string(queues[0].size()) +
-               " q1=" + std::to_string(queues[1].size());
-    });
-
-#ifndef NDEBUG
-    const std::uint64_t allocs_before =
-        aligned_alloc_count().load(std::memory_order_relaxed);
-#endif
-    WallTimer timer;
-    team.run([&](int tid) {
-        // No init pass: the workspace's epoch bump already "cleared" the
-        // claim array, and unreached parent/level slots are filled after
-        // the traversal.
-        if (tid == 0) {
-            claim[root].store(stamp | root, std::memory_order_relaxed);
-            parent[root] = root;
-            if (level != nullptr) level[root] = 0;
-            queues[0].push_one(root);
-            shared.visited.fetch_add(1, std::memory_order_relaxed);
-            plan_frontier(wq, queues[0].data(), queues[0].size(), g,
-                          options.schedule, 1);
-        }
-        if (!barrier.arrive_and_wait()) return;
-
-        level_t depth = 0;
-        std::uint64_t total_edges = 0;
-        std::uint64_t discovered = 0;
-        vertex_t* const cbuf = compact ? fc.buffer(tid) : nullptr;
-        WallTimer level_timer;  // tid 0 stamps per-level wall time
-        for (;;) {
-            const std::uint64_t span_start = spans.now(timer);
-            const int cur = shared.current;
-            FrontierQueue& cq = queues[cur];
-            FrontierQueue& nq = queues[1 - cur];
-            ThreadCounters counters;
-            // Deque slots never relocate, so the reference stays valid
-            // across tid 0's acquire between the two barriers.
-            LevelAccum& slot = stats[depth];
-
-            std::size_t begin = 0;
-            std::size_t end = 0;
-            std::size_t staged = 0;  // compact-mode discoveries this level
-            WorkQueue::Claim cl;
-            while ((cl = wq.claim(tid, begin, end)) != WorkQueue::Claim::kNone) {
-                counters.count_chunk(cl == WorkQueue::Claim::kStolen);
-                for (std::size_t i = begin; i < end; ++i) {
-                    const vertex_t u = cq[i];
-                    // Keep the next vertex's adjacency metadata in
-                    // flight while scanning this one (Section III's
-                    // decoupling of computation and memory requests).
-                    if (i + 1 < end) g.prefetch_adjacency(cq[i + 1]);
-                    scan_adjacency(
-                        g, u, counters,
-                        [&](vertex_t w) { prefetch_read(&claim[w]); },
-                        [&](vertex_t v) {
-                            // Unconditional atomic claim on the epoch-
-                            // stamped word (Algorithm 1's atomic
-                            // P[v] == INF -> u).
-                            ++counters.bitmap_checks;
-                            ++counters.atomic_ops;
-                            std::atomic<std::uint64_t>& cw = claim[v];
-                            std::uint64_t seen =
-                                cw.load(std::memory_order_relaxed);
-                            bool won = false;
-                            while ((seen >> 32) != epoch) {
-                                if (cw.compare_exchange_weak(
-                                        seen, stamp | u,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_relaxed)) {
-                                    won = true;
-                                    break;
-                                }
+    bool scan(LevelCtx& lv) {
+        // Locals, not members: the hot lambdas capture them directly.
+        const Graph& g = g_;
+        ThreadCounters& counters = lv.counters;
+        std::atomic<std::uint64_t>* const claim = claim_;
+        const std::uint32_t epoch = epoch_;
+        const std::uint64_t stamp = stamp_;
+        const FrontierQueue& cq = ws_.queues[current_];
+        std::size_t begin = 0;
+        std::size_t end = 0;
+        WorkQueue::Claim cl;
+        while ((cl = ws_.wq->claim(lv.tid, begin, end)) !=
+               WorkQueue::Claim::kNone) {
+            counters.count_chunk(cl == WorkQueue::Claim::kStolen);
+            for (std::size_t i = begin; i < end; ++i) {
+                const vertex_t u = cq[i];
+                // Keep the next vertex's adjacency metadata in flight
+                // while scanning this one (Section III's decoupling of
+                // computation and memory requests).
+                if (i + 1 < end) g.prefetch_adjacency(cq[i + 1]);
+                scan_adjacency(
+                    g, u, counters,
+                    [&](vertex_t w) { prefetch_read(&claim[w]); },
+                    [&](vertex_t v) {
+                        // Unconditional atomic claim on the epoch-stamped
+                        // word (Algorithm 1's atomic P[v] == INF -> u).
+                        ++counters.bitmap_checks;
+                        ++counters.atomic_ops;
+                        std::atomic<std::uint64_t>& cw = claim[v];
+                        std::uint64_t seen = cw.load(std::memory_order_relaxed);
+                        while ((seen >> 32) != epoch) {
+                            if (cw.compare_exchange_weak(
+                                    seen, stamp | u, std::memory_order_acq_rel,
+                                    std::memory_order_relaxed)) {
+                                lv.discover(v, u);
+                                return;
                             }
-                            if (won) {
-                                counters.count_win();
-                                parent[v] = u;  // winner-only plain store
-                                if (level != nullptr) level[v] = depth + 1;
-                                if (compact)
-                                    cbuf[staged++] = v;  // plain store
-                                else
-                                    nq.push_one(v);
-                                ++discovered;
-                            }
-                        });
-                }
-            }
-            if (compact) fc.publish(tid, staged);
-            total_edges += counters.edges_scanned;
-            counters.flush_into(slot);
-            if (!timed_wait(barrier, slot, collect)) return;
-
-            if (compact) {
-                // Every thread's counts are published and barrier-
-                // ordered: compute the exclusive offset and memcpy the
-                // staged segment into NQ — contiguous, disjoint, no
-                // atomics. One extra barrier so tid 0's set_size (and
-                // the plan over NQ) sees the complete queue.
-                compact_copy_out(fc, tid, nq.slots_mut(), slot);
-                if (!timed_wait(barrier, slot, collect)) return;
-            }
-
-            if (tid == 0) {
-                slot.seconds = level_timer.seconds();
-                level_timer.reset();
-                cq.reset();
-                if (compact) nq.set_size(fc.total());
-                shared.current = 1 - cur;
-                shared.done = nq.size() == 0;
-                shared.levels_run.fetch_add(1, std::memory_order_relaxed);
-                if (!shared.done && poll_cancel(options)) {
-                    shared.cancelled = true;
-                    shared.done = true;
-                }
-                if (!shared.done) {
-                    acquire_level_slot(stats, depth + 1).frontier_size =
-                        nq.size();
-                    plan_frontier(wq, nq.data(), nq.size(), g,
-                                  options.schedule, 1);
-                    prefetch_next_frontier(g, nq.data(), nq.size());
-                }
-            }
-            if (!timed_wait(barrier, slot, collect)) return;
-            spans.record(tid, depth, span_start, spans.now(timer));
-            if (shared.done) break;
-            ++depth;
-        }
-
-        // Fill the unreached sentinels for this socket's slice (replaces
-        // the old pre-init pass; writes only unclaimed slots).
-        {
-            const int my = team.socket_of(tid);
-            const auto [lo, hi] = partition.range(my);
-            const auto [b, e] = split_range(
-                hi - lo, ws.socket_threads[static_cast<std::size_t>(my)],
-                ws.rank_in_socket[static_cast<std::size_t>(tid)]);
-            for (std::size_t v = lo + b; v < lo + e; ++v) {
-                if ((claim[v].load(std::memory_order_relaxed) >> 32) != epoch) {
-                    parent[v] = kInvalidVertex;
-                    if (level != nullptr) level[v] = kInvalidLevel;
-                }
+                        }
+                    });
             }
         }
+        return true;
+    }
 
-        shared.edges.fetch_add(total_edges, std::memory_order_relaxed);
-        shared.visited.fetch_add(discovered, std::memory_order_relaxed);
-    }, &barrier);
-#ifndef NDEBUG
-    // A prepared workspace makes the traversal allocation-free.
-    assert(aligned_alloc_count().load(std::memory_order_relaxed) ==
-           allocs_before);
-#endif
-    const std::uint32_t levels = shared.levels_run.load(std::memory_order_relaxed);
-    finish_watchdog(watchdog, "bfs_naive", levels,
-                    shared.visited.load(std::memory_order_relaxed));
-    if (shared.cancelled)
-        throw_cancelled("bfs_naive", levels,
-                        shared.visited.load(std::memory_order_relaxed));
-    result.seconds = timer.seconds();
-    spans.collect_into(result);
+    vertex_t* next_slots(int) noexcept {
+        return ws_.queues[1 - current_].slots_mut();
+    }
 
-    result.vertices_visited = shared.visited.load(std::memory_order_relaxed);
-    result.edges_traversed = shared.edges.load(std::memory_order_relaxed);
-    result.num_levels = levels;
-    if (options.collect_stats) copy_level_stats(result, stats, levels);
-}
+    std::uint64_t end_level() {
+        ws_.queues[current_].reset();
+        current_ = 1 - current_;
+        ws_.queues[current_].set_size(ws_.compactor.total());
+        return ws_.queues[current_].size();
+    }
+
+    void plan_next() {
+        const FrontierQueue& cq = ws_.queues[current_];
+        plan_frontier(*ws_.wq, cq.data(), cq.size(), g_, schedule_, 1);
+        prefetch_next_frontier(g_, cq.data(), cq.size());
+    }
+
+    bool convert(LevelCtx&) noexcept { return true; }
+
+    bool visited(std::size_t v) const noexcept {
+        return (claim_[v].load(std::memory_order_relaxed) >> 32) == epoch_;
+    }
+
+    std::uint64_t edges_traversed(std::uint64_t scanned) const noexcept {
+        return scanned;
+    }
+
+    std::string diagnose() const {
+        return " q0=" + std::to_string(ws_.queues[0].size()) +
+               " q1=" + std::to_string(ws_.queues[1].size());
+    }
+
+  private:
+    const Graph& g_;
+    const SchedulePolicy schedule_;
+    BfsWorkspace& ws_;
+    std::atomic<std::uint64_t>* const claim_;
+    const std::uint32_t epoch_;
+    const std::uint64_t stamp_;
+    int current_ = 0;  // CQ index; written by thread 0 between barriers
+};
 
 }  // namespace
 
-void bfs_naive(const CsrGraph& g, vertex_t root, const BfsOptions& options,
+template <class Graph>
+void bfs_naive(const Graph& g, vertex_t root, const BfsOptions& options,
                ThreadTeam& team, BfsWorkspace& ws, BfsResult& result) {
-    bfs_naive_impl(g, root, options, team, ws, result);
+    NaiveStep<Graph> step(g, options, ws);
+    run_levels(g, root, "bfs_naive", options, team, ws, result, step);
 }
 
-void bfs_naive(const CompressedCsrGraph& g, vertex_t root,
-               const BfsOptions& options, ThreadTeam& team, BfsWorkspace& ws,
-               BfsResult& result) {
-    bfs_naive_impl(g, root, options, team, ws, result);
-}
-
-void bfs_naive(const PagedGraph& g, vertex_t root, const BfsOptions& options,
-               ThreadTeam& team, BfsWorkspace& ws, BfsResult& result) {
-    bfs_naive_impl(g, root, options, team, ws, result);
-}
+template void bfs_naive(const CsrGraph&, vertex_t, const BfsOptions&,
+                        ThreadTeam&, BfsWorkspace&, BfsResult&);
+template void bfs_naive(const CompressedCsrGraph&, vertex_t, const BfsOptions&,
+                        ThreadTeam&, BfsWorkspace&, BfsResult&);
+template void bfs_naive(const PagedGraph&, vertex_t, const BfsOptions&,
+                        ThreadTeam&, BfsWorkspace&, BfsResult&);
 
 }  // namespace sge::detail

@@ -26,14 +26,13 @@ template <class Graph>
 void BfsWorkspace::prepare_impl(const Graph& g, BfsEngine engine,
                                 const BfsOptions& options, ThreadTeam& team) {
     if (g.num_vertices() != prepared_n_ || engine != prepared_engine_ ||
-        team.size() != prepared_threads_ ||
-        options.frontier_gen != prepared_gen_) {
+        team.size() != prepared_threads_) {
         allocate(g.num_vertices(), engine, options, team);
         ++stats.prepares;
     } else {
         ++stats.workspace_reuses;
     }
-    note_graph(g.offsets().data(), g.num_vertices(), g.num_edges());
+    note_graph(g.id());
     reset_for_query(engine);
 }
 
@@ -52,15 +51,12 @@ void BfsWorkspace::prepare(const PagedGraph& g, BfsEngine engine,
     prepare_impl(g, engine, options, team);
 }
 
-void BfsWorkspace::note_graph(const void* offsets, vertex_t n,
-                              std::uint64_t m) {
-    if (offsets == tag_offsets_ && n == tag_n_ && m == tag_m_) return;
+void BfsWorkspace::note_graph(std::uint64_t graph_id) {
+    if (graph_id == graph_id_) return;
     // Different graph (even at equal n): degree-derived plans are stale.
     range_planned = false;
     ms_planned = false;
-    tag_offsets_ = offsets;
-    tag_n_ = n;
-    tag_m_ = m;
+    graph_id_ = graph_id;
 }
 
 void BfsWorkspace::allocate(vertex_t n, BfsEngine engine,
@@ -108,16 +104,6 @@ void BfsWorkspace::allocate(vertex_t n, BfsEngine engine,
             wq = std::make_unique<WorkQueue>(threads,
                                              detail::team_socket_map(team));
             break;
-        case BfsEngine::kBitmap:
-            visited = VersionedBitmap(n, /*zeroed=*/false);
-            queues[0] = FrontierQueue(n);
-            queues[1] = FrontierQueue(n);
-            wq = std::make_unique<WorkQueue>(threads,
-                                             detail::team_socket_map(team));
-            scratch.resize(static_cast<std::size_t>(threads));
-            for (ThreadScratch& s : scratch)
-                s.staged = LocalBatch<vertex_t>(batch);
-            break;
         case BfsEngine::kMultiSocket: {
             const SocketPartition partition(n, sockets);
             visited = VersionedBitmap(n, /*zeroed=*/false);
@@ -135,7 +121,6 @@ void BfsWorkspace::allocate(vertex_t n, BfsEngine engine,
             }
             scratch.resize(static_cast<std::size_t>(threads));
             for (ThreadScratch& s : scratch) {
-                s.staged = LocalBatch<vertex_t>(batch);
                 s.remote.clear();
                 s.remote.reserve(static_cast<std::size_t>(sockets));
                 for (int k = 0; k < sockets; ++k) s.remote.emplace_back(batch);
@@ -143,19 +128,20 @@ void BfsWorkspace::allocate(vertex_t n, BfsEngine engine,
             }
             break;
         }
+        case BfsEngine::kBitmap:  // the hybrid step with flips off
         case BfsEngine::kHybrid:
             visited = VersionedBitmap(n, /*zeroed=*/false);
-            frontier_bits[0] = VersionedBitmap(n, /*zeroed=*/false);
-            frontier_bits[1] = VersionedBitmap(n, /*zeroed=*/false);
             queues[0] = FrontierQueue(n);
             queues[1] = FrontierQueue(n);
             wq = std::make_unique<WorkQueue>(threads,
                                              detail::team_socket_map(team));
-            range_wq = std::make_unique<WorkQueue>(
-                threads, detail::team_socket_map(team));
             scratch.resize(static_cast<std::size_t>(threads));
-            for (ThreadScratch& s : scratch)
-                s.staged = LocalBatch<vertex_t>(batch);
+            if (engine == BfsEngine::kHybrid) {
+                frontier_bits[0] = VersionedBitmap(n, /*zeroed=*/false);
+                frontier_bits[1] = VersionedBitmap(n, /*zeroed=*/false);
+                range_wq = std::make_unique<WorkQueue>(
+                    threads, detail::team_socket_map(team));
+            }
             break;
         case BfsEngine::kSerial:
         case BfsEngine::kAuto:
@@ -165,30 +151,27 @@ void BfsWorkspace::allocate(vertex_t n, BfsEngine engine,
     // Compact frontier generation: one private discovery buffer per
     // worker (capped by what that worker can discover in a level — n,
     // or its socket's partition for the per-socket queues) plus the
-    // published counts. kAtomic mode skips the whole arena.
-    if (options.frontier_gen == FrontierGen::kCompact) {
-        switch (engine) {
-            case BfsEngine::kNaive:
-            case BfsEngine::kBitmap:
-            case BfsEngine::kHybrid:
-                compactor.configure(threads, static_cast<std::size_t>(n));
-                break;
-            case BfsEngine::kMultiSocket: {
-                const SocketPartition partition(n, sockets);
-                std::vector<std::size_t> caps(
-                    static_cast<std::size_t>(threads));
-                std::vector<int> groups(static_cast<std::size_t>(threads));
-                for (int t = 0; t < threads; ++t) {
-                    const int s = team.socket_of(t);
-                    caps[static_cast<std::size_t>(t)] = partition.size(s);
-                    groups[static_cast<std::size_t>(t)] = s;
-                }
-                compactor.configure(threads, caps, std::move(groups));
-                break;
+    // published counts.
+    switch (engine) {
+        case BfsEngine::kNaive:
+        case BfsEngine::kBitmap:
+        case BfsEngine::kHybrid:
+            compactor.configure(threads, static_cast<std::size_t>(n));
+            break;
+        case BfsEngine::kMultiSocket: {
+            const SocketPartition partition(n, sockets);
+            std::vector<std::size_t> caps(static_cast<std::size_t>(threads));
+            std::vector<int> groups(static_cast<std::size_t>(threads));
+            for (int t = 0; t < threads; ++t) {
+                const int s = team.socket_of(t);
+                caps[static_cast<std::size_t>(t)] = partition.size(s);
+                groups[static_cast<std::size_t>(t)] = s;
             }
-            default:
-                break;
+            compactor.configure(threads, caps, std::move(groups));
+            break;
         }
+        default:
+            break;
     }
 
     first_touch(engine, team);
@@ -196,7 +179,6 @@ void BfsWorkspace::allocate(vertex_t n, BfsEngine engine,
     prepared_n_ = n;
     prepared_engine_ = engine;
     prepared_threads_ = threads;
-    prepared_gen_ = options.frontier_gen;
 }
 
 void BfsWorkspace::first_touch(BfsEngine engine, ThreadTeam& team) {
@@ -243,12 +225,6 @@ void BfsWorkspace::first_touch(BfsEngine engine, ThreadTeam& team) {
                     std::memset(q.slots_mut() + vlo, 0,
                                 (vhi - vlo) * sizeof(vertex_t));
                 break;
-            case BfsEngine::kBitmap:
-                visited.clear_words(wlo, whi);
-                for (FrontierQueue& q : queues)
-                    std::memset(q.slots_mut() + vlo, 0,
-                                (vhi - vlo) * sizeof(vertex_t));
-                break;
             case BfsEngine::kMultiSocket:
                 visited.clear_words(wlo, whi);
                 // The socket's queues are indexed by socket-local
@@ -259,10 +235,13 @@ void BfsWorkspace::first_touch(BfsEngine engine, ThreadTeam& team) {
                                 (e - b) * sizeof(vertex_t));
                 }
                 break;
+            case BfsEngine::kBitmap:
             case BfsEngine::kHybrid:
                 visited.clear_words(wlo, whi);
-                frontier_bits[0].clear_words(wlo, whi);
-                frontier_bits[1].clear_words(wlo, whi);
+                if (engine == BfsEngine::kHybrid) {
+                    frontier_bits[0].clear_words(wlo, whi);
+                    frontier_bits[1].clear_words(wlo, whi);
+                }
                 for (FrontierQueue& q : queues)
                     std::memset(q.slots_mut() + vlo, 0,
                                 (vhi - vlo) * sizeof(vertex_t));
@@ -289,11 +268,6 @@ void BfsWorkspace::reset_for_query(BfsEngine engine) {
             queues[0].reset();
             queues[1].reset();
             break;
-        case BfsEngine::kBitmap:
-            stats.reset_words_touched += visited.advance_epoch();
-            queues[0].reset();
-            queues[1].reset();
-            break;
         case BfsEngine::kMultiSocket: {
             stats.reset_words_touched += visited.advance_epoch();
             for (FrontierQueue& q : socket_queues[0]) q.reset();
@@ -307,20 +281,21 @@ void BfsWorkspace::reset_for_query(BfsEngine engine) {
                 }
             break;
         }
+        case BfsEngine::kBitmap:
         case BfsEngine::kHybrid:
             stats.reset_words_touched += visited.advance_epoch();
-            stats.reset_words_touched += frontier_bits[0].advance_epoch();
-            stats.reset_words_touched += frontier_bits[1].advance_epoch();
+            if (engine == BfsEngine::kHybrid) {
+                stats.reset_words_touched += frontier_bits[0].advance_epoch();
+                stats.reset_words_touched += frontier_bits[1].advance_epoch();
+            }
             queues[0].reset();
             queues[1].reset();
             break;
         default:
             break;
     }
-    for (ThreadScratch& s : scratch) {
-        s.staged.clear();
+    for (ThreadScratch& s : scratch)
         for (LocalBatch<std::uint64_t>& r : s.remote) r.clear();
-    }
     compactor.reset();
 }
 
@@ -343,7 +318,7 @@ void BfsWorkspace::prepare_ms_impl(const Graph& g, SchedulePolicy schedule,
     } else {
         ++stats.workspace_reuses;
     }
-    note_graph(g.offsets().data(), g.num_vertices(), g.num_edges());
+    note_graph(g.id());
     if (schedule != ms_schedule_) ms_planned = false;
     if (schedule == SchedulePolicy::kStatic) return;
     // Cut the degree-weighted [0, n) plan once per (graph, schedule);
@@ -351,9 +326,8 @@ void BfsWorkspace::prepare_ms_impl(const Graph& g, SchedulePolicy schedule,
     // (and on the first call first-touches) the lane buffers — a full
     // clear is inherent to the 64-lane masks.
     if (!ms_planned) {
-        detail::plan_vertex_range(
-            *ms_wq, n, g, schedule,
-            detail::resolve_bottomup_chunk({}, n, threads));
+        detail::plan_vertex_range(*ms_wq, n, g, schedule,
+                                  detail::resolve_range_chunk(n, threads));
         ms_planned = true;
         ms_schedule_ = schedule;
     } else {

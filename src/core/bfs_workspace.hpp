@@ -37,8 +37,8 @@ class ThreadTeam;
 /// an O(n) memset.
 ///
 /// All members are public engine-facing state, not a stable API: the
-/// engines (bfs_naive/bitmap/multisocket/hybrid, multi_source_bfs) are
-/// the only intended readers/writers, and prepare()/prepare_ms() are the
+/// engine steps (bfs_naive/multisocket/hybrid, multi_source_bfs) are the
+/// only intended readers/writers, and prepare()/prepare_ms() are the
 /// only entry points callers use.
 class BfsWorkspace {
   public:
@@ -73,7 +73,7 @@ class BfsWorkspace {
     /// Visited set (bitmap/multisocket/hybrid engines).
     VersionedBitmap visited;
 
-    /// Frontier-as-bitmap pair (hybrid engine only).
+    /// Frontier-as-bitmap pair (kHybrid only; kBitmap never flips).
     VersionedBitmap frontier_bits[2];
 
     /// Naive engine's claim array: word v packs `epoch (high 32) |
@@ -93,7 +93,7 @@ class BfsWorkspace {
     /// Inter-socket channels, one per owner socket (multisocket).
     std::vector<std::unique_ptr<Channel<std::uint64_t, kEmptyVisit>>> channels;
 
-    /// Frontier scheduler (naive/bitmap/hybrid) and the hybrid's
+    /// Frontier scheduler (naive/bitmap/hybrid) and kHybrid's
     /// whole-vertex-range scheduler with its cut-once flag.
     std::unique_ptr<WorkQueue> wq;
     std::unique_ptr<WorkQueue> range_wq;
@@ -107,9 +107,9 @@ class BfsWorkspace {
     std::vector<int> rank_in_socket;
     std::vector<int> socket_threads;
 
-    /// One thread's discoveries in the level just scanned (hybrid
-    /// engine): written by its owner before the level barrier, summed by
-    /// thread 0 after it. A line of its own, so the owner's store never
+    /// One thread's discoveries in the level just scanned (hybrid step):
+    /// written by its owner before the level barrier, summed by thread 0
+    /// after it. A line of its own, so the owner's store never
     /// invalidates a line another worker reads.
     struct alignas(kCacheLineSize) LevelTally {
         std::uint64_t discovered = 0;         ///< vertices claimed
@@ -118,19 +118,17 @@ class BfsWorkspace {
 
     /// Per-thread staging hoisted out of the engines' level loops so a
     /// prepared traversal is allocation-free (asserted in debug builds
-    /// via aligned_alloc_count()).
+    /// via thread_aligned_alloc_count()).
     struct alignas(kCacheLineSize) ThreadScratch {
-        LocalBatch<vertex_t> staged{0};               ///< NQ staging
         std::vector<LocalBatch<std::uint64_t>> remote;  ///< per-socket tuples
-        AlignedBuffer<std::uint64_t> drain;           ///< channel drain buffer
-        LevelTally tally;                             ///< hybrid's per-level sums
+        AlignedBuffer<std::uint64_t> drain;  ///< channel drain buffer
+        LevelTally tally;                    ///< hybrid's per-level sums
     };
     std::vector<ThreadScratch> scratch;
 
-    /// Atomic-free frontier-generation arena (FrontierGen::kCompact):
-    /// per-thread discovery buffers plus the published counts the
-    /// exclusive prefix sum runs over, reused across levels and queries.
-    /// Unconfigured (empty) when the runner uses FrontierGen::kAtomic.
+    /// Atomic-free frontier-generation arena: per-thread discovery
+    /// buffers plus the published counts the exclusive prefix sum runs
+    /// over, reused across levels and queries.
     FrontierCompactor compactor;
 
     /// Per-level stats slots, reused across queries (acquire_level_slot).
@@ -149,9 +147,8 @@ class BfsWorkspace {
 
   private:
     // Backend-generic bodies behind the prepare()/prepare_ms() overload
-    // pairs (defined in bfs_workspace.cpp — legal because the overloads
-    // there are the only instantiation points). Either backend's
-    // offsets-array address serves as the graph identity tag.
+    // sets (defined in bfs_workspace.cpp — legal because the overloads
+    // there are the only instantiation points).
     template <class Graph>
     void prepare_impl(const Graph& g, BfsEngine engine,
                       const BfsOptions& options, ThreadTeam& team);
@@ -163,7 +160,7 @@ class BfsWorkspace {
                   ThreadTeam& team);
     void first_touch(BfsEngine engine, ThreadTeam& team);
     void reset_for_query(BfsEngine engine);
-    void note_graph(const void* offsets, vertex_t n, std::uint64_t m);
+    void note_graph(std::uint64_t graph_id);
 
     // Identity of the last-prepared configuration. prepared_n_ is
     // poisoned (kInvalidVertex) while allocate() is in flight so a
@@ -171,13 +168,10 @@ class BfsWorkspace {
     vertex_t prepared_n_ = kInvalidVertex;
     BfsEngine prepared_engine_ = BfsEngine::kAuto;
     int prepared_threads_ = 0;
-    FrontierGen prepared_gen_ = FrontierGen::kAtomic;
 
-    // Identity of the last-seen graph (offsets pointer + sizes): a swap
-    // at equal n keeps the buffers but invalidates degree-derived plans.
-    const void* tag_offsets_ = nullptr;
-    vertex_t tag_n_ = 0;
-    std::uint64_t tag_m_ = 0;
+    // id() of the last-seen graph: a swap at equal n keeps the buffers
+    // but invalidates degree-derived plans.
+    std::uint64_t graph_id_ = 0;
 
     // MS-BFS plan identity.
     vertex_t ms_n_ = kInvalidVertex;

@@ -369,7 +369,7 @@ inline bool timed_wait(SpinBarrier& barrier, LevelAccum& slot, bool timed) {
     return barrier.arrive_and_wait();
 }
 
-/// One worker's compact-mode copy-out step: exclusive prefix offset +
+/// One worker's compaction copy-out step: exclusive prefix offset +
 /// contiguous memcpy of its staged discoveries into `dst` (the target
 /// queue's slots). Times the step into the level slot's prefix_sum_ns
 /// and counts the vertices into compact_writes (SGE_OBS builds; the
@@ -592,15 +592,14 @@ inline void reset_result(BfsResult& result, vertex_t n, bool levels) {
 }
 
 /// Post-traversal sweep writing the unreached sentinels into [lo, hi):
-/// the replacement for the old O(n) pre-initialisation pass. Reads the
-/// visited bitmap and writes only the slots no winner claimed, so on a
-/// fully-reached graph it is a read-only scan of the (cache-resident)
-/// bitmap.
-inline void fill_unreached(const VersionedBitmap& visited, std::size_t lo,
-                           std::size_t hi, vertex_t* parent,
-                           level_t* level) noexcept {
+/// the replacement for the old O(n) pre-initialisation pass. Writes only
+/// the slots `visited(v)` says no winner claimed, so on a fully-reached
+/// graph it is a read-only scan of the (cache-resident) visited state.
+template <class Visited>
+inline void fill_unreached(std::size_t lo, std::size_t hi, vertex_t* parent,
+                           level_t* level, const Visited& visited) noexcept {
     for (std::size_t v = lo; v < hi; ++v) {
-        if (!visited.test(v)) {
+        if (!visited(v)) {
             parent[v] = kInvalidVertex;
             if (level != nullptr) level[v] = kInvalidLevel;
         }
@@ -671,13 +670,11 @@ inline std::pair<std::size_t, std::size_t> split_range(std::size_t n, int parts,
 /// per-chunk edge work.
 inline constexpr std::size_t kChunksPerClaimant = 16;
 
-/// Effective kHybrid bottom-up claim granularity: the explicit option
-/// wins; otherwise n / (threads * 64) clamped to [64, 4096] — coarse
-/// enough to amortise the cursor on big graphs, fine enough that small
-/// graphs still yield several chunks per thread.
-inline std::size_t resolve_bottomup_chunk(const BfsOptions& options,
-                                          std::size_t n, int threads) noexcept {
-    if (options.bottomup_chunk > 0) return options.bottomup_chunk;
+/// Claim granularity of the whole-vertex-range sweeps (kHybrid's
+/// bottom-up levels, MS-BFS's dense scan): n / (threads * 64) clamped to
+/// [64, 4096] — coarse enough to amortise the cursor on big graphs, fine
+/// enough that small graphs still yield several chunks per thread.
+inline std::size_t resolve_range_chunk(std::size_t n, int threads) noexcept {
     const std::size_t derived = n / (static_cast<std::size_t>(threads) * 64);
     return derived < 64 ? 64 : (derived > 4096 ? 4096 : derived);
 }

@@ -14,12 +14,11 @@ namespace sge {
 
 /// Atomic-free next-queue (NQ) construction: count, prefix-sum, write.
 ///
-/// The legacy path builds NQ with atomic appends — each producer
-/// reserves queue slots with a fetch_add (per vertex in the naive
-/// engine, per 64-vertex batch elsewhere), so frontier construction
-/// serializes on the queue cursor. The compactor removes every atomic
-/// from the construction itself (the count -> exclusive prefix sum ->
-/// contiguous write scheme of Tithi et al., arXiv 2209.08764):
+/// Building NQ with atomic appends — each producer reserving queue slots
+/// with a fetch_add — serializes frontier construction on the queue
+/// cursor. The compactor removes every atomic from the construction
+/// itself (the count -> exclusive prefix sum -> contiguous write scheme
+/// of Tithi et al., arXiv 2209.08764):
 ///
 ///   1. during the scan, each claimant appends discoveries to its own
 ///      private buffer with plain stores and publishes the final count;
@@ -76,7 +75,7 @@ class FrontierCompactor {
                   std::move(group_of));
     }
 
-    /// Releases all storage (kAtomic mode keeps the workspace lean).
+    /// Releases all storage (a workspace switching engines).
     void clear() {
         claimants_ = 0;
         group_of_.clear();
@@ -84,7 +83,6 @@ class FrontierCompactor {
         buffers_.clear();
     }
 
-    [[nodiscard]] bool configured() const noexcept { return claimants_ > 0; }
     [[nodiscard]] int claimants() const noexcept { return claimants_; }
 
     /// Claimant t's private discovery buffer (plain stores only).

@@ -67,9 +67,6 @@ std::uint32_t multi_source_bfs_impl(const Graph& g,
     // kStatic bypasses the queue entirely — fixed slices, the legacy
     // behaviour.
     const bool scheduled = options.schedule != SchedulePolicy::kStatic;
-    // kCompact: word-at-a-time lane-mask sweeps (there are no enqueue
-    // atomics to delete here — see MsBfsOptions::frontier_gen).
-    const bool compact = options.frontier_gen == FrontierGen::kCompact;
     const simd::IsaLevel isa = simd::active_level();
     if (ws != nullptr) {
         // prepare_ms (re)allocates the lane buffers on shape change and
@@ -82,9 +79,8 @@ std::uint32_t multi_source_bfs_impl(const Graph& g,
         local_wq =
             std::make_unique<WorkQueue>(threads, detail::team_socket_map(team));
         if (scheduled)
-            detail::plan_vertex_range(
-                *local_wq, n, g, options.schedule,
-                detail::resolve_bottomup_chunk({}, n, threads));
+            detail::plan_vertex_range(*local_wq, n, g, options.schedule,
+                                      detail::resolve_range_chunk(n, threads));
     }
     std::atomic<std::uint64_t>* const seen =
         ws != nullptr ? ws->ms_seen.data() : local_seen.data();
@@ -172,20 +168,12 @@ std::uint32_t multi_source_bfs_impl(const Graph& g,
                         }
                     });
             };
+            // frontier[] is read-only during the scan phase, so empty lane
+            // masks are skipped a word block at a time instead of one
+            // load+branch per vertex.
             const auto scan_span = [&](std::size_t lo, std::size_t hi) {
-                if (compact) {
-                    // frontier[] is read-only during the scan phase, so
-                    // empty lane masks are skipped a word block at a
-                    // time instead of one load+branch per vertex.
-                    simd::for_each_nonzero_u64(frontier, lo, hi, isa,
-                                               scan_words, scan_vertex);
-                } else {
-                    for (std::size_t vi = lo; vi < hi; ++vi) {
-                        const std::uint64_t lanes = frontier[vi];
-                        if (lanes == 0) continue;
-                        scan_vertex(vi, lanes);
-                    }
-                }
+                simd::for_each_nonzero_u64(frontier, lo, hi, isa, scan_words,
+                                           scan_vertex);
             };
             if (scheduled) {
                 std::size_t lo = 0;
@@ -203,43 +191,30 @@ std::uint32_t multi_source_bfs_impl(const Graph& g,
             if (!detail::timed_wait(barrier, slot, collect)) return;
 
             // Swap + report: each worker publishes its slice of `next`.
-            std::uint64_t local_active = 0;
-            if (compact) {
-                // The level barrier quiesced next[], so this worker's
-                // slice block-copies into frontier[] and zeroes without
-                // per-word atomics; the callbacks then ride the nonzero-
-                // word sweep. (Counters were flushed above — swap-phase
-                // words go straight to the level slot.)
-                static_assert(sizeof(std::atomic<std::uint64_t>) ==
-                                  sizeof(std::uint64_t),
-                              "lane swap relies on lock-free layout");
-                if (end > begin) {
-                    std::memcpy(frontier + begin,
-                                static_cast<const void*>(next + begin),
-                                (end - begin) * sizeof(std::uint64_t));
-                    std::memset(static_cast<void*>(next + begin), 0,
-                                (end - begin) * sizeof(std::uint64_t));
-                }
-                std::uint64_t swap_words = 0;
-                simd::for_each_nonzero_u64(
-                    frontier, begin, end, isa, swap_words,
-                    [&](std::size_t v, std::uint64_t lanes) {
-                        ++local_active;
-                        visit(tid, level + 1, static_cast<vertex_t>(v), lanes);
-                    });
-                detail::note_simd_words(slot, swap_words);
-            } else {
-                for (std::size_t v = begin; v < end; ++v) {
-                    const std::uint64_t lanes =
-                        next[v].load(std::memory_order_relaxed);
-                    frontier[v] = lanes;
-                    next[v].store(0, std::memory_order_relaxed);
-                    if (lanes != 0) {
-                        ++local_active;
-                        visit(tid, level + 1, static_cast<vertex_t>(v), lanes);
-                    }
-                }
+            // The level barrier quiesced next[], so this worker's slice
+            // block-copies into frontier[] and zeroes without per-word
+            // atomics; the callbacks then ride the nonzero-word sweep.
+            // (Counters were flushed above — swap-phase words go straight
+            // to the level slot.)
+            static_assert(sizeof(std::atomic<std::uint64_t>) ==
+                              sizeof(std::uint64_t),
+                          "lane swap relies on lock-free layout");
+            if (end > begin) {
+                std::memcpy(frontier + begin,
+                            static_cast<const void*>(next + begin),
+                            (end - begin) * sizeof(std::uint64_t));
+                std::memset(static_cast<void*>(next + begin), 0,
+                            (end - begin) * sizeof(std::uint64_t));
             }
+            std::uint64_t local_active = 0;
+            std::uint64_t swap_words = 0;
+            simd::for_each_nonzero_u64(
+                frontier, begin, end, isa, swap_words,
+                [&](std::size_t v, std::uint64_t lanes) {
+                    ++local_active;
+                    visit(tid, level + 1, static_cast<vertex_t>(v), lanes);
+                });
+            detail::note_simd_words(slot, swap_words);
             shared.active.fetch_add(local_active, std::memory_order_relaxed);
             if (!detail::timed_wait(barrier, slot, collect)) return;
 

@@ -45,14 +45,6 @@ struct MsBfsOptions {
     /// its frontier[] writes).
     SchedulePolicy schedule = SchedulePolicy::kEdgeWeighted;
 
-    /// MS-BFS builds no vertex queues, so there are no enqueue atomics
-    /// to delete — here the knob toggles the vectorized lane-mask scans
-    /// (simd_scan.hpp): kCompact sweeps the frontier/next arrays a word
-    /// (or four, under AVX2) at a time and block-swaps each worker's
-    /// slice; kAtomic keeps the scalar per-vertex loops for ablation.
-    /// The seen[] fetch_or discipline is identical in both modes.
-    FrontierGen frontier_gen = FrontierGen::kCompact;
-
     /// Collect per-level counters into *level_stats. frontier_size
     /// counts vertices active in *any* lane; atomic_wins counts
     /// fetch_or calls that claimed at least one new lane (the n-1

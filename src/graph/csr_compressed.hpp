@@ -134,6 +134,10 @@ class CompressedCsrGraph {
     /// (CsrGraph::symmetric()); false after read_compressed_csr.
     [[nodiscard]] bool symmetric() const noexcept { return symmetric_; }
 
+    /// Process-unique identity (next_graph_id), drawn at construction
+    /// and carried by moves: the key of every cache derived from it.
+    [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
+
     /// Encoded bytes of v's adjacency run.
     [[nodiscard]] std::size_t row_bytes(vertex_t v) const noexcept {
         return static_cast<std::size_t>(byte_offsets_[v + 1] -
@@ -283,6 +287,7 @@ class CompressedCsrGraph {
     AlignedBuffer<std::uint8_t> blob_;           // varint payload
     edge_offset_t num_edges_ = 0;                // sum of degrees_
     bool symmetric_ = false;
+    std::uint64_t id_ = next_graph_id();
 };
 
 /// Encodes a plain CSR, keeping its symmetry stamp. Requires every

@@ -63,6 +63,10 @@ class CsrGraph {
     /// stamped graph.
     [[nodiscard]] bool symmetric() const noexcept { return symmetric_; }
 
+    /// Process-unique identity (next_graph_id), drawn at construction
+    /// and carried by moves: the key of every cache derived from it.
+    [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
+
     /// The adjacency list of `v` as a read-only span.
     [[nodiscard]] std::span<const vertex_t> neighbors(vertex_t v) const noexcept {
         return {targets_.data() + offsets_[v],
@@ -130,6 +134,7 @@ class CsrGraph {
     AlignedBuffer<edge_offset_t> offsets_;
     AlignedBuffer<vertex_t> targets_;
     bool symmetric_ = false;
+    std::uint64_t id_ = next_graph_id();
 };
 
 }  // namespace sge

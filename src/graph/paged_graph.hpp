@@ -131,6 +131,10 @@ class PagedGraph {
     /// source graph's; open_paged_graph, a file reader, leaves it false.
     [[nodiscard]] bool symmetric() const noexcept { return symmetric_; }
 
+    /// Process-unique identity (next_graph_id), drawn at construction
+    /// and carried by moves: the key of every cache derived from it.
+    [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
+
     /// Payload bytes of v's adjacency run (4 * degree for plain
     /// payload, the varint run length otherwise).
     [[nodiscard]] std::size_t row_bytes(vertex_t v) const noexcept {
@@ -286,6 +290,7 @@ class PagedGraph {
     edge_offset_t num_edges_ = 0;
     PagedPayload payload_kind_ = PagedPayload::kPlainTargets;
     bool symmetric_ = false;
+    std::uint64_t id_ = next_graph_id();
     std::unique_ptr<Io> io_;
 };
 

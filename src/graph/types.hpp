@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
 
@@ -42,5 +43,14 @@ inline constexpr vertex_t visit_parent(std::uint64_t packed) noexcept {
 
 /// The channels' Empty marker (see SpscRing).
 inline constexpr std::uint64_t kEmptyVisit = ~0ULL;
+
+/// A process-unique graph id (never 0), drawn by every graph backend at
+/// construction; moves carry it. Caches of a graph's derived state key
+/// on it, so a new graph can never pass for a freed one that happened to
+/// land at the same addresses with the same shape.
+inline std::uint64_t next_graph_id() noexcept {
+    static std::atomic<std::uint64_t> last{0};
+    return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 }  // namespace sge

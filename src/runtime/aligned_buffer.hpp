@@ -15,13 +15,21 @@
 
 namespace sge {
 
-/// Process-wide count of AlignedBuffer heap allocations. The workspace
-/// engines snapshot it around their level loops in debug builds to
-/// assert that a prepared workspace really makes traversal
-/// allocation-free (Channel spill vectors are by-design untracked
-/// overflow). Relaxed: a monotonic diagnostic counter, not a fence.
+/// Process-wide count of AlignedBuffer heap allocations (Channel spill
+/// vectors are by-design untracked overflow). Relaxed: a monotonic
+/// diagnostic counter, not a fence.
 inline std::atomic<std::uint64_t>& aligned_alloc_count() noexcept {
     static std::atomic<std::uint64_t> count{0};
+    return count;
+}
+
+/// The calling thread's share of aligned_alloc_count(). The BFS level
+/// driver compares each worker's count before and after a traversal to
+/// assert that a prepared workspace makes it allocation-free; unlike the
+/// process-wide count, it cannot see another thread's allocations (a
+/// second runner preparing, a service worker).
+inline std::uint64_t& thread_aligned_alloc_count() noexcept {
+    thread_local std::uint64_t count = 0;
     return count;
 }
 
@@ -56,6 +64,7 @@ class AlignedBuffer {
         void* p = std::aligned_alloc(kCacheLineSize, bytes);
         if (p == nullptr) throw std::bad_alloc{};
         aligned_alloc_count().fetch_add(1, std::memory_order_relaxed);
+        ++thread_aligned_alloc_count();
         if (zeroed) std::memset(p, 0, bytes);
         data_.reset(static_cast<T*>(p));
     }

@@ -81,15 +81,11 @@ TEST(BfsHybrid, HighDiameterGraphStaysTopDown) {
     EXPECT_EQ(total_scanned(r), 2u * 1999);
 }
 
-TEST(BfsHybrid, FewHubsNextToTheRootFlipOnTheirArcs) {
-    // Root 0 touches kHubs hubs, each adjacent to every leaf, plus the
-    // head of a long path. The root's frontier is kHubs + 1 vertices —
-    // far under n/beta — but holds about half of all arcs, far over
-    // m/beta. A vertex-width guard keeps that level top-down and pays
-    // every hub arc; the arc guard flips it, and each leaf then finds
-    // hub 1 on its first arc. (The path keeps a vertex guard's scans
-    // above half of bitmap's, so this test separates the two guards.)
-    constexpr vertex_t kHubs = 8;
+/// Root 0 touches kHubs hubs, each adjacent to every leaf, plus the head
+/// of a long path. The root's frontier is kHubs + 1 vertices — far under
+/// n/beta — but holds about half of all arcs, far over m/beta.
+constexpr vertex_t kHubs = 8;
+CsrGraph hubs_next_to_root() {
     constexpr vertex_t kLeaves = 4000;
     constexpr vertex_t kPath = 2000;
     const vertex_t first_leaf = 1 + kHubs;
@@ -102,8 +98,15 @@ TEST(BfsHybrid, FewHubsNextToTheRootFlipOnTheirArcs) {
     edges.add(0, first_path);
     for (vertex_t p = first_path; p + 1 < first_path + kPath; ++p)
         edges.add(p, p + 1);
-    const CsrGraph g = csr_from_edges(edges);
+    return csr_from_edges(edges);
+}
 
+TEST(BfsHybrid, FewHubsNextToTheRootFlipOnTheirArcs) {
+    // A vertex-width guard keeps the root's level top-down and pays every
+    // hub arc; the arc guard flips it, and each leaf then finds hub 1 on
+    // its first arc. (The path keeps a vertex guard's scans above half of
+    // bitmap's, so this test separates the two guards.)
+    const CsrGraph g = hubs_next_to_root();
     const BfsOptions opts = hybrid_options();
     ASSERT_LT(kHubs + 1, g.num_vertices() / opts.hybrid_beta);
     ASSERT_GT(g.degree(1) * kHubs, g.num_edges() / opts.hybrid_beta);
@@ -116,6 +119,22 @@ TEST(BfsHybrid, FewHubsNextToTheRootFlipOnTheirArcs) {
     serial.engine = BfsEngine::kSerial;
     test::expect_equivalent(bfs(g, 0, serial), hybrid);
     EXPECT_LT(total_scanned(hybrid), total_scanned(top_down) / 2);
+}
+
+TEST(BfsHybrid, BitmapNeverGoesBottomUp) {
+    // kBitmap is the hybrid step with flips off: on the stamped hub graph,
+    // where kHybrid flips after the root's level, Algorithm 2 still scans
+    // every arc of the (connected) graph exactly once.
+    const CsrGraph g = hubs_next_to_root();
+    ASSERT_TRUE(g.symmetric());
+    BfsOptions bitmap = hybrid_options();
+    bitmap.engine = BfsEngine::kBitmap;
+    const BfsResult top_down = bfs(g, 0, bitmap);
+    EXPECT_EQ(total_scanned(top_down), g.num_edges());
+    EXPECT_LT(total_scanned(bfs(g, 0, hybrid_options())), g.num_edges());
+    BfsOptions serial;
+    serial.engine = BfsEngine::kSerial;
+    test::expect_equivalent(bfs(g, 0, serial), top_down);
 }
 
 TEST(BfsHybrid, DirectedGraphsNeverGoBottomUp) {

@@ -460,7 +460,7 @@ TEST_F(CompressedCsrIoTest, RejectsCorruptBlobViaWellFormed) {
 
 // ---------------------------------------------------------------------
 // Traversal equivalence: every engine must produce bit-identical levels
-// on the compressed backend, across schedules and frontier modes.
+// on the compressed backend, across schedules and the double-check.
 // ---------------------------------------------------------------------
 
 struct BackendConfig {
@@ -468,7 +468,7 @@ struct BackendConfig {
     int threads;
     Topology topology;
     SchedulePolicy schedule;
-    FrontierGen frontier_gen;
+    bool double_check;  // false: every visited claim is a locked RMW
     const char* label;
 };
 
@@ -487,7 +487,7 @@ class CompressedCsrEngineMatrix
         opts.threads = cfg.threads;
         opts.topology = cfg.topology;
         opts.schedule = cfg.schedule;
-        opts.frontier_gen = cfg.frontier_gen;
+        opts.bitmap_double_check = cfg.double_check;
         // Small batches/chunks exercise flush and spill paths.
         opts.batch_size = 8;
         opts.chunk_size = 4;
@@ -538,38 +538,35 @@ TEST_P(CompressedCsrEngineMatrix, RmatGraph) {
     check_backends_agree(csr_from_edges(edges), 9);
 }
 
+// Rows suffixed _atomic turn the double-check off, so every visited
+// claim is a locked RMW (the Figure 4/5 ablation). Algorithm 1 claims
+// with an unconditional CAS either way; its _atomic row covers the
+// stealing schedule instead.
 INSTANTIATE_TEST_SUITE_P(
     Backends, CompressedCsrEngineMatrix,
     ::testing::Values(
         BackendConfig{BfsEngine::kSerial, 1, Topology::emulate(1, 1, 1),
-                      SchedulePolicy::kEdgeWeighted, FrontierGen::kCompact,
-                      "serial"},
+                      SchedulePolicy::kEdgeWeighted, true, "serial"},
         BackendConfig{BfsEngine::kNaive, 4, Topology::emulate(1, 4, 1),
-                      SchedulePolicy::kEdgeWeighted, FrontierGen::kCompact,
-                      "naive_4t"},
+                      SchedulePolicy::kEdgeWeighted, true, "naive_4t"},
         BackendConfig{BfsEngine::kNaive, 4, Topology::emulate(1, 4, 1),
-                      SchedulePolicy::kEdgeWeighted, FrontierGen::kAtomic,
-                      "naive_4t_atomic"},
+                      SchedulePolicy::kStealing, false, "naive_4t_atomic"},
         BackendConfig{BfsEngine::kBitmap, 4, Topology::emulate(1, 4, 1),
-                      SchedulePolicy::kEdgeWeighted, FrontierGen::kCompact,
-                      "bitmap_4t"},
+                      SchedulePolicy::kEdgeWeighted, true, "bitmap_4t"},
         BackendConfig{BfsEngine::kBitmap, 4, Topology::emulate(1, 4, 1),
-                      SchedulePolicy::kStatic, FrontierGen::kAtomic,
+                      SchedulePolicy::kStatic, false,
                       "bitmap_4t_static_atomic"},
         BackendConfig{BfsEngine::kBitmap, 4, Topology::emulate(1, 4, 1),
-                      SchedulePolicy::kStealing, FrontierGen::kCompact,
-                      "bitmap_4t_stealing"},
+                      SchedulePolicy::kStealing, true, "bitmap_4t_stealing"},
         BackendConfig{BfsEngine::kMultiSocket, 8, Topology::nehalem_ep(),
-                      SchedulePolicy::kEdgeWeighted, FrontierGen::kCompact,
-                      "multisocket_ep_8t"},
+                      SchedulePolicy::kEdgeWeighted, true, "multisocket_ep_8t"},
         BackendConfig{BfsEngine::kMultiSocket, 4, Topology::emulate(2, 2, 1),
-                      SchedulePolicy::kStatic, FrontierGen::kAtomic,
+                      SchedulePolicy::kStatic, false,
                       "multisocket_2s_static_atomic"},
         BackendConfig{BfsEngine::kHybrid, 4, Topology::emulate(1, 4, 1),
-                      SchedulePolicy::kEdgeWeighted, FrontierGen::kCompact,
-                      "hybrid_4t"},
+                      SchedulePolicy::kEdgeWeighted, true, "hybrid_4t"},
         BackendConfig{BfsEngine::kHybrid, 4, Topology::emulate(1, 4, 1),
-                      SchedulePolicy::kEdgeWeighted, FrontierGen::kAtomic,
+                      SchedulePolicy::kEdgeWeighted, false,
                       "hybrid_4t_atomic"}),
     backend_config_name);
 

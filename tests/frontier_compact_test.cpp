@@ -1,22 +1,20 @@
 // Atomic-free frontier generation (src/core/frontier_compact.hpp,
-// src/runtime/simd_scan.hpp) and its BfsOptions::frontier_gen wiring:
-// compact-vs-atomic output equivalence across every engine and
-// schedule, the compactor's exact-cover prefix-sum property, SIMD-vs-
-// scalar word-scan equality (including tail words), and the counter
-// invariants documented in docs/OBSERVABILITY.md.
+// src/runtime/simd_scan.hpp): serial-equivalent levels and valid trees
+// across every engine and schedule, the compactor's exact-cover
+// prefix-sum property, SIMD-vs-scalar word-scan equality (including
+// tail words), and the counter invariants documented in
+// docs/OBSERVABILITY.md.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <random>
 #include <utility>
 #include <vector>
 
 #include "core/bfs.hpp"
 #include "core/frontier_compact.hpp"
-#include "core/msbfs.hpp"
 #include "core/validate.hpp"
 #include "gen/permute.hpp"
 #include "gen/rmat.hpp"
@@ -31,8 +29,6 @@ namespace {
 constexpr SchedulePolicy kAllPolicies[] = {SchedulePolicy::kStatic,
                                            SchedulePolicy::kEdgeWeighted,
                                            SchedulePolicy::kStealing};
-constexpr FrontierGen kBothModes[] = {FrontierGen::kAtomic,
-                                      FrontierGen::kCompact};
 
 CsrGraph skewed_graph() {
     RmatParams params;
@@ -247,12 +243,11 @@ TEST(SimdScan, MaskHelpersHonourEpochStamps) {
 }
 
 // ---------------------------------------------------------------------
-// End-to-end: compact and atomic modes agree on every engine, schedule,
-// and graph shape; levels (deterministic) must be identical, parents
-// must form a valid tree in both modes.
+// End-to-end: every engine, schedule and graph shape reproduces the
+// serial levels, and its parents form a valid tree.
 // ---------------------------------------------------------------------
 
-TEST(FrontierGenMode, CompactMatchesAtomicAllEnginesAllSchedules) {
+TEST(CompactFrontier, AllEnginesAllSchedulesMatchSerial) {
     const CsrGraph graphs[] = {skewed_graph(), test::star_graph(257),
                                test::path_graph(200), test::two_cliques(40)};
     const BfsEngine engines[] = {BfsEngine::kNaive, BfsEngine::kBitmap,
@@ -261,81 +256,51 @@ TEST(FrontierGenMode, CompactMatchesAtomicAllEnginesAllSchedules) {
         const BfsResult reference = bfs(g, 0, {});  // serial
         for (const BfsEngine engine : engines) {
             for (const SchedulePolicy policy : kAllPolicies) {
-                BfsResult results[2];
-                for (const FrontierGen gen : kBothModes) {
-                    BfsOptions options;
-                    options.engine = engine;
-                    options.threads = 4;
-                    options.topology = Topology::emulate(2, 2, 1);
-                    options.schedule = policy;
-                    options.frontier_gen = gen;
-                    SCOPED_TRACE(to_string(engine) + "/" + to_string(policy) +
-                                 "/" + to_string(gen));
-                    BfsResult& r = results[gen == FrontierGen::kCompact];
-                    r = bfs(g, 0, options);
-                    EXPECT_TRUE(validate_bfs_tree(g, 0, r).ok);
-                    test::expect_equivalent(reference, r);
-                }
-                // Levels are deterministic: bit-identical across modes.
-                EXPECT_EQ(results[0].level, results[1].level)
-                    << to_string(engine) << "/" << to_string(policy);
+                BfsOptions options;
+                options.engine = engine;
+                options.threads = 4;
+                options.topology = Topology::emulate(2, 2, 1);
+                options.schedule = policy;
+                SCOPED_TRACE(to_string(engine) + "/" + to_string(policy));
+                const BfsResult r = bfs(g, 0, options);
+                EXPECT_TRUE(validate_bfs_tree(g, 0, r).ok);
+                test::expect_equivalent(reference, r);
+                // Levels are deterministic: bit-identical to serial.
+                EXPECT_EQ(reference.level, r.level);
             }
         }
     }
 }
 
-TEST(FrontierGenMode, HybridBottomUpLevelsAgreeAcrossModes) {
+TEST(CompactFrontier, HybridForcedFlipMatchesSerial) {
     // Force the direction flip (tiny alpha/beta make the heuristic
     // eager) so the vectorized bottom-up sweep and the compacted
-    // harvest both run, then compare against the atomic path.
+    // harvest both run, then compare against the serial levels.
     const CsrGraph g = skewed_graph();
-    BfsResult results[2];
-    for (const FrontierGen gen : kBothModes) {
-        BfsOptions options;
-        options.engine = BfsEngine::kHybrid;
-        options.threads = 4;
-        options.topology = Topology::emulate(2, 2, 1);
-        options.hybrid_alpha = 1.0;
-        options.hybrid_beta = 1e6;  // flip early, convert back late
-        options.frontier_gen = gen;
-        BfsResult& r = results[gen == FrontierGen::kCompact];
-        r = bfs(g, 0, options);
-        EXPECT_TRUE(validate_bfs_tree(g, 0, r).ok);
-    }
-    test::expect_equivalent(results[0], results[1]);
-    EXPECT_EQ(results[0].level, results[1].level);
-}
-
-TEST(FrontierGenMode, MsBfsLaneMasksIdenticalAcrossModes) {
-    const CsrGraph g = skewed_graph();
-    const std::vector<vertex_t> sources = {0, 1, 2, 3, 5, 8};
-    const auto run = [&](FrontierGen gen) {
-        std::vector<std::uint64_t> masks(g.num_vertices() * 64, 0);
-        std::mutex mu;
-        MsBfsOptions options;
-        options.threads = 4;
-        options.topology = Topology::emulate(2, 2, 1);
-        options.frontier_gen = gen;
-        const std::uint32_t levels = multi_source_bfs(
-            g, sources,
-            [&](int, level_t level, vertex_t v, std::uint64_t mask) {
-                std::lock_guard lock(mu);
-                masks[static_cast<std::size_t>(v) * 64 + level] |= mask;
-            },
-            options);
-        return std::pair{levels, std::move(masks)};
-    };
-    const auto atomic = run(FrontierGen::kAtomic);
-    const auto compact = run(FrontierGen::kCompact);
-    EXPECT_EQ(atomic.first, compact.first);
-    EXPECT_EQ(atomic.second, compact.second);
+    BfsOptions options;
+    options.engine = BfsEngine::kHybrid;
+    options.threads = 4;
+    options.topology = Topology::emulate(2, 2, 1);
+    options.hybrid_alpha = 1.0;
+    options.hybrid_beta = 1e6;  // flip early, convert back late
+    options.collect_stats = true;
+    const BfsResult r = bfs(g, 0, options);
+    EXPECT_TRUE(validate_bfs_tree(g, 0, r).ok);
+    const BfsResult reference = bfs(g, 0, {});
+    test::expect_equivalent(reference, r);
+    EXPECT_EQ(reference.level, r.level);
+    // The flip really happened: bottom-up levels stop at the first
+    // frontier parent, so they scan fewer arcs than the visited degrees.
+    std::uint64_t scanned = 0;
+    for (const BfsLevelStats& s : r.level_stats) scanned += s.edges_scanned;
+    EXPECT_LT(scanned, r.edges_traversed);
 }
 
 // ---------------------------------------------------------------------
 // Counter invariants (exact only in SGE_OBS builds; zero otherwise).
 // ---------------------------------------------------------------------
 
-TEST(FrontierGenMode, CompactWritesCoverEveryDiscoveryExactlyOnce) {
+TEST(CompactFrontier, CompactWritesCoverEveryDiscoveryExactlyOnce) {
     const CsrGraph g = skewed_graph();
     const BfsEngine engines[] = {BfsEngine::kNaive, BfsEngine::kBitmap,
                                  BfsEngine::kMultiSocket};
@@ -344,7 +309,6 @@ TEST(FrontierGenMode, CompactWritesCoverEveryDiscoveryExactlyOnce) {
         options.engine = engine;
         options.threads = 4;
         options.topology = Topology::emulate(2, 2, 1);
-        options.frontier_gen = FrontierGen::kCompact;
         options.collect_stats = true;
         const BfsResult result = bfs(g, 0, options);
         SCOPED_TRACE(to_string(engine));
@@ -366,9 +330,8 @@ TEST(FrontierGenMode, CompactWritesCoverEveryDiscoveryExactlyOnce) {
         if (obs::compiled_in() && obs::enabled()) {
             // sum(compact_writes) == |NQ| summed over levels: every
             // discovery lands in a next-queue exactly once (the root is
-            // seeded, not discovered). The visited-claim atomics are
-            // untouched by the knob, so the n-1 wins invariant from the
-            // atomic mode must survive verbatim.
+            // seeded, not discovered), and every non-root vertex is
+            // claimed exactly once.
             EXPECT_EQ(writes, result.vertices_visited - 1);
             EXPECT_EQ(wins, result.vertices_visited - 1);
         } else {
@@ -378,28 +341,7 @@ TEST(FrontierGenMode, CompactWritesCoverEveryDiscoveryExactlyOnce) {
     }
 }
 
-TEST(FrontierGenMode, AtomicModeReportsNoCompactionOrSimdWork) {
-    const CsrGraph g = skewed_graph();
-    for (const BfsEngine engine :
-         {BfsEngine::kNaive, BfsEngine::kBitmap, BfsEngine::kMultiSocket,
-          BfsEngine::kHybrid}) {
-        BfsOptions options;
-        options.engine = engine;
-        options.threads = 4;
-        options.topology = Topology::emulate(2, 2, 1);
-        options.frontier_gen = FrontierGen::kAtomic;
-        options.collect_stats = true;
-        const BfsResult result = bfs(g, 0, options);
-        SCOPED_TRACE(to_string(engine));
-        for (const BfsLevelStats& s : result.level_stats) {
-            EXPECT_EQ(s.compact_writes, 0u);
-            EXPECT_EQ(s.prefix_sum_ns, 0u);
-            EXPECT_EQ(s.simd_words_scanned, 0u);
-        }
-    }
-}
-
-TEST(FrontierGenMode, HybridCompactCountsSimdWordsInBottomUpLevels) {
+TEST(CompactFrontier, HybridCompactCountsSimdWordsInBottomUpLevels) {
     if (!obs::compiled_in() || !obs::enabled())
         GTEST_SKIP() << "needs SGE_OBS build with SGE_OBS != 0";
     const CsrGraph g = skewed_graph();
@@ -409,7 +351,6 @@ TEST(FrontierGenMode, HybridCompactCountsSimdWordsInBottomUpLevels) {
     options.topology = Topology::emulate(2, 2, 1);
     options.hybrid_alpha = 1.0;
     options.hybrid_beta = 4.0;
-    options.frontier_gen = FrontierGen::kCompact;
     options.collect_stats = true;
     const BfsResult result = bfs(g, 0, options);
     std::uint64_t simd_words = 0;

@@ -144,13 +144,40 @@ TEST_P(EngineFuzz, AllEnginesMatchSerialOnRandomWorkloads) {
     opts.channel_capacity = 2 + rng.next_below(512);
     opts.bitmap_double_check = rng.next() & 1;
     opts.remote_sender_filter = rng.next() & 1;
+    const GraphBackend backends[] = {GraphBackend::kPlain,
+                                     GraphBackend::kCompressed,
+                                     GraphBackend::kPaged};
+    opts.backend = backends[rng.next_below(3)];
+    const SchedulePolicy schedules[] = {SchedulePolicy::kStatic,
+                                        SchedulePolicy::kEdgeWeighted,
+                                        SchedulePolicy::kStealing};
+    opts.schedule = schedules[rng.next_below(3)];
+    opts.collect_stats = rng.next() & 1;
 
     const BfsResult actual = bfs(g, root, opts);
+    const std::string config =
+        to_string(opts.engine) + " t=" + std::to_string(opts.threads) +
+        " backend=" + to_string(opts.backend) +
+        " schedule=" + to_string(opts.schedule) +
+        " stats=" + std::to_string(opts.collect_stats) +
+        " undirected=" + std::to_string(build.make_undirected);
+    SCOPED_TRACE(config);
     test::expect_equivalent(expected, actual);
     const ValidationReport report = validate_bfs_tree(g, root, actual);
-    ASSERT_TRUE(report.ok) << to_string(opts.engine) << " t=" << opts.threads
-                           << " undirected=" << build.make_undirected << ": "
-                           << report.error;
+    ASSERT_TRUE(report.ok) << config << ": " << report.error;
+
+    // Per-level accounting: every non-root vertex is claimed exactly
+    // once, and every visited vertex is some level's frontier.
+    if (opts.collect_stats && obs::compiled_in()) {
+        std::uint64_t wins = 0;
+        std::uint64_t frontier = 0;
+        for (const BfsLevelStats& s : actual.level_stats) {
+            wins += s.atomic_wins;
+            frontier += s.frontier_size;
+        }
+        EXPECT_EQ(wins, actual.vertices_visited - 1);
+        EXPECT_EQ(frontier, actual.vertices_visited);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzz, ::testing::Range<std::uint64_t>(1, 41));

@@ -193,16 +193,12 @@ TEST(WorkQueue, EmptyPlanYieldsNoClaims) {
 }
 
 TEST(Scheduler, BottomupChunkDerivesFromGraphSize) {
-    BfsOptions options;  // bottomup_chunk == 0: derive
     // Small graph: the floor clamps at 64.
-    EXPECT_EQ(detail::resolve_bottomup_chunk(options, 1000, 8), 64u);
+    EXPECT_EQ(detail::resolve_range_chunk(1000, 8), 64u);
     // Mid-size: n / (threads * 64).
-    EXPECT_EQ(detail::resolve_bottomup_chunk(options, 1 << 20, 8), 2048u);
+    EXPECT_EQ(detail::resolve_range_chunk(1 << 20, 8), 2048u);
     // Huge: the ceiling clamps at 4096.
-    EXPECT_EQ(detail::resolve_bottomup_chunk(options, 1u << 31, 8), 4096u);
-    // Explicit option wins unclamped.
-    options.bottomup_chunk = 17;
-    EXPECT_EQ(detail::resolve_bottomup_chunk(options, 1 << 20, 8), 17u);
+    EXPECT_EQ(detail::resolve_range_chunk(1u << 31, 8), 4096u);
 }
 
 // ---------------------------------------------------------------------
