@@ -73,37 +73,20 @@ class BenchReport {
     }
 
     /// One entry per BFS level, carrying the full per-level counter set
-    /// (the Figure 4-style data). `params` is copied into every level's
+    /// (the Figure 4-style data): every BfsLevelStats value, keyed as
+    /// level_value_key names it. `params` is copied into every level's
     /// entry with "level" appended.
     void add_levels(const std::string& name, const Params& params,
                     const std::vector<BfsLevelStats>& levels) {
         if (!enabled()) return;
         for (std::size_t d = 0; d < levels.size(); ++d) {
-            const BfsLevelStats& s = levels[d];
             Params p = params;
             p.emplace_back("level", static_cast<std::int64_t>(d));
-            Metrics m{{"frontier_size", static_cast<double>(s.frontier_size)},
-                      {"edges_scanned", static_cast<double>(s.edges_scanned)},
-                      {"bitmap_checks", static_cast<double>(s.bitmap_checks)},
-                      {"atomic_ops", static_cast<double>(s.atomic_ops)},
-                      {"remote_tuples", static_cast<double>(s.remote_tuples)},
-                      {"bitmap_skips", static_cast<double>(s.bitmap_skips)},
-                      {"atomic_wins", static_cast<double>(s.atomic_wins)},
-                      {"batches_pushed", static_cast<double>(s.batches_pushed)},
-                      {"batches_popped", static_cast<double>(s.batches_popped)},
-                      {"barrier_wait_ns", static_cast<double>(s.barrier_wait_ns)},
-                      {"chunks_claimed", static_cast<double>(s.chunks_claimed)},
-                      {"chunks_stolen", static_cast<double>(s.chunks_stolen)},
-                      {"prefix_sum_ns", static_cast<double>(s.prefix_sum_ns)},
-                      {"compact_writes",
-                       static_cast<double>(s.compact_writes)},
-                      {"simd_words_scanned",
-                       static_cast<double>(s.simd_words_scanned)},
-                      {"max_thread_edges",
-                       static_cast<double>(s.max_thread_edges)},
-                      {"bytes_decoded", static_cast<double>(s.bytes_decoded)},
-                      {"decode_ns", static_cast<double>(s.decode_ns)},
-                      {"seconds", s.seconds}};
+            Metrics m;
+            for (const LevelCounterRow& row : kLevelCounterRows)
+                for (std::size_t e = 0; e < row.extent; ++e)
+                    m.emplace_back(level_value_key(row, e),
+                                   level_value(levels[d], row, e));
             add(name, std::move(p), std::move(m));
         }
     }

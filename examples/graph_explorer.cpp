@@ -470,30 +470,39 @@ int main(int argc, char** argv) {
     }
 
     if (instrument && cli.stats) {
-        std::printf("\nper-level counters (last run%s):\n",
+        // One column per BfsLevelStats value whose counter is nonzero in
+        // the run, headed by its export key and unit.
+        std::printf("\nper-level counters (last run; all-zero counters "
+                    "omitted%s):\n",
                     obs::compiled_in()
                         ? ""
-                        : "; extended columns need an SGE_OBS build");
-        std::printf(
-            "%5s %10s %12s %12s %12s %12s %12s %10s %10s %10s %12s %10s\n",
-            "level", "frontier", "edges", "checks", "skips", "atomics", "wins",
-            "remote", "batches", "barrier_us", "dec_bytes", "dec_us");
+                        : "; extended counters need an SGE_OBS build");
+        const auto shown = nonzero_level_counters(last.level_stats);
+        const auto width = [](const LevelCounterRow& row, std::size_t e) {
+            return std::max<int>(
+                12, static_cast<int>(level_value_key(row, e).size()));
+        };
+        std::string units = "     ";
+        std::printf("%5s", "level");
+        for (const LevelCounterRow& row : kLevelCounterRows) {
+            if (!shown[static_cast<std::size_t>(row.id)]) continue;
+            for (std::size_t e = 0; e < row.extent; ++e) {
+                std::printf(" %*s", width(row, e),
+                            level_value_key(row, e).c_str());
+                units += std::string(1 + width(row, e) - row.unit.size(),
+                                     ' ') + std::string(row.unit);
+            }
+        }
+        std::printf("\n%s\n", units.c_str());
         for (std::size_t d = 0; d < last.level_stats.size(); ++d) {
-            const BfsLevelStats& s = last.level_stats[d];
-            std::printf(
-                "%5zu %10llu %12llu %12llu %12llu %12llu %12llu %10llu "
-                "%10llu %10.1f %12llu %10.1f\n",
-                d, static_cast<unsigned long long>(s.frontier_size),
-                static_cast<unsigned long long>(s.edges_scanned),
-                static_cast<unsigned long long>(s.bitmap_checks),
-                static_cast<unsigned long long>(s.bitmap_skips),
-                static_cast<unsigned long long>(s.atomic_ops),
-                static_cast<unsigned long long>(s.atomic_wins),
-                static_cast<unsigned long long>(s.remote_tuples),
-                static_cast<unsigned long long>(s.batches_pushed),
-                static_cast<double>(s.barrier_wait_ns) / 1000.0,
-                static_cast<unsigned long long>(s.bytes_decoded),
-                static_cast<double>(s.decode_ns) / 1000.0);
+            std::printf("%5zu", d);
+            for (const LevelCounterRow& row : kLevelCounterRows) {
+                if (!shown[static_cast<std::size_t>(row.id)]) continue;
+                for (std::size_t e = 0; e < row.extent; ++e)
+                    std::printf(" %*.*f", width(row, e), row.floating ? 6 : 0,
+                                level_value(last.level_stats[d], row, e));
+            }
+            std::printf("\n");
         }
     }
     if (instrument && !cli.trace.empty()) {

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -221,6 +223,33 @@ BfsResult bfs(const PagedGraph& g, vertex_t root, const BfsOptions& options) {
     return runner.run(g, root);
 }
 
+double level_value(const BfsLevelStats& s, const LevelCounterRow& row,
+                   std::size_t element) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits,
+                reinterpret_cast<const unsigned char*>(&s) +
+                    (row.slot + element) * sizeof bits,
+                sizeof bits);
+    return row.floating ? std::bit_cast<double>(bits)
+                        : static_cast<double>(bits);
+}
+
+std::string level_value_key(const LevelCounterRow& row, std::size_t element) {
+    std::string key(row.name);
+    return row.extent == 1 ? key : key + "_" + std::to_string(element);
+}
+
+std::array<bool, kLevelCounterRows.size()> nonzero_level_counters(
+    const std::vector<BfsLevelStats>& levels) {
+    std::array<bool, kLevelCounterRows.size()> nonzero{};
+    for (const BfsLevelStats& s : levels)
+        for (const LevelCounterRow& row : kLevelCounterRows)
+            for (std::size_t e = 0; e < row.extent; ++e)
+                if (level_value(s, row, e) != 0)
+                    nonzero[static_cast<std::size_t>(row.id)] = true;
+    return nonzero;
+}
+
 obs::ChromeTrace make_bfs_trace(const BfsResult& result,
                                 const std::string& name) {
     obs::ChromeTrace trace;
@@ -252,42 +281,21 @@ obs::ChromeTrace make_bfs_trace(const BfsResult& result,
         }
     }
 
-    // Counter series, one sample per level boundary (timestamped with
-    // the cumulative per-level wall time so they line up with the spans
-    // in either mode).
+    // One counter series per row that is nonzero in the run, one sample
+    // per level boundary (timestamped with the cumulative per-level wall
+    // time so they line up with the spans in either mode).
+    const auto shown = nonzero_level_counters(result.level_stats);
     std::uint64_t cursor = 0;
     for (const BfsLevelStats& s : result.level_stats) {
-        trace.add_counter("frontier", cursor, {{"vertices", s.frontier_size}});
-        trace.add_counter("edges scanned", cursor, {{"edges", s.edges_scanned}});
-        const std::uint64_t wins = std::min(s.atomic_wins, s.atomic_ops);
-        trace.add_counter("atomics", cursor,
-                          {{"wins", s.atomic_ops > 0 ? wins : s.atomic_wins},
-                           {"wasted", s.atomic_ops > wins
-                                          ? s.atomic_ops - wins
-                                          : 0}});
-        trace.add_counter("plain-test skips", cursor,
-                          {{"skips", s.bitmap_skips}});
-        if (s.remote_tuples > 0)
-            trace.add_counter("remote tuples", cursor,
-                              {{"tuples", s.remote_tuples}});
-        if (s.barrier_wait_ns > 0)
-            trace.add_counter("barrier wait us", cursor,
-                              {{"us", s.barrier_wait_ns / 1000}});
-        if (s.chunks_claimed > 0)
-            trace.add_counter("scheduler chunks", cursor,
-                              {{"claimed", s.chunks_claimed},
-                               {"stolen", s.chunks_stolen}});
-        if (s.compact_writes > 0 || s.prefix_sum_ns > 0)
-            trace.add_counter("compaction", cursor,
-                              {{"writes", s.compact_writes},
-                               {"prefix us", s.prefix_sum_ns / 1000}});
-        if (s.simd_words_scanned > 0)
-            trace.add_counter("simd words", cursor,
-                              {{"words", s.simd_words_scanned}});
-        if (s.bytes_decoded > 0)
-            trace.add_counter("decode", cursor,
-                              {{"bytes", s.bytes_decoded},
-                               {"us", s.decode_ns / 1000}});
+        for (const LevelCounterRow& row : kLevelCounterRows) {
+            if (!shown[static_cast<std::size_t>(row.id)]) continue;
+            obs::ChromeTrace::Values values;
+            for (std::size_t e = 0; e < row.extent; ++e)
+                values.emplace_back(level_value_key(row, e),
+                                    level_value(s, row, e));
+            trace.add_counter(std::string(row.name), cursor,
+                              std::move(values));
+        }
         cursor += static_cast<std::uint64_t>(s.seconds * 1e9);
     }
     return trace;

@@ -1,10 +1,14 @@
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "concurrency/cancel_token.hpp"
@@ -203,102 +207,85 @@ inline constexpr std::size_t kBatchOccupancyBuckets = 8;
     return (size - 1) * kBatchOccupancyBuckets / capacity;
 }
 
+/// One channel-batch occupancy histogram (see kBatchOccupancyBuckets).
+using BatchOccupancy = std::uint64_t[kBatchOccupancyBuckets];
+
 /// Per-level instrumentation (Figure 4 reproduces from this; see
 /// docs/OBSERVABILITY.md for the full counter glossary and
-/// docs/PERF_MODEL.md for which paper claim each field evidences).
-///
-/// The first five fields are collected by every build; the fields below
-/// them require the extended counters (CMake option SGE_OBS, on by
-/// default — `obs::compiled_in()`), and read zero when compiled out.
+/// docs/PERF_MODEL.md for which paper claim each field evidences). One
+/// field per row of core/level_counters.def, which documents each;
+/// fields gated `obs` need the extended counters (CMake option SGE_OBS,
+/// on by default — `obs::compiled_in()`) and read zero when compiled
+/// out. Every field is 8-byte values, so the struct doubles as a
+/// level's packed block of values in list order.
 struct BfsLevelStats {
-    std::uint64_t frontier_size = 0;   ///< vertices expanded this level
-    std::uint64_t edges_scanned = 0;   ///< adjacency entries examined
-    std::uint64_t bitmap_checks = 0;   ///< plain bitmap/parent queries
-    std::uint64_t atomic_ops = 0;      ///< locked RMW instructions issued
-    std::uint64_t remote_tuples = 0;   ///< (v,u) pairs shipped via channels
-    double seconds = 0.0;              ///< wall time of this level
-
-    // ---- extended counters (SGE_OBS builds) ----
-
-    /// Neighbours filtered by the *plain* visited test before any locked
-    /// instruction — the double-check optimization's savings (Figure 4:
-    /// bitmap_checks - atomic_ops). Counted by the engines that carry a
-    /// cheap pre-test (bitmap, multisocket, hybrid; the serial and
-    /// distributed engines count their plain already-visited hits here
-    /// so the ratio stays comparable).
-    std::uint64_t bitmap_skips = 0;
-
-    /// Visited claims that *succeeded* — the claimer became the BFS
-    /// parent. Summed over all levels this is exactly n-1 on a connected
-    /// graph (every non-root vertex is claimed once). For the atomic
-    /// engines atomic_wins <= atomic_ops and the difference is wasted
-    /// locked RMWs (lost races plus double-check misses); the serial and
-    /// distributed engines have no atomics (atomic_ops == 0) but still
-    /// count their plain claims here so the invariant "wins == n-1"
-    /// holds for every engine.
-    std::uint64_t atomic_wins = 0;
-
-    /// Channel batches pushed into / popped out of the inter-socket
-    /// (or inter-rank) channels this level. Zero for engines without
-    /// channels. pushed counts Channel::push_batch calls, popped counts
-    /// pop_batch calls that returned at least one item.
-    std::uint64_t batches_pushed = 0;
-    std::uint64_t batches_popped = 0;
-
-    /// Occupancy histogram over the *pushed* channel batches (see
-    /// kBatchOccupancyBuckets). Sums to batches_pushed.
-    std::uint64_t batch_occupancy[kBatchOccupancyBuckets] = {};
-
-    /// Nanoseconds workers spent waiting at the level's barriers, summed
-    /// across threads — the load-imbalance signal. Zero for the serial
-    /// engine.
-    std::uint64_t barrier_wait_ns = 0;
-
-    /// Frontier chunks claimed through the scheduler this level, summed
-    /// across threads; chunks_stolen counts the subset taken from a
-    /// same-socket sibling's range (kStealing only — zero under shared
-    /// cursors). claimed == chunks planned for the level, every chunk
-    /// claimed exactly once.
-    std::uint64_t chunks_claimed = 0;
-    std::uint64_t chunks_stolen = 0;
-
-    /// Nanoseconds spent in the compact frontier-generation phase
-    /// (exclusive prefix offsets + contiguous copy-out), summed across
-    /// threads — the cost the prefix-sum scheme pays to keep atomics out
-    /// of next-queue construction.
-    std::uint64_t prefix_sum_ns = 0;
-
-    /// Vertices written into next-level queues by compact copy-out this
-    /// level. Invariant: compact_writes == the next level's
-    /// frontier_size (exact cover — every discovery written exactly
-    /// once), so summed over a run it equals vertices_visited - 1.
-    std::uint64_t compact_writes = 0;
-
-    /// Bitmap / lane-mask words examined by the word-at-a-time scans
-    /// (bottom-up unvisited sweep, bits->queue harvest, MS-BFS frontier
-    /// scans), whether vector-skipped or iterated with ctz.
-    std::uint64_t simd_words_scanned = 0;
-
-    /// Largest per-thread edges_scanned this level — the numerator of
-    /// the edge spread (max_thread_edges * threads / edges_scanned is
-    /// 1.0 for a perfectly balanced level, ~threads when one worker
-    /// scanned everything).
-    std::uint64_t max_thread_edges = 0;
-
-    /// Varint blob bytes decoded by adjacency scans this level, summed
-    /// across threads (GraphBackend::kCompressed only — zero on the
-    /// plain backend). Compare against 4 * edges_scanned, the bytes the
-    /// plain targets[] stream would have moved: the ratio is the
-    /// bandwidth saving the compressed backend buys.
-    std::uint64_t bytes_decoded = 0;
-
-    /// Estimated nanoseconds inside varint decode this level, summed
-    /// across threads. Sampled: every 64th decode call is timed and
-    /// scaled (a timer per call would dwarf a short row's decode), so
-    /// treat as a statistical estimate, not an exact integral. Zero on
-    /// the plain backend.
-    std::uint64_t decode_ns = 0;
+#define SGE_LEVEL_COUNTER(name, type, unit, merge, gate) \
+    type name = {};                                      \
+    static_assert(sizeof(type) % 8 == 0, #name " must be 8-byte values");
+#include "core/level_counters.def"
+#undef SGE_LEVEL_COUNTER
 };
+
+/// The per-level counters, in list order.
+enum class LevelCounter : std::uint8_t {
+#define SGE_LEVEL_COUNTER(name, type, unit, merge, gate) name,
+#include "core/level_counters.def"
+#undef SGE_LEVEL_COUNTER
+};
+
+/// How the workers' values of a counter become the level's value.
+enum class CounterMerge : std::uint8_t { kSum, kMax, kSet };
+
+/// One row of core/level_counters.def, and where its values sit in the
+/// packed block: [slot, slot + extent).
+struct LevelCounterRow {
+    LevelCounter id;
+    std::string_view name;
+    std::string_view unit;
+    CounterMerge merge;
+    LevelCounter source;  ///< the per-worker tally a kMax row merges
+    bool gated;           ///< compiled out by -DSGE_OBS=OFF
+    bool floating;        ///< a double, else integer counts
+    std::size_t slot;
+    std::size_t extent;  ///< 1, or a histogram's buckets
+};
+
+/// The counter list, expanded once; its merge and gate columns name the
+/// locals declared here.
+inline constexpr auto kLevelCounterRows = [] {
+    using enum LevelCounter;
+    struct Merge {
+        CounterMerge rule;
+        LevelCounter source = {};
+    };
+    constexpr Merge sum{CounterMerge::kSum}, set{CounterMerge::kSet};
+    constexpr auto max = [](LevelCounter tally) {
+        return Merge{CounterMerge::kMax, tally};
+    };
+    constexpr bool always = false, obs = true;
+    return std::array{
+#define SGE_LEVEL_COUNTER(name, type, unit, merge, gate)                      \
+    LevelCounterRow{LevelCounter::name, #name, unit, Merge(merge).rule,       \
+                    Merge(merge).source, gate, std::is_floating_point_v<type>, \
+                    offsetof(BfsLevelStats, name) / 8, sizeof(type) / 8},
+#include "core/level_counters.def"
+#undef SGE_LEVEL_COUNTER
+    };
+}();
+/// Value `element` of `row` in `s` (exact below 2^53).
+[[nodiscard]] double level_value(const BfsLevelStats& s,
+                                 const LevelCounterRow& row,
+                                 std::size_t element);
+
+/// The name that value is exported under: the row's name, or
+/// name_<bucket> for a histogram.
+[[nodiscard]] std::string level_value_key(const LevelCounterRow& row,
+                                          std::size_t element);
+
+/// The rows, indexed by LevelCounter, with a nonzero value at some level
+/// of `levels` — the ones the trace and graph_explorer --stats show.
+[[nodiscard]] std::array<bool, kLevelCounterRows.size()>
+nonzero_level_counters(const std::vector<BfsLevelStats>& levels);
 
 /// One thread's participation in one BFS level, stamped against the
 /// traversal's start. Collected by the parallel engines when
@@ -457,10 +444,10 @@ BfsResult bfs(const PagedGraph& g, vertex_t root,
 /// with BfsOptions::collect_stats): one track per worker thread carrying
 /// its level spans (falling back to a single synthesized track from
 /// level_stats when thread_spans is empty, e.g. the serial engine or a
-/// SGE_OBS=OFF build), plus counter series — frontier size, edges
-/// scanned, atomic attempts vs wins, remote tuples, barrier wait — at
-/// each level boundary. Write with obs::ChromeTrace::write_file and load
-/// in chrome://tracing or Perfetto; see docs/OBSERVABILITY.md.
+/// SGE_OBS=OFF build), plus one counter series per BfsLevelStats field
+/// that is nonzero in the run, sampled at each level boundary. Write
+/// with obs::ChromeTrace::write_file and load in chrome://tracing or
+/// Perfetto; see docs/OBSERVABILITY.md.
 [[nodiscard]] obs::ChromeTrace make_bfs_trace(const BfsResult& result,
                                               const std::string& name = "bfs");
 

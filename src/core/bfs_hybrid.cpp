@@ -227,8 +227,9 @@ class HybridStep {
                     *out++ = static_cast<vertex_t>(wi * W + b);
                 });
             });
-        note_compaction(lv.slot, harvest_timer.nanoseconds(), found);
-        note_simd_words(lv.slot, words_scanned);
+        lv.slot.add<LevelCounter::prefix_sum_ns>(harvest_timer.nanoseconds());
+        lv.slot.add<LevelCounter::compact_writes>(found);
+        lv.slot.add<LevelCounter::simd_words_scanned>(words_scanned);
         if (!lv.wait()) return false;
         // The harvested queue only exists now: size it and cut its plan
         // for the top-down level about to start.
@@ -267,7 +268,9 @@ class HybridStep {
         WorkQueue::Claim cl;
         while ((cl = ws_.wq->claim(lv.tid, begin, end)) !=
                WorkQueue::Claim::kNone) {
-            counters.count_chunk(cl == WorkQueue::Claim::kStolen);
+            counters.add<LevelCounter::chunks_claimed>(1);
+            counters.add<LevelCounter::chunks_stolen>(
+                cl == WorkQueue::Claim::kStolen);
             for (std::size_t i = begin; i < end; ++i) {
                 const vertex_t u = cq[i];
                 // Keep the next vertex's adjacency metadata in flight
@@ -307,17 +310,17 @@ class HybridStep {
         // to stop at the first frontier parent.
         const auto hunt = [&](vertex_t v) {
             scan_adjacency_until(g, v, counters, [&](vertex_t w) {
-                ++counters.bitmap_checks;
+                counters.add<LevelCounter::bitmap_checks>(1);
                 if (!fb_cur.test(w)) return true;
                 // v's chunk is claimed exactly once, so the test_and_set
                 // cannot lose; it still provides the release ordering the
                 // next level needs.
-                ++counters.atomic_ops;
+                counters.add<LevelCounter::atomic_ops>(1);
                 visited.test_and_set(v);
                 lv.settle(v, w);
                 ++discovered;
                 discovered_degree += g.degree(v);
-                ++counters.atomic_ops;
+                counters.add<LevelCounter::atomic_ops>(1);
                 fb_next.test_and_set(v);
                 return false;
             });
@@ -330,7 +333,9 @@ class HybridStep {
         WorkQueue::Claim cl;
         while ((cl = ws_.range_wq->claim(lv.tid, base, stop)) !=
                WorkQueue::Claim::kNone) {
-            counters.count_chunk(cl == WorkQueue::Claim::kStolen);
+            counters.add<LevelCounter::chunks_claimed>(1);
+            counters.add<LevelCounter::chunks_stolen>(
+                cl == WorkQueue::Claim::kStolen);
             const std::size_t wlo = base / W;
             const std::size_t whi = (stop + W - 1) / W;
             simd::for_each_unvisited_word(
@@ -343,12 +348,12 @@ class HybridStep {
                     if (wi + 1 == whi && stop % W != 0)
                         mask &= (std::uint32_t{1} << (stop % W)) - 1;
                     simd::for_each_bit(mask, [&](unsigned b) {
-                        ++counters.bitmap_checks;
+                        counters.add<LevelCounter::bitmap_checks>(1);
                         hunt(static_cast<vertex_t>(wi * W + b));
                     });
                 });
         }
-        counters.count_simd_words(words_scanned);
+        counters.add<LevelCounter::simd_words_scanned>(words_scanned);
         tally.discovered = discovered;
         tally.discovered_degree = discovered_degree;
     }

@@ -72,7 +72,10 @@ class MultiSocketStep {
                 lv.discover(v, u);
         };
         const auto ship = [&](int s) {
-            counters.count_batch_push(remote[s].size(), remote[s].capacity());
+            counters.add<LevelCounter::batches_pushed>(1);
+            counters.add<LevelCounter::batch_occupancy>(
+                1, batch_occupancy_bucket(remote[s].size(),
+                                          remote[s].capacity()));
             ws_.channels[s]->push_batch(remote[s].data(), remote[s].size());
             remote[s].clear();
         };
@@ -84,7 +87,9 @@ class MultiSocketStep {
         while ((cl = ws_.socket_wqs[my]->claim(
                     ws_.rank_in_socket[static_cast<std::size_t>(lv.tid)],
                     begin, end)) != WorkQueue::Claim::kNone) {
-            counters.count_chunk(cl == WorkQueue::Claim::kStolen);
+            counters.add<LevelCounter::chunks_claimed>(1);
+            counters.add<LevelCounter::chunks_stolen>(
+                cl == WorkQueue::Claim::kStolen);
             for (std::size_t i = begin; i < end; ++i) {
                 const vertex_t u = cq[i];
                 if (i + 1 < end) g.prefetch_adjacency(cq[i + 1]);
@@ -101,13 +106,13 @@ class MultiSocketStep {
                         // (why the paper doesn't), saves channel volume
                         // for already-visited hubs.
                         if (options_.remote_sender_filter) {
-                            ++counters.bitmap_checks;
+                            counters.add<LevelCounter::bitmap_checks>(1);
                             if (visited.test(v)) {
-                                counters.count_skip();
+                                counters.add<LevelCounter::bitmap_skips>(1);
                                 return;
                             }
                         }
-                        ++counters.remote_tuples;
+                        counters.add<LevelCounter::remote_tuples>(1);
                         if (remote[s].push(pack_visit(v, u))) ship(s);
                     });
             }
@@ -122,7 +127,7 @@ class MultiSocketStep {
         for (;;) {
             const std::size_t k = my_channel.pop_batch(drain.data(), drain.size());
             if (k == 0) break;
-            counters.count_batch_pop(k);
+            counters.add<LevelCounter::batches_popped>(1);
             for (std::size_t j = 0; j < k; ++j)
                 visit_local(visit_child(drain[j]), visit_parent(drain[j]));
         }

@@ -50,7 +50,9 @@ class NaiveStep {
         WorkQueue::Claim cl;
         while ((cl = ws_.wq->claim(lv.tid, begin, end)) !=
                WorkQueue::Claim::kNone) {
-            counters.count_chunk(cl == WorkQueue::Claim::kStolen);
+            counters.add<LevelCounter::chunks_claimed>(1);
+            counters.add<LevelCounter::chunks_stolen>(
+                cl == WorkQueue::Claim::kStolen);
             for (std::size_t i = begin; i < end; ++i) {
                 const vertex_t u = cq[i];
                 // Keep the next vertex's adjacency metadata in flight
@@ -63,8 +65,8 @@ class NaiveStep {
                     [&](vertex_t v) {
                         // Unconditional atomic claim on the epoch-stamped
                         // word (Algorithm 1's atomic P[v] == INF -> u).
-                        ++counters.bitmap_checks;
-                        ++counters.atomic_ops;
+                        counters.add<LevelCounter::bitmap_checks>(1);
+                        counters.add<LevelCounter::atomic_ops>(1);
                         std::atomic<std::uint64_t>& cw = claim[v];
                         std::uint64_t seen = cw.load(std::memory_order_relaxed);
                         while ((seen >> 32) != epoch) {

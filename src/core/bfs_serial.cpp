@@ -17,9 +17,8 @@ namespace {
 /// has no visited bitmap — parent[v] == kInvalidVertex IS the visited
 /// test — so the sentinel fill stays, unlike the parallel engines.
 ///
-/// One body for both CSR backends (scan_adjacency); the per-level
-/// ThreadCounters instance carries the edge and decode accounting the
-/// scan helper produces.
+/// One body for every backend (scan_adjacency); the per-level
+/// ThreadCounters instance carries all of the level's tallies.
 template <class Graph>
 void bfs_serial_impl(const Graph& g, vertex_t root, const BfsOptions& options,
                      BfsResult& result) {
@@ -42,37 +41,32 @@ void bfs_serial_impl(const Graph& g, vertex_t root, const BfsOptions& options,
     level_t depth = 0;
     WallTimer level_timer;
     while (!current.empty()) {
-        BfsLevelStats stats;
-        stats.frontier_size = current.size();
         ThreadCounters counters;
         level_timer.reset();
         for (const vertex_t u : current) {
             scan_adjacency(
                 g, u, counters, [](vertex_t) {},
                 [&](vertex_t v) {
-                    ++stats.bitmap_checks;
+                    counters.add<LevelCounter::bitmap_checks>(1);
                     if (result.parent[v] == kInvalidVertex) {
                         // Plain claim (no atomics here): counted as a
                         // "win" so sum(atomic_wins) == n-1 holds for
                         // every engine.
-                        if constexpr (obs::compiled_in()) ++stats.atomic_wins;
+                        counters.add<LevelCounter::atomic_wins>(1);
                         result.parent[v] = u;
                         if (options.compute_levels)
                             result.level[v] = depth + 1;
                         next.push_back(v);
                         ++result.vertices_visited;
                     } else {
-                        if constexpr (obs::compiled_in()) ++stats.bitmap_skips;
+                        counters.add<LevelCounter::bitmap_skips>(1);
                     }
                 });
         }
+        BfsLevelStats stats = counters.stats();
         stats.seconds = level_timer.seconds();
-        result.edges_traversed += counters.edges_scanned;
-        stats.edges_scanned = counters.edges_scanned;
-        if constexpr (obs::compiled_in()) {
-            stats.bytes_decoded = counters.bytes_decoded;
-            stats.decode_ns = counters.decode_ns;
-        }
+        stats.frontier_size = current.size();
+        result.edges_traversed += stats.edges_scanned;
         if (options.collect_stats) result.level_stats.push_back(stats);
         ++depth;
         current.swap(next);

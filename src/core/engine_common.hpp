@@ -4,9 +4,11 @@
 // API surface; include only from src/core/*.cpp and tests.
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -147,7 +149,19 @@ inline bool poll_cancel(const BfsOptions& options) noexcept {
         level_reached, vertices_settled, /*cancelled=*/true);
 }
 
-/// Shared per-level accumulation slot. Workers fetch_add their local
+/// Row C of the counter list (core/level_counters.def), and whether this
+/// build counts it: its gate is `always`, or SGE_OBS is on.
+template <LevelCounter C>
+inline constexpr const LevelCounterRow& kRow =
+    kLevelCounterRows[static_cast<std::size_t>(C)];
+template <LevelCounter C>
+inline constexpr bool kCounted = !kRow<C>.gated || obs::compiled_in();
+
+/// Values in a level's packed block (a BfsLevelStats, bit for bit).
+inline constexpr std::size_t kLevelSlots =
+    sizeof(BfsLevelStats) / sizeof(std::uint64_t);
+
+/// Shared per-level accumulation slot. Workers merge their local
 /// counters into it once per level; the engine copies the totals into
 /// BfsResult::level_stats after the run.
 ///
@@ -158,57 +172,46 @@ inline bool poll_cancel(const BfsOptions& options) noexcept {
 /// wait time lands in the *right* level (the wait happens after the
 /// scan-counter flush).
 struct LevelAccum {
-    std::uint64_t frontier_size = 0;  // written by thread 0 only
-    double seconds = 0.0;             // written by thread 0 only
-    std::atomic<std::uint64_t> edges_scanned{0};
-    std::atomic<std::uint64_t> bitmap_checks{0};
-    std::atomic<std::uint64_t> atomic_ops{0};
-    std::atomic<std::uint64_t> remote_tuples{0};
-    // Extended counters (zero unless SGE_OBS builds collect them).
-    std::atomic<std::uint64_t> bitmap_skips{0};
-    std::atomic<std::uint64_t> atomic_wins{0};
-    std::atomic<std::uint64_t> batches_pushed{0};
-    std::atomic<std::uint64_t> batches_popped{0};
-    std::atomic<std::uint64_t> batch_occupancy[kBatchOccupancyBuckets]{};
-    std::atomic<std::uint64_t> barrier_wait_ns{0};
-    std::atomic<std::uint64_t> chunks_claimed{0};
-    std::atomic<std::uint64_t> chunks_stolen{0};
-    std::atomic<std::uint64_t> max_thread_edges{0};  // max, not sum
-    std::atomic<std::uint64_t> prefix_sum_ns{0};
-    std::atomic<std::uint64_t> compact_writes{0};
-    std::atomic<std::uint64_t> simd_words_scanned{0};
-    std::atomic<std::uint64_t> bytes_decoded{0};
-    std::atomic<std::uint64_t> decode_ns{0};
-
-    LevelAccum() = default;
-    LevelAccum(const LevelAccum&) = delete;
-    LevelAccum& operator=(const LevelAccum&) = delete;
+    std::atomic<std::uint64_t> values[kLevelSlots] = {};
 
     /// Rewinds a slot for reuse across queries (workspace-owned logs
     /// keep their slots allocated; the values must not leak between
     /// runs). Relaxed: called between barriers / before the run.
     void reset() noexcept {
-        frontier_size = 0;
-        seconds = 0.0;
-        edges_scanned.store(0, std::memory_order_relaxed);
-        bitmap_checks.store(0, std::memory_order_relaxed);
-        atomic_ops.store(0, std::memory_order_relaxed);
-        remote_tuples.store(0, std::memory_order_relaxed);
-        bitmap_skips.store(0, std::memory_order_relaxed);
-        atomic_wins.store(0, std::memory_order_relaxed);
-        batches_pushed.store(0, std::memory_order_relaxed);
-        batches_popped.store(0, std::memory_order_relaxed);
-        for (std::size_t b = 0; b < kBatchOccupancyBuckets; ++b)
-            batch_occupancy[b].store(0, std::memory_order_relaxed);
-        barrier_wait_ns.store(0, std::memory_order_relaxed);
-        chunks_claimed.store(0, std::memory_order_relaxed);
-        chunks_stolen.store(0, std::memory_order_relaxed);
-        max_thread_edges.store(0, std::memory_order_relaxed);
-        prefix_sum_ns.store(0, std::memory_order_relaxed);
-        compact_writes.store(0, std::memory_order_relaxed);
-        simd_words_scanned.store(0, std::memory_order_relaxed);
-        bytes_decoded.store(0, std::memory_order_relaxed);
-        decode_ns.store(0, std::memory_order_relaxed);
+        for (std::atomic<std::uint64_t>& v : values)
+            v.store(0, std::memory_order_relaxed);
+    }
+
+    /// Adds to sum row C directly, for work a worker does after its
+    /// ThreadCounters were flushed (barrier waits, copy-out, harvest).
+    template <LevelCounter C>
+    void add([[maybe_unused]] std::uint64_t n) noexcept {
+        static_assert(kRow<C>.merge == CounterMerge::kSum);
+        if constexpr (kCounted<C>)
+            values[kRow<C>.slot].fetch_add(n, std::memory_order_relaxed);
+    }
+
+    /// Stores set row C (thread 0, once per level).
+    template <LevelCounter C>
+    void set(std::conditional_t<kRow<C>.floating, double, std::uint64_t>
+                 value) noexcept {
+        static_assert(kRow<C>.merge == CounterMerge::kSet);
+        values[kRow<C>.slot].store(std::bit_cast<std::uint64_t>(value),
+                                   std::memory_order_relaxed);
+    }
+
+    template <LevelCounter C>
+    [[nodiscard]] std::uint64_t get() const noexcept {
+        return values[kRow<C>.slot].load(std::memory_order_relaxed);
+    }
+
+    [[nodiscard]] BfsLevelStats stats() const noexcept {
+        std::uint64_t raw[kLevelSlots];
+        for (std::size_t i = 0; i < kLevelSlots; ++i)
+            raw[i] = values[i].load(std::memory_order_relaxed);
+        BfsLevelStats s;
+        std::memcpy(&s, raw, sizeof s);
+        return s;
     }
 };
 
@@ -237,116 +240,50 @@ inline LevelAccum& acquire_level_slot(LevelAccumLog& log, std::size_t depth) {
 /// engines keep one per worker stack frame, and alignment guarantees
 /// two workers' blocks never share a line even if an engine ever moves
 /// them into a shared array.
-///
-/// The first four fields are always counted (the engines' own
-/// accounting — edges_traversed — depends on them, and they predate the
-/// obs subsystem). The extended fields below cost one local increment
-/// each and compile to nothing when SGE_OBS is off: every increment
-/// funnels through the count_* helpers, which are `if constexpr` gated
-/// on obs::compiled_in().
 struct alignas(kCacheLineSize) ThreadCounters {
-    std::uint64_t edges_scanned = 0;
-    std::uint64_t bitmap_checks = 0;
-    std::uint64_t atomic_ops = 0;
-    std::uint64_t remote_tuples = 0;
-    // Extended (SGE_OBS) counters.
-    std::uint64_t bitmap_skips = 0;
-    std::uint64_t atomic_wins = 0;
-    std::uint64_t batches_pushed = 0;
-    std::uint64_t batches_popped = 0;
-    std::uint64_t batch_occupancy[kBatchOccupancyBuckets] = {};
-    std::uint64_t chunks_claimed = 0;
-    std::uint64_t chunks_stolen = 0;
-    std::uint64_t simd_words_scanned = 0;
-    std::uint64_t bytes_decoded = 0;
-    std::uint64_t decode_ns = 0;
+    std::uint64_t values[kLevelSlots] = {};
     std::uint64_t decode_calls = 0;  // sampling clock; never flushed
 
-    /// A frontier chunk claimed from the scheduler (stolen when it came
-    /// from a same-socket sibling's range).
-    void count_chunk(bool stolen) noexcept {
-        if constexpr (obs::compiled_in()) {
-            ++chunks_claimed;
-            if (stolen) ++chunks_stolen;
-        }
+    /// Tallies `n` into sum row C (into `bucket` of a histogram). One
+    /// local add; nothing at all when this build does not count C.
+    template <LevelCounter C>
+    void add([[maybe_unused]] std::uint64_t n,
+             [[maybe_unused]] std::size_t bucket = 0) noexcept {
+        static_assert(kRow<C>.merge == CounterMerge::kSum);
+        if constexpr (kCounted<C>) values[kRow<C>.slot + bucket] += n;
     }
 
-    /// A neighbour filtered by the plain (unlocked) visited test.
-    void count_skip() noexcept {
-        if constexpr (obs::compiled_in()) ++bitmap_skips;
-    }
-
-    /// A visited claim that succeeded (this worker became the parent).
-    void count_win() noexcept {
-        if constexpr (obs::compiled_in()) ++atomic_wins;
-    }
-
-    /// A channel batch of `size` items flushed from a staging buffer of
-    /// `capacity`.
-    void count_batch_push(std::size_t size, std::size_t capacity) noexcept {
-        if constexpr (obs::compiled_in()) {
-            ++batches_pushed;
-            ++batch_occupancy[batch_occupancy_bucket(size, capacity)];
-        }
-    }
-
-    /// `words` bitmap / lane-mask words examined by a word-at-a-time
-    /// scan (simd_scan.hpp), vector-skipped or ctz-iterated alike.
-    void count_simd_words(std::uint64_t words) noexcept {
-        if constexpr (obs::compiled_in()) simd_words_scanned += words;
-        (void)words;
-    }
-
-    /// A non-empty channel drain of `size` items (capacity = the drain
-    /// buffer size). Pops do not feed the occupancy histogram — it
-    /// characterises the producer-side batching the paper optimizes.
-    void count_batch_pop(std::size_t size) noexcept {
-        if constexpr (obs::compiled_in()) {
-            ++batches_popped;
-            (void)size;
-        }
-    }
-
+    /// Merges the tallies into `slot` by each row's rule — a sum adds, a
+    /// max raises the slot to this worker's tally of its source — and
+    /// rewinds them. Zero tallies skip the shared line.
     void flush_into(LevelAccum& slot) noexcept {
-        slot.edges_scanned.fetch_add(edges_scanned, std::memory_order_relaxed);
-        slot.bitmap_checks.fetch_add(bitmap_checks, std::memory_order_relaxed);
-        slot.atomic_ops.fetch_add(atomic_ops, std::memory_order_relaxed);
-        slot.remote_tuples.fetch_add(remote_tuples, std::memory_order_relaxed);
-        if constexpr (obs::compiled_in()) {
-            slot.bitmap_skips.fetch_add(bitmap_skips,
-                                        std::memory_order_relaxed);
-            slot.atomic_wins.fetch_add(atomic_wins, std::memory_order_relaxed);
-            slot.batches_pushed.fetch_add(batches_pushed,
-                                          std::memory_order_relaxed);
-            slot.batches_popped.fetch_add(batches_popped,
-                                          std::memory_order_relaxed);
-            for (std::size_t b = 0; b < kBatchOccupancyBuckets; ++b)
-                slot.batch_occupancy[b].fetch_add(batch_occupancy[b],
-                                                  std::memory_order_relaxed);
-            slot.chunks_claimed.fetch_add(chunks_claimed,
-                                          std::memory_order_relaxed);
-            slot.chunks_stolen.fetch_add(chunks_stolen,
-                                         std::memory_order_relaxed);
-            slot.simd_words_scanned.fetch_add(simd_words_scanned,
-                                              std::memory_order_relaxed);
-            slot.bytes_decoded.fetch_add(bytes_decoded,
-                                         std::memory_order_relaxed);
-            slot.decode_ns.fetch_add(decode_ns, std::memory_order_relaxed);
-            atomic_accumulate_max(slot.max_thread_edges, edges_scanned);
+        for (const LevelCounterRow& row : kLevelCounterRows) {
+            if (row.gated && !obs::compiled_in()) continue;
+            if (row.merge == CounterMerge::kMax) {
+                const std::uint64_t mine = values[kLevelCounterRows[
+                    static_cast<std::size_t>(row.source)].slot];
+                std::atomic<std::uint64_t>& to = slot.values[row.slot];
+                std::uint64_t seen = to.load(std::memory_order_relaxed);
+                while (seen < mine &&
+                       !to.compare_exchange_weak(seen, mine,
+                                                 std::memory_order_relaxed)) {
+                }
+            } else if (row.merge == CounterMerge::kSum) {
+                for (std::size_t i = row.slot; i < row.slot + row.extent; ++i)
+                    if (values[i] != 0)
+                        slot.values[i].fetch_add(values[i],
+                                                 std::memory_order_relaxed);
+            }
         }
         *this = ThreadCounters{};
     }
 
-  private:
-    /// Relaxed atomic max — the edge-spread accumulator. Loops only
-    /// while another thread is concurrently raising the same slot.
-    static void atomic_accumulate_max(std::atomic<std::uint64_t>& slot,
-                                      std::uint64_t value) noexcept {
-        std::uint64_t seen = slot.load(std::memory_order_relaxed);
-        while (seen < value &&
-               !slot.compare_exchange_weak(seen, value,
-                                           std::memory_order_relaxed)) {
-        }
+    /// The tallies as a level's stats, set and max rows zero: the serial
+    /// engine's level, which merges no workers.
+    [[nodiscard]] BfsLevelStats stats() const noexcept {
+        BfsLevelStats s;
+        std::memcpy(&s, values, sizeof s);
+        return s;
     }
 };
 
@@ -355,62 +292,31 @@ struct alignas(kCacheLineSize) ThreadCounters {
 /// `timed` is false when stats are off, so un-instrumented runs pay
 /// only the branch.
 inline bool timed_wait(SpinBarrier& barrier, LevelAccum& slot, bool timed) {
-    if constexpr (obs::compiled_in()) {
-        if (timed) {
-            WallTimer wait;
-            const bool ok = barrier.arrive_and_wait();
-            slot.barrier_wait_ns.fetch_add(wait.nanoseconds(),
-                                           std::memory_order_relaxed);
-            return ok;
-        }
-    }
-    (void)slot;
-    (void)timed;
-    return barrier.arrive_and_wait();
+    if (!kCounted<LevelCounter::barrier_wait_ns> || !timed)
+        return barrier.arrive_and_wait();
+    WallTimer wait;
+    const bool ok = barrier.arrive_and_wait();
+    slot.add<LevelCounter::barrier_wait_ns>(wait.nanoseconds());
+    return ok;
 }
 
 /// One worker's compaction copy-out step: exclusive prefix offset +
 /// contiguous memcpy of its staged discoveries into `dst` (the target
 /// queue's slots). Times the step into the level slot's prefix_sum_ns
-/// and counts the vertices into compact_writes (SGE_OBS builds; the
-/// slot is written directly because the worker's ThreadCounters were
-/// already flushed before the level barrier). Call between the barrier
-/// that follows publish() and the barrier that precedes set_size().
+/// and counts the vertices into compact_writes (slot-direct: the
+/// worker's ThreadCounters were already flushed before the level
+/// barrier). Call between the barrier that follows publish() and the
+/// barrier that precedes set_size().
 inline void compact_copy_out(const FrontierCompactor& fc, int tid,
                              vertex_t* dst, LevelAccum& slot) {
-    if constexpr (obs::compiled_in()) {
-        WallTimer timer;
-        const std::size_t copied = fc.copy_out(tid, dst);
-        slot.prefix_sum_ns.fetch_add(timer.nanoseconds(),
-                                     std::memory_order_relaxed);
-        slot.compact_writes.fetch_add(copied, std::memory_order_relaxed);
+    if (!kCounted<LevelCounter::prefix_sum_ns>) {
+        fc.copy_out(tid, dst);
         return;
     }
-    (void)slot;
-    fc.copy_out(tid, dst);
-}
-
-/// Slot-direct variant of ThreadCounters::count_simd_words for sweeps
-/// that run after the worker's counters were flushed (the hybrid
-/// harvest's two passes).
-inline void note_simd_words(LevelAccum& slot, std::uint64_t words) noexcept {
-    if constexpr (obs::compiled_in())
-        slot.simd_words_scanned.fetch_add(words, std::memory_order_relaxed);
-    (void)slot;
-    (void)words;
-}
-
-/// Slot-direct compact_writes/prefix_sum_ns accounting for harvest-style
-/// compaction that writes queue slots directly instead of copy_out.
-inline void note_compaction(LevelAccum& slot, std::uint64_t ns,
-                            std::uint64_t writes) noexcept {
-    if constexpr (obs::compiled_in()) {
-        slot.prefix_sum_ns.fetch_add(ns, std::memory_order_relaxed);
-        slot.compact_writes.fetch_add(writes, std::memory_order_relaxed);
-    }
-    (void)slot;
-    (void)ns;
-    (void)writes;
+    WallTimer timer;
+    const std::size_t copied = fc.copy_out(tid, dst);
+    slot.add<LevelCounter::prefix_sum_ns>(timer.nanoseconds());
+    slot.add<LevelCounter::compact_writes>(copied);
 }
 
 /// Per-thread level-span log for the Chrome trace export. Each worker
@@ -478,13 +384,33 @@ inline void check_root(const Graph& g, vertex_t root) {
 
 /// Decode-cost sampling period. Timing every decode call would cost two
 /// clock reads (~40 ns) against a ~30 ns decode of a degree-16 row, so
-/// the scan helpers time every 64th call and scale by 64: decode_ns is
+/// counted_decode times every 64th call and scales by 64: decode_ns is
 /// a statistical estimate with per-level error bounded by the sampling,
 /// while bytes_decoded stays exact (a plain add on every call).
 inline constexpr std::uint64_t kDecodeSampleEvery = 64;
 
+/// One row decode on the compressed backend: `decode()` returns the
+/// bytes it consumed, counted into bytes_decoded; every
+/// kDecodeSampleEvery-th call is also timed into decode_ns, scaled. Both
+/// compile away without SGE_OBS.
+template <class Decode>
+inline void counted_decode(ThreadCounters& tc, Decode&& decode) {
+    if constexpr (kCounted<LevelCounter::decode_ns>) {
+        if (tc.decode_calls++ % kDecodeSampleEvery == 0) {
+            WallTimer timer;
+            tc.add<LevelCounter::bytes_decoded>(decode());
+            tc.add<LevelCounter::decode_ns>(timer.nanoseconds() *
+                                            kDecodeSampleEvery);
+        } else {
+            tc.add<LevelCounter::bytes_decoded>(decode());
+        }
+    } else {
+        decode();
+    }
+}
+
 /// Full adjacency scan of `u`: calls `fn(w)` per neighbour, counts the
-/// scanned edges into `tc.edges_scanned`, and on the compressed backend
+/// scanned edges into `tc`'s edges_scanned, and on the compressed backend
 /// also accounts bytes_decoded (always) and sampled decode_ns (SGE_OBS
 /// builds). `hint(w)` is the plain backend's lookahead prefetch —
 /// called kVisitedPrefetchDistance neighbours ahead of `fn` so the
@@ -495,23 +421,11 @@ inline void scan_adjacency(const Graph& g, vertex_t u, ThreadCounters& tc,
                            Hint&& hint, Fn&& fn) {
     if constexpr (Graph::kCompressed) {
         (void)hint;  // decode order is sequential; no ids to look ahead to
-        tc.edges_scanned += g.degree(u);
-        if constexpr (obs::compiled_in()) {
-            std::size_t bytes = 0;
-            if (tc.decode_calls++ % kDecodeSampleEvery == 0) {
-                WallTimer timer;
-                bytes = g.neighbors_for_each(u, fn);
-                tc.decode_ns += timer.nanoseconds() * kDecodeSampleEvery;
-            } else {
-                bytes = g.neighbors_for_each(u, fn);
-            }
-            tc.bytes_decoded += bytes;
-        } else {
-            g.neighbors_for_each(u, fn);
-        }
+        tc.add<LevelCounter::edges_scanned>(g.degree(u));
+        counted_decode(tc, [&] { return g.neighbors_for_each(u, fn); });
     } else {
         const auto adj = g.neighbors(u);
-        tc.edges_scanned += adj.size();
+        tc.add<LevelCounter::edges_scanned>(adj.size());
         for (std::size_t j = 0; j < adj.size(); ++j) {
             if (j + kVisitedPrefetchDistance < adj.size())
                 hint(adj[j + kVisitedPrefetchDistance]);
@@ -530,25 +444,14 @@ inline void scan_adjacency_until(const Graph& g, vertex_t v,
                                  ThreadCounters& tc, Fn&& fn) {
     if constexpr (Graph::kCompressed) {
         const auto counted = [&tc, &fn](vertex_t w) {
-            ++tc.edges_scanned;
+            tc.add<LevelCounter::edges_scanned>(1);
             return fn(w);
         };
-        if constexpr (obs::compiled_in()) {
-            std::size_t bytes = 0;
-            if (tc.decode_calls++ % kDecodeSampleEvery == 0) {
-                WallTimer timer;
-                bytes = g.neighbors_for_each_until(v, counted);
-                tc.decode_ns += timer.nanoseconds() * kDecodeSampleEvery;
-            } else {
-                bytes = g.neighbors_for_each_until(v, counted);
-            }
-            tc.bytes_decoded += bytes;
-        } else {
-            g.neighbors_for_each_until(v, counted);
-        }
+        counted_decode(tc,
+                       [&] { return g.neighbors_for_each_until(v, counted); });
     } else {
         for (const vertex_t w : g.neighbors(v)) {
-            ++tc.edges_scanned;
+            tc.add<LevelCounter::edges_scanned>(1);
             if (!fn(w)) break;
         }
     }
@@ -613,40 +516,8 @@ inline void copy_level_stats(std::vector<BfsLevelStats>& out,
                              std::uint32_t levels_run) {
     out.clear();
     out.reserve(levels_run);
-    for (std::uint32_t d = 0; d < levels_run && d < slots.size(); ++d) {
-        const LevelAccum& a = slots[d];
-        BfsLevelStats s;
-        s.frontier_size = a.frontier_size;
-        s.edges_scanned = a.edges_scanned.load(std::memory_order_relaxed);
-        s.bitmap_checks = a.bitmap_checks.load(std::memory_order_relaxed);
-        s.atomic_ops = a.atomic_ops.load(std::memory_order_relaxed);
-        s.remote_tuples = a.remote_tuples.load(std::memory_order_relaxed);
-        s.seconds = a.seconds;
-        s.bitmap_skips = a.bitmap_skips.load(std::memory_order_relaxed);
-        s.atomic_wins = a.atomic_wins.load(std::memory_order_relaxed);
-        s.batches_pushed = a.batches_pushed.load(std::memory_order_relaxed);
-        s.batches_popped = a.batches_popped.load(std::memory_order_relaxed);
-        for (std::size_t b = 0; b < kBatchOccupancyBuckets; ++b)
-            s.batch_occupancy[b] =
-                a.batch_occupancy[b].load(std::memory_order_relaxed);
-        s.barrier_wait_ns = a.barrier_wait_ns.load(std::memory_order_relaxed);
-        s.chunks_claimed = a.chunks_claimed.load(std::memory_order_relaxed);
-        s.chunks_stolen = a.chunks_stolen.load(std::memory_order_relaxed);
-        s.max_thread_edges =
-            a.max_thread_edges.load(std::memory_order_relaxed);
-        s.prefix_sum_ns = a.prefix_sum_ns.load(std::memory_order_relaxed);
-        s.compact_writes = a.compact_writes.load(std::memory_order_relaxed);
-        s.simd_words_scanned =
-            a.simd_words_scanned.load(std::memory_order_relaxed);
-        s.bytes_decoded = a.bytes_decoded.load(std::memory_order_relaxed);
-        s.decode_ns = a.decode_ns.load(std::memory_order_relaxed);
-        out.push_back(s);
-    }
-}
-
-inline void copy_level_stats(BfsResult& result, const LevelAccumLog& slots,
-                             std::uint32_t levels_run) {
-    copy_level_stats(result.level_stats, slots, levels_run);
+    for (std::uint32_t d = 0; d < levels_run && d < slots.size(); ++d)
+        out.push_back(slots[d].stats());
 }
 
 /// Splits [0, n) into `parts` near-equal chunks; returns chunk `index`.

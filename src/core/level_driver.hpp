@@ -40,7 +40,7 @@ struct LevelCtx {
 
     /// Records a claim of `v` from parent `u` that this worker won.
     void settle(vertex_t v, vertex_t u) noexcept {
-        counters.count_win();
+        counters.add<LevelCounter::atomic_wins>(1);
         parent[v] = u;  // winner-only plain store
         if (level != nullptr) level[v] = depth + 1;
     }
@@ -61,12 +61,12 @@ struct LevelCtx {
 inline bool double_checked_claim(VersionedBitmap& visited, vertex_t v,
                                  bool double_check,
                                  ThreadCounters& counters) noexcept {
-    ++counters.bitmap_checks;
+    counters.add<LevelCounter::bitmap_checks>(1);
     if (double_check && visited.test(v)) {
-        counters.count_skip();
+        counters.add<LevelCounter::bitmap_skips>(1);
         return false;
     }
-    ++counters.atomic_ops;
+    counters.add<LevelCounter::atomic_ops>(1);
     return !visited.test_and_set(v);
 }
 
@@ -134,7 +134,7 @@ void run_levels(const Graph& g, vertex_t root, const char* name,
     step.seed(root);
     parent[root] = root;
     if (level != nullptr) level[root] = 0;
-    acquire_level_slot(stats, 0).frontier_size = 1;
+    acquire_level_slot(stats, 0).set<LevelCounter::frontier_size>(1);
 
     LevelWatchdog watchdog(resolve_watchdog_seconds(options), barrier, [&] {
         return "level=" +
@@ -173,10 +173,9 @@ void run_levels(const Graph& g, vertex_t root, const char* name,
             }
 
             if (tid == 0) {
-                lv.slot.seconds = level_timer.seconds();
+                lv.slot.set<LevelCounter::seconds>(level_timer.seconds());
                 level_timer.reset();
-                shared.edges +=
-                    lv.slot.edges_scanned.load(std::memory_order_relaxed);
+                shared.edges += lv.slot.get<LevelCounter::edges_scanned>();
                 const std::uint64_t next = step.end_level();
                 shared.visited.fetch_add(next, std::memory_order_relaxed);
                 shared.levels_run.fetch_add(1, std::memory_order_relaxed);
@@ -186,7 +185,8 @@ void run_levels(const Graph& g, vertex_t root, const char* name,
                     shared.done = true;
                 }
                 if (!shared.done) {
-                    acquire_level_slot(stats, depth + 1).frontier_size = next;
+                    acquire_level_slot(stats, depth + 1)
+                        .set<LevelCounter::frontier_size>(next);
                     step.plan_next();
                 }
             }
@@ -219,7 +219,7 @@ void run_levels(const Graph& g, vertex_t root, const char* name,
     result.vertices_visited = visited;
     result.edges_traversed = step.edges_traversed(shared.edges);
     result.num_levels = levels;
-    if (collect) copy_level_stats(result, stats, levels);
+    if (collect) copy_level_stats(result.level_stats, stats, levels);
 }
 
 // The engines: each builds its step and hands it to run_levels. Defined

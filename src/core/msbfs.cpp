@@ -102,7 +102,8 @@ std::uint32_t multi_source_bfs_impl(const Graph& g,
         options.collect_stats && options.level_stats != nullptr;
     detail::LevelAccumLog local_stats;
     detail::LevelAccumLog& stats = ws != nullptr ? ws->accum : local_stats;
-    detail::acquire_level_slot(stats, 0).frontier_size = sources.size();
+    detail::acquire_level_slot(stats, 0).set<LevelCounter::frontier_size>(
+        sources.size());
 
     team.run([&](int tid) {
         // Parallel init.
@@ -146,23 +147,23 @@ std::uint32_t multi_source_bfs_impl(const Graph& g,
                 detail::scan_adjacency(
                     g, static_cast<vertex_t>(vi), counters, [](vertex_t) {},
                     [&](vertex_t w) {
-                        ++counters.bitmap_checks;
+                        counters.add<LevelCounter::bitmap_checks>(1);
                         std::uint64_t propagate =
                             lanes & ~seen[w].load(std::memory_order_relaxed);
                         if (propagate == 0) {
                             // All lanes already reached w: the plain load
                             // filtered the fetch_or, same as the bitmap
                             // engine's double check.
-                            counters.count_skip();
+                            counters.add<LevelCounter::bitmap_skips>(1);
                             return;
                         }
-                        ++counters.atomic_ops;
+                        counters.add<LevelCounter::atomic_ops>(1);
                         const std::uint64_t prev = seen[w].fetch_or(
                             propagate, std::memory_order_acq_rel);
                         propagate &= ~prev;  // lanes we actually won
                         if (propagate != 0) {
-                            counters.count_win();
-                            ++counters.atomic_ops;
+                            counters.add<LevelCounter::atomic_wins>(1);
+                            counters.add<LevelCounter::atomic_ops>(1);
                             next[w].fetch_or(propagate,
                                              std::memory_order_relaxed);
                         }
@@ -180,13 +181,15 @@ std::uint32_t multi_source_bfs_impl(const Graph& g,
                 std::size_t hi = 0;
                 WorkQueue::Claim cl;
                 while ((cl = wq.claim(tid, lo, hi)) != WorkQueue::Claim::kNone) {
-                    counters.count_chunk(cl == WorkQueue::Claim::kStolen);
+                    counters.add<LevelCounter::chunks_claimed>(1);
+                    counters.add<LevelCounter::chunks_stolen>(
+                        cl == WorkQueue::Claim::kStolen);
                     scan_span(lo, hi);
                 }
             } else {
                 scan_span(begin, end);
             }
-            counters.count_simd_words(scan_words);
+            counters.add<LevelCounter::simd_words_scanned>(scan_words);
             counters.flush_into(slot);
             if (!detail::timed_wait(barrier, slot, collect)) return;
 
@@ -214,12 +217,12 @@ std::uint32_t multi_source_bfs_impl(const Graph& g,
                     ++local_active;
                     visit(tid, level + 1, static_cast<vertex_t>(v), lanes);
                 });
-            detail::note_simd_words(slot, swap_words);
+            slot.add<LevelCounter::simd_words_scanned>(swap_words);
             shared.active.fetch_add(local_active, std::memory_order_relaxed);
             if (!detail::timed_wait(barrier, slot, collect)) return;
 
             if (tid == 0) {
-                slot.seconds = level_timer.seconds();
+                slot.set<LevelCounter::seconds>(level_timer.seconds());
                 level_timer.reset();
                 const std::uint64_t active =
                     shared.active.load(std::memory_order_relaxed);
@@ -233,8 +236,8 @@ std::uint32_t multi_source_bfs_impl(const Graph& g,
                     shared.done = true;
                 }
                 if (!shared.done) {
-                    detail::acquire_level_slot(stats, level + 1).frontier_size =
-                        active;
+                    detail::acquire_level_slot(stats, level + 1)
+                        .set<LevelCounter::frontier_size>(active);
                     if (scheduled) wq.reset_cursors();
                 }
             }

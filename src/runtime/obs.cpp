@@ -139,7 +139,7 @@ void ChromeTrace::add_span(int tid, std::string name, std::uint64_t start_ns,
 }
 
 void ChromeTrace::add_counter(std::string series, std::uint64_t ts_ns,
-                              Args values) {
+                              Values values) {
     counters_.push_back(Counter{std::move(series), ts_ns, std::move(values)});
 }
 
@@ -149,7 +149,8 @@ namespace {
 /// kept (Chrome accepts doubles).
 double us(std::uint64_t ns) { return static_cast<double>(ns) / 1000.0; }
 
-void write_args(JsonWriter& w, const ChromeTrace::Args& args) {
+template <class Args>
+void write_args(JsonWriter& w, const Args& args) {
     w.key("args");
     w.begin_object();
     for (const auto& [k, v] : args) w.field(k, v);

@@ -123,6 +123,8 @@ class JsonWriter {
 class ChromeTrace {
   public:
     using Args = std::vector<std::pair<std::string, std::uint64_t>>;
+    /// Counter sample components (a level's wall time is fractional).
+    using Values = std::vector<std::pair<std::string, double>>;
 
     /// Names the process track (shown as the top-level group).
     void set_process_name(std::string name) { process_name_ = std::move(name); }
@@ -137,7 +139,7 @@ class ChromeTrace {
     /// Adds one sample of a counter series. Chrome renders each distinct
     /// `series` name as a stacked-area track; `values` holds the stacked
     /// components (one is fine).
-    void add_counter(std::string series, std::uint64_t ts_ns, Args values);
+    void add_counter(std::string series, std::uint64_t ts_ns, Values values);
 
     [[nodiscard]] std::size_t span_count() const noexcept {
         return spans_.size();
@@ -160,7 +162,7 @@ class ChromeTrace {
     struct Counter {
         std::string series;
         std::uint64_t ts_ns;
-        Args values;
+        Values values;
     };
     std::string process_name_;
     std::vector<std::pair<int, std::string>> thread_names_;

@@ -55,8 +55,7 @@
 #include "service/graph_service.hpp"
 #include "service/request.hpp"
 
-// distributed-memory-style and streaming extensions
-#include "dist/dist_bfs.hpp"
+// streaming extensions
 #include "stream/dynamic_graph.hpp"
 #include "stream/incremental_bfs.hpp"
 

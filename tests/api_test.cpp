@@ -1,5 +1,5 @@
 // Compiles the umbrella header and exercises cross-module flows that no
-// single-module test covers: partitioner -> distributed BFS, stream ->
+// single-module test covers: partitioner -> multi-socket BFS, stream ->
 // snapshot -> analytics, reorder -> weighted search.
 
 #include "sge.hpp"  // the whole public API in one include
@@ -11,10 +11,10 @@
 namespace sge {
 namespace {
 
-TEST(Api, PartitionerFeedsDistributedBfs) {
-    // Grow a partition, relabel so parts are contiguous, run the
-    // distributed engine with matching rank count: the message volume
-    // must drop versus raw labels.
+TEST(Api, PartitionerFeedsMultiSocket) {
+    // Grow a partition and relabel so parts are contiguous: Algorithm 3's
+    // socket blocks then follow the graph's locality, and its channel
+    // traffic must drop versus raw labels.
     GridParams grid;
     grid.width = 48;
     grid.height = 48;
@@ -26,15 +26,23 @@ TEST(Api, PartitionerFeedsDistributedBfs) {
     const CsrGraph relabeled =
         apply_vertex_permutation(raw, partition_order(grown));
 
-    DistBfsOptions opts;
-    opts.ranks = 4;
+    BfsOptions opts;
+    opts.engine = BfsEngine::kMultiSocket;
+    opts.threads = 4;
+    opts.topology = Topology::emulate(4, 1, 1);
     opts.collect_stats = true;
 
     const auto tuples = [&](const CsrGraph& g) {
-        const BfsResult r = distributed_bfs(g, 0, opts);
+        const BfsResult r = bfs(g, 0, opts);
         EXPECT_EQ(r.vertices_visited, g.num_vertices());
         std::uint64_t total = 0;
         for (const auto& s : r.level_stats) total += s.remote_tuples;
+        // Every arc is scanned once, and each one that crosses the
+        // engine's socket blocks ships exactly one tuple.
+        const PartitionAssignment blocks =
+            block_partition(g.num_vertices(), 4);
+        EXPECT_EQ(total,
+                  evaluate_partition(g, blocks.part, blocks.parts).cut_arcs);
         return total;
     };
     EXPECT_LT(tuples(relabeled), tuples(raw) / 4);

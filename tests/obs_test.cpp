@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cctype>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <numeric>
 #include <sstream>
@@ -15,8 +18,9 @@
 
 #include "core/bfs.hpp"
 #include "core/msbfs.hpp"
-#include "dist/dist_bfs.hpp"
+#include "gen/grid.hpp"
 #include "graph/builder.hpp"
+#include "graph/csr_compressed.hpp"
 #include "runtime/obs.hpp"
 #include "test_util.hpp"
 
@@ -319,25 +323,6 @@ TEST(ObsCounters, HybridExactCounts) {
     }
 }
 
-TEST(ObsCounters, DistributedExactCounts) {
-    const CsrGraph g = eight_vertex_graph();
-    DistBfsOptions options;
-    options.ranks = 3;
-    options.collect_stats = true;
-    const BfsResult r = distributed_bfs(g, 0, options);
-    const std::uint64_t n = g.num_vertices();
-    ASSERT_EQ(r.vertices_visited, n);
-    const Totals t = sum_levels(r.level_stats);
-    EXPECT_EQ(t.frontier, n);
-    EXPECT_EQ(t.edges, g.num_edges());
-    EXPECT_EQ(t.atomics, 0u);  // no shared memory, no atomics
-    if (obs::compiled_in()) {
-        EXPECT_EQ(t.wins, n - 1);
-        EXPECT_GT(t.pushed, 0u);
-        EXPECT_EQ(t.occupancy, t.pushed);
-    }
-}
-
 TEST(ObsCounters, ParallelEnginesRecordBarrierWait) {
     if (!obs::compiled_in()) GTEST_SKIP() << "SGE_OBS compiled out";
     // Use a larger graph so several levels run: with >= 2 threads and
@@ -379,14 +364,22 @@ TEST(ObsCounters, MsBfsLevelStats) {
     options.collect_stats = true;
     options.level_stats = &levels;
     const std::vector<vertex_t> sources{0, 7};
-    std::uint32_t max_level = 0;
+    // Both workers report discoveries, so the deepest level is raised
+    // with a CAS.
+    std::atomic<std::uint32_t> max_level{0};
     const std::uint32_t ran = multi_source_bfs(
         g, sources,
         [&](int, level_t level, vertex_t, std::uint64_t) {
-            if (level > max_level) max_level = level;
+            std::uint32_t seen = max_level.load(std::memory_order_relaxed);
+            while (seen < level &&
+                   !max_level.compare_exchange_weak(
+                       seen, level, std::memory_order_relaxed)) {
+            }
         },
         options);
     ASSERT_EQ(levels.size(), ran);
+    // Levels 0..D report vertices and the last level finds none.
+    EXPECT_EQ(max_level.load() + 1, ran);
     EXPECT_EQ(levels[0].frontier_size, sources.size());
     std::uint64_t edges = 0;
     for (const BfsLevelStats& s : levels) edges += s.edges_scanned;
@@ -396,6 +389,104 @@ TEST(ObsCounters, MsBfsLevelStats) {
         for (const BfsLevelStats& s : levels) wins += s.atomic_wins;
         EXPECT_GT(wins, 0u);
     }
+}
+
+/// Backticked names in the first cell of each table row under
+/// docs/OBSERVABILITY.md's "Counter glossary" heading, in order.
+std::vector<std::string> glossary_fields() {
+    std::ifstream doc(SGE_OBSERVABILITY_DOC);
+    std::vector<std::string> fields;
+    bool in_glossary = false;
+    for (std::string line; std::getline(doc, line);) {
+        if (line.rfind("## ", 0) == 0)
+            in_glossary = line == "## Counter glossary";
+        if (!in_glossary || line.rfind("| `", 0) != 0) continue;
+        const std::string cell = line.substr(0, line.find('|', 1));
+        for (std::size_t open = cell.find('`'); open != std::string::npos;) {
+            const std::size_t close = cell.find('`', open + 1);
+            if (close == std::string::npos) break;
+            fields.push_back(cell.substr(open + 1, close - open - 1));
+            open = cell.find('`', close + 1);
+        }
+    }
+    return fields;
+}
+
+TEST(ObsCounters, GlossaryMatchesCounterList) {
+    // Every row is documented, every documented field is a row, and the
+    // glossary follows the list's order.
+    std::vector<std::string> listed;
+    for (const LevelCounterRow& row : kLevelCounterRows)
+        listed.emplace_back(row.name);
+    EXPECT_EQ(glossary_fields(), listed)
+        << "docs/OBSERVABILITY.md's glossary vs core/level_counters.def";
+}
+
+TEST(ObsCounters, GatedCountersReadZeroWithoutObs) {
+    // Connected, and big enough for 64 MS-BFS lanes.
+    GridParams grid;
+    grid.width = 16;
+    grid.height = 16;
+    const CsrGraph g = csr_from_edges(generate_grid(grid));
+    const CompressedCsrGraph z = csr_compress(g);
+    const auto check = [](const std::string& run,
+                          const std::vector<BfsLevelStats>& levels) {
+        SCOPED_TRACE(run);
+        std::array<double, kLevelCounterRows.size()> totals{};
+        for (const BfsLevelStats& s : levels)
+            for (const LevelCounterRow& row : kLevelCounterRows)
+                for (std::size_t e = 0; e < row.extent; ++e)
+                    totals[static_cast<std::size_t>(row.id)] +=
+                        level_value(s, row, e);
+        for (const LevelCounterRow& row : kLevelCounterRows) {
+            if (row.gated && !obs::compiled_in()) {
+                EXPECT_EQ(totals[static_cast<std::size_t>(row.id)], 0.0)
+                    << row.name;
+            }
+        }
+        for (const LevelCounter c :
+             {LevelCounter::frontier_size, LevelCounter::edges_scanned,
+              LevelCounter::bitmap_checks})
+            EXPECT_GT(totals[static_cast<std::size_t>(c)], 0.0);
+    };
+
+    struct Engine {
+        BfsEngine engine;
+        int threads;
+        Topology topology;
+    };
+    for (const Engine& e :
+         {Engine{BfsEngine::kSerial, 1, Topology::emulate(1, 1, 1)},
+          Engine{BfsEngine::kNaive, 2, Topology::emulate(1, 2, 1)},
+          Engine{BfsEngine::kBitmap, 2, Topology::emulate(1, 2, 1)},
+          Engine{BfsEngine::kHybrid, 2, Topology::emulate(1, 2, 1)},
+          Engine{BfsEngine::kMultiSocket, 2, Topology::emulate(2, 1, 1)}}) {
+        for (const GraphBackend backend :
+             {GraphBackend::kPlain, GraphBackend::kCompressed}) {
+            BfsOptions options;
+            options.engine = e.engine;
+            options.threads = e.threads;
+            options.topology = e.topology;
+            options.backend = backend;
+            options.collect_stats = true;
+            check(to_string(e.engine) + "/" + to_string(backend),
+                  bfs(g, 0, options).level_stats);
+        }
+    }
+
+    std::vector<vertex_t> sources(64);
+    std::iota(sources.begin(), sources.end(), vertex_t{0});
+    std::vector<BfsLevelStats> levels;
+    MsBfsOptions options;
+    options.threads = 2;
+    options.topology = Topology::emulate(1, 2, 1);
+    options.collect_stats = true;
+    options.level_stats = &levels;
+    const auto ignore = [](int, level_t, vertex_t, std::uint64_t) {};
+    multi_source_bfs(g, sources, ignore, options);
+    check("msbfs/plain", levels);
+    multi_source_bfs(z, sources, ignore, options);
+    check("msbfs/compressed", levels);
 }
 
 // ---------------------------------------------------------------------
