@@ -5,8 +5,6 @@
 //     ("rather than inserting at a granularity of a single vertex, each
 //     thread batches a set of vertices to amortize the locking
 //     overhead");
-//   * current-queue chunk size — how many vertices a worker claims per
-//     shared-cursor fetch_add;
 //   * channel ring capacity — FastForward ring size before the spill
 //     path engages;
 //   * sender-side remote filter — consult the (remote) bitmap before
@@ -45,23 +43,8 @@ void sweep_batch_size(const CsrGraph& g) {
     table.print();
 }
 
-void sweep_chunk_size(const CsrGraph& g) {
-    std::printf("\n(2) frontier scan chunk size (default 128)\n");
-    Table table({"chunk", "rate", "vs chunk=1"});
-    double base_rate = 0.0;
-    for (const std::size_t chunk : {1u, 8u, 32u, 128u, 512u}) {
-        BfsOptions options = base_options();
-        options.chunk_size = chunk;
-        const double rate = bfs_rate(g, options);
-        if (chunk == 1) base_rate = rate;
-        table.add_row({fmt_u64(chunk), fmt("%.1f ME/s", rate / 1e6),
-                       fmt("%.2fx", rate / base_rate)});
-    }
-    table.print();
-}
-
 void sweep_channel_capacity(const CsrGraph& g) {
-    std::printf("\n(3) FastForward ring capacity (default 32768 entries)\n");
+    std::printf("\n(2) FastForward ring capacity (default 32768 entries)\n");
     Table table({"ring entries", "rate"});
     for (const std::size_t cap : {64u, 1024u, 32768u, 262144u}) {
         BfsOptions options = base_options();
@@ -73,7 +56,7 @@ void sweep_channel_capacity(const CsrGraph& g) {
 }
 
 void sweep_remote_filter(const CsrGraph& g) {
-    std::printf("\n(4) sender-side remote bitmap filter (paper: off)\n");
+    std::printf("\n(3) sender-side remote bitmap filter (paper: off)\n");
     Table table({"filter", "rate", "remote tuples shipped"});
     for (const bool filter : {false, true}) {
         BfsOptions options = base_options();
@@ -97,7 +80,7 @@ void sweep_remote_filter(const CsrGraph& g) {
 }  // namespace
 
 int main() {
-    banner("Ablations: batching, chunking, ring capacity, remote filter",
+    banner("Ablations: batching, ring capacity, remote filter",
            "Section III design choices");
 
     const std::uint64_t n = scaled(1 << 16);
@@ -107,7 +90,6 @@ int main() {
                 static_cast<unsigned long long>(n));
 
     sweep_batch_size(g);
-    sweep_chunk_size(g);
     sweep_channel_capacity(g);
     sweep_remote_filter(g);
     return 0;

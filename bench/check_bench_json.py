@@ -15,11 +15,7 @@ prints one line per violation when anything fails — made for CI.
 Regression guard (--compare): every (bench, name, params) rate cell
 present in both the checked files and the baseline must satisfy
 current >= baseline * (1 - tolerance). Independently of the baseline,
-any file whose series carry a "policy" param (the scheduling ablation:
-0=static, 1=edge_weighted, 2=stealing) must show edge_weighted no
-slower than static by more than the tolerance on each matching cell —
-the default schedule may never regress the pre-scheduler behaviour.
-Likewise any file whose series carry a "reuse" param (bench_throughput:
+any file whose series carry a "reuse" param (bench_throughput:
 0=one-shot bfs(), 1=reused runner + workspace) must show the reused
 queries_per_second no lower than one-shot by more than the tolerance on
 each matching cell — workspace reuse may never cost throughput.
@@ -237,7 +233,7 @@ def split_by_param(cells, param):
 
 def check_compare(errors, files, baseline, tolerance):
     """Rate-regression guard against a baseline run, plus the intra-file
-    policy ordering guard (edge_weighted vs static)."""
+    ordering guards."""
     current = rate_cells(files)
     base = rate_cells([baseline]) if baseline.is_file() else \
         rate_cells(sorted(baseline.glob("BENCH_*.json")))
@@ -257,17 +253,6 @@ def check_compare(errors, files, baseline, tolerance):
             fail(errors, "compare",
                  f"{describe(key)}: rate {eps:.3g} fell below baseline "
                  f"{ref:.3g} by more than {tolerance:.0%}")
-
-    # Policy guard: edge_weighted (1) must not be slower than static (0)
-    # on any cell that carries both, regardless of the baseline's age.
-    for key, policies in sorted(split_by_param(current, "policy").items()):
-        static, weighted = policies.get(0), policies.get(1)
-        if static is None or weighted is None or static <= 0:
-            continue
-        if weighted < static * (1.0 - tolerance):
-            fail(errors, "compare",
-                 f"{describe(key)}: edge_weighted rate {weighted:.3g} is more "
-                 f"than {tolerance:.0%} below static {static:.3g}")
 
     # Reuse guard: a reused runner + workspace (reuse=1) must not serve
     # fewer queries/second than one-shot bfs() (reuse=0) on any cell of

@@ -48,9 +48,7 @@ struct Cli {
     std::string engine = "auto";
     std::string topology = "detect";
     std::string reorder = "none";
-    std::string schedule = "edge_weighted";
-    std::size_t chunk = 0;  // 0: keep BfsOptions default
-    double alpha = 0.0;     // 0: keep BfsOptions default
+    double alpha = 0.0;  // 0: keep BfsOptions default
     double beta = 0.0;
     std::uint32_t scale = 16;
     std::uint64_t edges = 0;  // 0: 8x vertices
@@ -85,8 +83,7 @@ struct Cli {
         "          [--engine auto|serial|naive|bitmap|multisocket|hybrid]\n"
         "          [--topology detect|ep|ex|SxCxT] [--threads N] [--runs N]\n"
         "          [--reorder none|shuffle|degree|bfs]\n"
-        "          [--schedule static|edge_weighted|stealing]\n"
-        "          [--chunk N] [--alpha X] [--beta X]\n"
+        "          [--alpha X] [--beta X]\n"
         "          [--scale N] [--edges N] [--vertices N] [--degree N]\n"
         "          [--width N] [--height N] [--seed N] [--validate]\n"
         "          [--compress] [--save-compressed FILE] [--paged]\n"
@@ -95,11 +92,6 @@ struct Cli {
         "          [--serve-window MS] [--serve-deadline MS]\n"
         "\n"
         "engine knobs (BfsOptions; see docs/PERF_MODEL.md for tuning):\n"
-        "  --schedule        frontier division across workers: static\n"
-        "                    chunking, edge_weighted (default; chunks cut\n"
-        "                    by out-edge count), or stealing\n"
-        "  --chunk           vertices per static-schedule claim (default "
-        "128)\n"
         "  --alpha, --beta   hybrid direction-switch thresholds\n"
         "                    (defaults 14, 24; Beamer et al.)\n"
         "  --compress        run on the delta+varint compressed CSR\n"
@@ -131,9 +123,6 @@ Cli parse(int argc, char** argv) {
         else if (arg == "--engine") cli.engine = next();
         else if (arg == "--topology") cli.topology = next();
         else if (arg == "--reorder") cli.reorder = next();
-        else if (arg == "--schedule") cli.schedule = next();
-        else if (arg == "--chunk")
-            cli.chunk = std::strtoull(next(), nullptr, 10);
         else if (arg == "--alpha") cli.alpha = std::atof(next());
         else if (arg == "--beta") cli.beta = std::atof(next());
         else if (arg == "--scale") cli.scale = std::strtoul(next(), nullptr, 10);
@@ -187,15 +176,6 @@ sge::BfsEngine parse_engine(const std::string& name) {
     if (name == "multisocket") return BfsEngine::kMultiSocket;
     if (name == "hybrid") return BfsEngine::kHybrid;
     std::fprintf(stderr, "bad --engine '%s'\n", name.c_str());
-    std::exit(2);
-}
-
-sge::SchedulePolicy parse_schedule(const std::string& name) {
-    using sge::SchedulePolicy;
-    if (name == "static") return SchedulePolicy::kStatic;
-    if (name == "edge_weighted") return SchedulePolicy::kEdgeWeighted;
-    if (name == "stealing") return SchedulePolicy::kStealing;
-    std::fprintf(stderr, "bad --schedule '%s'\n", name.c_str());
     std::exit(2);
 }
 
@@ -336,8 +316,6 @@ int main(int argc, char** argv) {
     options.engine = parse_engine(cli.engine);
     options.topology = parse_topology(cli.topology);
     options.threads = cli.threads;
-    options.schedule = parse_schedule(cli.schedule);
-    if (cli.chunk) options.chunk_size = cli.chunk;
     if (cli.alpha > 0) options.hybrid_alpha = cli.alpha;
     if (cli.beta > 0) options.hybrid_beta = cli.beta;
     if (cli.paged)
@@ -410,14 +388,13 @@ int main(int argc, char** argv) {
     BfsRunner runner(options);
     // --stats names the symmetry stamp next to the engine: hybrid (and
     // so kAuto on one socket) goes bottom-up only on a stamped graph.
-    std::printf("engine: %s%s, %d threads on %s, %s schedule, %s backend\n",
+    std::printf("engine: %s%s, %d threads on %s, %s backend\n",
                 to_string(runner.resolved_engine()).c_str(),
                 !cli.stats            ? ""
                 : graph.symmetric() ? " (graph stamped symmetric)"
                                       : " (graph unstamped: no bottom-up levels)",
                 runner.threads(),
                 runner.topology().describe().c_str(),
-                to_string(options.schedule).c_str(),
                 to_string(options.backend).c_str());
 
     Xoshiro256 rng(cli.seed + 1000);

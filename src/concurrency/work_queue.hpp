@@ -3,7 +3,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -11,59 +11,27 @@
 
 namespace sge {
 
-/// Frontier scheduling policy for the parallel engines (the
-/// BfsOptions::schedule knob; see docs/PERF_MODEL.md "Load balance").
-///
-///   kStatic       — fixed vertex-count chunks behind one shared atomic
-///                   cursor: the pre-scheduler behaviour, kept as the
-///                   ablation baseline.
-///   kEdgeWeighted — chunks cut by *out-edge count* (degree prefix sums
-///                   over the CSR offsets), shared cursor. Bounds the
-///                   work any single claim can carry, so on skewed
-///                   frontiers no thread draws a hub while its siblings
-///                   idle at the level barrier.
-///   kStealing     — edge-weighted chunks dealt to per-thread ranges; a
-///                   thread that drains its own range claims chunks from
-///                   siblings on the *same socket* (never across — the
-///                   paper's working-set hierarchy keeps random accesses
-///                   socket-local, and a cross-socket steal would drag
-///                   the victim's cache lines with it).
-enum class SchedulePolicy { kStatic, kEdgeWeighted, kStealing };
-
-[[nodiscard]] inline std::string to_string(SchedulePolicy policy) {
-    switch (policy) {
-        case SchedulePolicy::kStatic: return "static";
-        case SchedulePolicy::kEdgeWeighted: return "edge_weighted";
-        case SchedulePolicy::kStealing: return "stealing";
-    }
-    return "unknown";
-}
-
 /// Edge-aware chunked-claim scheduler over an indexed work list (a
-/// frontier queue, or the vertex range [0, n) for bottom-up sweeps).
+/// frontier queue, or the vertex range [0, n) for bottom-up sweeps) —
+/// the one way every parallel engine divides a level's work (see
+/// docs/PERF_MODEL.md "Load balance").
 ///
-/// One thread *plans* between barriers — cutting [0, count) into chunks,
-/// either fixed-size or balanced by a caller-supplied weight (out-degree
-/// for BFS frontiers) — and every worker then *claims* chunks through
-/// atomic cursors after the next barrier publishes the plan. Plans are
-/// cheap: the weighted cut is two passes over the frontier reading
-/// degrees the CSR offsets already hold, O(frontier) with no extra
-/// memory traffic.
+/// One thread *plans* between barriers: it cuts [0, count) into chunks
+/// balanced by a caller-supplied weight (out-degree + 1 for BFS
+/// frontiers) and deals them into contiguous per-claimant ranges, one
+/// cursor each. Every worker then *claims* after the next barrier
+/// publishes the plan: it drains its own range, then round-robins over
+/// the other claimants *on its own socket* and claims from their
+/// cursors. Stealing is just claiming on the victim's cursor, so there
+/// is no deque and no CAS loop, and a steal costs what an owned claim
+/// does. It never crosses sockets: the paper's working-set hierarchy
+/// keeps random accesses socket-local, and a cross-socket steal would
+/// drag the victim's cache lines with it. Plans are cheap: two passes
+/// over the work list reading degrees the CSR offsets already hold.
 ///
-/// Two cursor layouts:
-///   shared — one cursor, all claimants contend on it (kStatic and
-///            kEdgeWeighted). Identical claim protocol to the old
-///            FrontierQueue::next_chunk path.
-///   owned  — chunks dealt into per-claimant contiguous ranges, one
-///            cursor each (kStealing). A claimant drains its own range,
-///            then round-robins over the other claimants *on its own
-///            socket* and claims from their cursors — stealing is just
-///            shared claiming on the victim's cursor, so no deque, no
-///            CAS loops, and the same O(1) claim cost either way.
-///
-/// Thread safety: plan_*/reset_cursors are single-threaded (call from
-/// one thread between barriers; the barrier publishes the plan). claim()
-/// is safe from any registered claimant concurrently.
+/// Thread safety: plan/reset_cursors are single-threaded (call from one
+/// thread between barriers; the barrier publishes the plan). claim() is
+/// safe from any registered claimant concurrently.
 class WorkQueue {
   public:
     /// Outcome of one claim attempt.
@@ -102,29 +70,15 @@ class WorkQueue {
 
     // ---- planning (single-threaded, between barriers) ----
 
-    /// Fixed `chunk`-sized chunks over [0, count), one shared cursor —
-    /// the kStatic policy and the legacy next_chunk behaviour.
-    void plan_static(std::size_t count, std::size_t chunk) {
-        weighted_ = false;
-        owned_ = false;
-        count_ = count;
-        chunk_ = chunk < 1 ? 1 : chunk;
-        num_chunks_ = (count + chunk_ - 1) / chunk_;
-        assign_ranges();
-    }
-
     /// Weight-balanced chunks over [0, count): cut so every chunk
     /// carries roughly total_weight / max_chunks, never more than one
     /// item past the target (a single over-heavy item — a hub — gets a
-    /// chunk of its own; no cut can split an item). `weight(i)` must be
-    /// >= 1 so zero-degree items still advance the cut. `owned` deals
-    /// chunks into per-claimant ranges for the stealing policy.
+    /// chunk of its own; no cut can split an item), then dealt into
+    /// near-equal contiguous per-claimant spans (chunks are
+    /// weight-balanced, so equal counts ≈ equal edges). `weight(i)` must
+    /// be >= 1 so zero-degree items still advance the cut.
     template <typename WeightFn>
-    void plan_weighted(std::size_t count, std::size_t max_chunks, bool owned,
-                       WeightFn&& weight) {
-        weighted_ = true;
-        owned_ = owned;
-        count_ = count;
+    void plan(std::size_t count, std::size_t max_chunks, WeightFn&& weight) {
         bounds_.clear();
         bounds_.push_back(0);
         if (count > 0) {
@@ -144,8 +98,16 @@ class WorkQueue {
             }
             bounds_.push_back(count);
         }
-        num_chunks_ = bounds_.size() - 1;
-        assign_ranges();
+        const std::size_t chunks = num_chunks();
+        const auto parts = static_cast<std::size_t>(claimants_);
+        std::size_t at = 0;
+        for (std::size_t c = 0; c < parts; ++c) {
+            const std::size_t size =
+                chunks / parts + (c < chunks % parts ? 1 : 0);
+            ranges_[c] = {at, at + size};
+            at += size;
+        }
+        reset_cursors();
     }
 
     /// Rewinds every cursor to the start of its range without replanning
@@ -162,53 +124,39 @@ class WorkQueue {
 
     /// Claims the next chunk for `claimant`; on success [begin, end) is
     /// the item range. kNone means this claimant is done: its own range
-    /// and (under owned plans) every same-socket sibling's range are
-    /// drained.
+    /// and every same-socket sibling's range are drained.
     Claim claim(int claimant, std::size_t& begin, std::size_t& end) noexcept {
-        if (!owned_) {
-            const std::size_t idx = try_claim(0);
-            if (idx == kNoChunk) return Claim::kNone;
-            chunk_bounds(idx, begin, end);
-            return Claim::kOwned;
-        }
-        const auto c = static_cast<std::size_t>(claimant);
         std::size_t idx = try_claim(claimant);
-        if (idx != kNoChunk) {
-            chunk_bounds(idx, begin, end);
-            return Claim::kOwned;
+        Claim kind = Claim::kOwned;
+        if (idx == kNoChunk) {
+            // Own range drained: steal from same-socket siblings,
+            // starting just past ourselves so concurrent thieves fan out
+            // over different victims instead of convoying on one cursor.
+            const auto c = static_cast<std::size_t>(claimant);
+            const auto& members =
+                socket_members_[static_cast<std::size_t>(socket_of_[c])];
+            const std::size_t peers = members.size();
+            const auto me = static_cast<std::size_t>(member_rank_[c]);
+            for (std::size_t off = 1; idx == kNoChunk && off < peers; ++off)
+                idx = try_claim(members[(me + off) % peers]);
+            if (idx == kNoChunk) return Claim::kNone;
+            kind = Claim::kStolen;
         }
-        // Own range drained: steal from same-socket siblings, starting
-        // just past ourselves so concurrent thieves fan out over
-        // different victims instead of convoying on one cursor.
-        const auto& members =
-            socket_members_[static_cast<std::size_t>(socket_of_[c])];
-        const std::size_t peers = members.size();
-        const auto me = static_cast<std::size_t>(member_rank_[c]);
-        for (std::size_t off = 1; off < peers; ++off) {
-            const int victim = members[(me + off) % peers];
-            idx = try_claim(victim);
-            if (idx != kNoChunk) {
-                chunk_bounds(idx, begin, end);
-                return Claim::kStolen;
-            }
-        }
-        return Claim::kNone;
+        std::tie(begin, end) = chunk_bounds(idx);
+        return kind;
     }
 
     // ---- introspection (tests, diagnostics) ----
 
-    [[nodiscard]] std::size_t num_chunks() const noexcept { return num_chunks_; }
-    [[nodiscard]] std::size_t count() const noexcept { return count_; }
-    [[nodiscard]] bool owned() const noexcept { return owned_; }
+    [[nodiscard]] std::size_t num_chunks() const noexcept {
+        return bounds_.size() - 1;
+    }
     [[nodiscard]] int claimants() const noexcept { return claimants_; }
 
     /// Item range of chunk `idx` (idx < num_chunks()).
     [[nodiscard]] std::pair<std::size_t, std::size_t> chunk_bounds(
         std::size_t idx) const noexcept {
-        std::size_t begin = 0;
-        std::size_t end = 0;
-        chunk_bounds(idx, begin, end);
-        return {begin, end};
+        return {bounds_[idx], bounds_[idx + 1]};
     }
 
     /// Chunk-index range owned by `claimant` under the current plan.
@@ -225,39 +173,6 @@ class WorkQueue {
     };
 
     static constexpr std::size_t kNoChunk = static_cast<std::size_t>(-1);
-
-    void chunk_bounds(std::size_t idx, std::size_t& begin,
-                      std::size_t& end) const noexcept {
-        if (weighted_) {
-            begin = bounds_[idx];
-            end = bounds_[idx + 1];
-        } else {
-            begin = idx * chunk_;
-            end = begin + chunk_ < count_ ? begin + chunk_ : count_;
-        }
-    }
-
-    /// Deals chunk indices to claimants: everything to cursor 0 under a
-    /// shared plan; near-equal contiguous spans under an owned plan
-    /// (chunks are weight-balanced, so equal counts ≈ equal edges).
-    void assign_ranges() noexcept {
-        if (!owned_) {
-            ranges_[0] = {0, num_chunks_};
-            for (int c = 1; c < claimants_; ++c)
-                ranges_[static_cast<std::size_t>(c)] = {num_chunks_, num_chunks_};
-        } else {
-            const auto parts = static_cast<std::size_t>(claimants_);
-            const std::size_t base = num_chunks_ / parts;
-            const std::size_t extra = num_chunks_ % parts;
-            std::size_t at = 0;
-            for (std::size_t c = 0; c < parts; ++c) {
-                const std::size_t size = base + (c < extra ? 1 : 0);
-                ranges_[c] = {at, at + size};
-                at += size;
-            }
-        }
-        reset_cursors();
-    }
 
     /// One fetch_add claim against `slot`'s cursor. The pre-check load
     /// keeps a drained cursor from advancing unboundedly under repeated
@@ -277,12 +192,7 @@ class WorkQueue {
     std::vector<int> member_rank_;
     std::vector<CachePadded<std::atomic<std::size_t>>> cursors_;
     std::vector<Range> ranges_;
-    std::vector<std::size_t> bounds_;  // weighted plans: num_chunks_+1 cuts
-    std::size_t count_ = 0;
-    std::size_t chunk_ = 1;
-    std::size_t num_chunks_ = 0;
-    bool weighted_ = false;
-    bool owned_ = false;
+    std::vector<std::size_t> bounds_{0};  // num_chunks()+1 cuts
 };
 
 }  // namespace sge

@@ -13,7 +13,6 @@
 
 #include "concurrency/cancel_token.hpp"
 #include "concurrency/thread_team.hpp"
-#include "concurrency/work_queue.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/types.hpp"
 #include "runtime/obs.hpp"
@@ -79,18 +78,6 @@ struct BfsOptions {
     /// Vertices per inter-socket channel batch (Algorithm 3's batching
     /// optimization: amortizes the ticket-lock acquisition).
     std::size_t batch_size = 64;
-
-    /// Vertices a worker claims from the current queue at a time
-    /// (the chunk granularity of the kStatic schedule).
-    std::size_t chunk_size = 128;
-
-    /// How the parallel engines divide each level's frontier across
-    /// workers (see SchedulePolicy in concurrency/work_queue.hpp and
-    /// docs/PERF_MODEL.md "Load balance"): kStatic is the legacy
-    /// vertex-count chunking, kEdgeWeighted (default) cuts chunks by
-    /// out-edge count so hubs cannot stall the level barrier, kStealing
-    /// adds per-thread ranges with intra-socket work stealing on top.
-    SchedulePolicy schedule = SchedulePolicy::kEdgeWeighted;
 
     /// Adjacency representation for BfsRunner::run(const CsrGraph&) /
     /// bfs(): kCompressed makes the runner delta+varint-encode the graph

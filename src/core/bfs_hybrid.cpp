@@ -40,8 +40,8 @@ template <class Graph>
 /// workspace's epoch-versioned bitmap packs 32 payload bits per word,
 /// still well inside the cache levels the parent array overflows), and
 /// every claim is double-checked (double_checked_claim). Frontier
-/// chunks are claimed from the scheduler, so the shared cursors are
-/// touched once per chunk instead of once per vertex.
+/// chunks are claimed from the scheduler, so its cursors are touched
+/// once per chunk instead of once per vertex.
 ///
 /// With flips on, when the frontier's pending out-arcs exceed 1/alpha
 /// of the still-unexplored arcs and 1/beta of all arcs, the traversal
@@ -78,7 +78,6 @@ class HybridStep {
           options_(options),
           ws_(ws),
           threads_(threads),
-          chunk_(options.chunk_size < 1 ? 1 : options.chunk_size),
           flips_(flips && g.symmetric()),
           isa_(simd::active_level()) {}
 
@@ -86,8 +85,7 @@ class HybridStep {
         ws_.visited.test_and_set(root);
         ws_.queues[0].push_one(root);
         explored_degree_ = g_.degree(root);
-        plan_frontier(*ws_.wq, ws_.queues[0].data(), 1, g_, options_.schedule,
-                      chunk_);
+        plan_frontier(*ws_.wq, ws_.queues[0].data(), 1, g_);
     }
 
     /// Top-down levels compact their discoveries into NQ; bottom-up
@@ -167,9 +165,7 @@ class HybridStep {
     void plan_next() {
         if (direction_ == Direction::kBottomUp) {
             if (!ws_.range_planned) {
-                const vertex_t n = g_.num_vertices();
-                plan_vertex_range(*ws_.range_wq, n, g_, options_.schedule,
-                                  resolve_range_chunk(n, threads_));
+                plan_vertex_range(*ws_.range_wq, g_);
                 ws_.range_planned = true;
             } else {
                 ws_.range_wq->reset_cursors();
@@ -187,13 +183,9 @@ class HybridStep {
         VersionedBitmap& fb = ws_.frontier_bits[current_];
         if (convert_to_bits_) {
             // Mirror the new current queue into the current frontier
-            // bitmap. This consumes the queue's scan cursor — fine: the
-            // bottom-up level never reads the queue, and the end-of-level
-            // reset rewinds it before any reuse.
-            std::size_t begin = 0;
-            std::size_t end = 0;
-            while (cq.next_chunk(chunk_, begin, end))
-                for (std::size_t i = begin; i < end; ++i) fb.test_and_set(cq[i]);
+            // bitmap, one fixed slice of the queue per worker.
+            const auto [begin, end] = split_range(cq.size(), threads_, lv.tid);
+            for (std::size_t i = begin; i < end; ++i) fb.test_and_set(cq[i]);
             return lv.wait();
         }
         if (!convert_to_queue_) return true;
@@ -263,14 +255,8 @@ class HybridStep {
         const FrontierQueue& cq = ws_.queues[current_];
         VersionedBitmap& visited = ws_.visited;
         const bool double_check = options_.bitmap_double_check;
-        std::size_t begin = 0;
-        std::size_t end = 0;
-        WorkQueue::Claim cl;
-        while ((cl = ws_.wq->claim(lv.tid, begin, end)) !=
-               WorkQueue::Claim::kNone) {
-            counters.add<LevelCounter::chunks_claimed>(1);
-            counters.add<LevelCounter::chunks_stolen>(
-                cl == WorkQueue::Claim::kStolen);
+        for_each_claim(*ws_.wq, lv.tid, counters, [&](std::size_t begin,
+                                                      std::size_t end) {
             for (std::size_t i = begin; i < end; ++i) {
                 const vertex_t u = cq[i];
                 // Keep the next vertex's adjacency metadata in flight
@@ -286,7 +272,7 @@ class HybridStep {
                             lv.discover(v, u);
                     });
             }
-        }
+        });
     }
 
     /// Claims vertex ranges; each unvisited vertex hunts for a frontier
@@ -328,14 +314,8 @@ class HybridStep {
         const std::uint32_t epoch = visited.epoch();
         const std::atomic<std::uint64_t>* const words = visited.words();
         std::uint64_t words_scanned = 0;
-        std::size_t base = 0;
-        std::size_t stop = 0;
-        WorkQueue::Claim cl;
-        while ((cl = ws_.range_wq->claim(lv.tid, base, stop)) !=
-               WorkQueue::Claim::kNone) {
-            counters.add<LevelCounter::chunks_claimed>(1);
-            counters.add<LevelCounter::chunks_stolen>(
-                cl == WorkQueue::Claim::kStolen);
+        for_each_claim(*ws_.range_wq, lv.tid, counters, [&](std::size_t base,
+                                                            std::size_t stop) {
             const std::size_t wlo = base / W;
             const std::size_t whi = (stop + W - 1) / W;
             simd::for_each_unvisited_word(
@@ -352,15 +332,14 @@ class HybridStep {
                         hunt(static_cast<vertex_t>(wi * W + b));
                     });
                 });
-        }
+        });
         counters.add<LevelCounter::simd_words_scanned>(words_scanned);
         tally.discovered = discovered;
         tally.discovered_degree = discovered_degree;
     }
 
     void plan_queue(const FrontierQueue& q) {
-        plan_frontier(*ws_.wq, q.data(), q.size(), g_, options_.schedule,
-                      chunk_);
+        plan_frontier(*ws_.wq, q.data(), q.size(), g_);
         // Bottom-up levels sweep the whole vertex range, so only
         // queue-borne (top-down) frontiers are worth handing to the paged
         // prefetcher.
@@ -371,7 +350,6 @@ class HybridStep {
     const BfsOptions& options_;
     BfsWorkspace& ws_;
     const int threads_;
-    const std::size_t chunk_;
     const bool flips_;
     const simd::IsaLevel isa_;
     // Written by thread 0 between barriers.

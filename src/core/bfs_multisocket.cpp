@@ -43,8 +43,7 @@ class MultiSocketStep {
           options_(options),
           team_(team),
           ws_(ws),
-          partition_(g.num_vertices(), team.sockets_used()),
-          chunk_(options.chunk_size < 1 ? 1 : options.chunk_size) {}
+          partition_(g.num_vertices(), team.sockets_used()) {}
 
     void seed(vertex_t root) {
         ws_.visited.test_and_set(root);
@@ -81,15 +80,9 @@ class MultiSocketStep {
         };
 
         // ---- Phase 1: scan this socket's frontier. ----
-        std::size_t begin = 0;
-        std::size_t end = 0;
-        WorkQueue::Claim cl;
-        while ((cl = ws_.socket_wqs[my]->claim(
-                    ws_.rank_in_socket[static_cast<std::size_t>(lv.tid)],
-                    begin, end)) != WorkQueue::Claim::kNone) {
-            counters.add<LevelCounter::chunks_claimed>(1);
-            counters.add<LevelCounter::chunks_stolen>(
-                cl == WorkQueue::Claim::kStolen);
+        const int rank = ws_.rank_in_socket[static_cast<std::size_t>(lv.tid)];
+        for_each_claim(*ws_.socket_wqs[my], rank, counters, [&](std::size_t begin,
+                                                               std::size_t end) {
             for (std::size_t i = begin; i < end; ++i) {
                 const vertex_t u = cq[i];
                 if (i + 1 < end) g.prefetch_adjacency(cq[i + 1]);
@@ -116,7 +109,7 @@ class MultiSocketStep {
                         if (remote[s].push(pack_visit(v, u))) ship(s);
                     });
             }
-        }
+        });
         for (int s = 0; s < static_cast<int>(remote.size()); ++s)
             if (!remote[s].empty()) ship(s);
         if (!lv.wait()) return false;
@@ -191,8 +184,7 @@ class MultiSocketStep {
     void plan(int phase) {
         for (int s = 0; s < partition_.sockets(); ++s) {
             const FrontierQueue& q = ws_.socket_queues[phase][s];
-            plan_frontier(*ws_.socket_wqs[s], q.data(), q.size(), g_,
-                          options_.schedule, chunk_);
+            plan_frontier(*ws_.socket_wqs[s], q.data(), q.size(), g_);
         }
     }
 
@@ -201,7 +193,6 @@ class MultiSocketStep {
     const ThreadTeam& team_;
     BfsWorkspace& ws_;
     const SocketPartition partition_;
-    const std::size_t chunk_;
     int current_ = 0;  // CQ phase; written by thread 0 between barriers
 };
 

@@ -21,9 +21,8 @@ namespace {
 template <class Graph>
 class NaiveStep {
   public:
-    NaiveStep(const Graph& g, const BfsOptions& options, BfsWorkspace& ws)
+    NaiveStep(const Graph& g, BfsWorkspace& ws)
         : g_(g),
-          schedule_(options.schedule),
           ws_(ws),
           claim_(ws.claim.data()),
           epoch_(ws.claim_epoch),
@@ -32,7 +31,7 @@ class NaiveStep {
     void seed(vertex_t root) {
         claim_[root].store(stamp_ | root, std::memory_order_relaxed);
         ws_.queues[0].push_one(root);
-        plan_frontier(*ws_.wq, ws_.queues[0].data(), 1, g_, schedule_, 1);
+        plan_frontier(*ws_.wq, ws_.queues[0].data(), 1, g_);
     }
 
     bool compacts() const noexcept { return true; }
@@ -45,14 +44,8 @@ class NaiveStep {
         const std::uint32_t epoch = epoch_;
         const std::uint64_t stamp = stamp_;
         const FrontierQueue& cq = ws_.queues[current_];
-        std::size_t begin = 0;
-        std::size_t end = 0;
-        WorkQueue::Claim cl;
-        while ((cl = ws_.wq->claim(lv.tid, begin, end)) !=
-               WorkQueue::Claim::kNone) {
-            counters.add<LevelCounter::chunks_claimed>(1);
-            counters.add<LevelCounter::chunks_stolen>(
-                cl == WorkQueue::Claim::kStolen);
+        for_each_claim(*ws_.wq, lv.tid, counters, [&](std::size_t begin,
+                                                      std::size_t end) {
             for (std::size_t i = begin; i < end; ++i) {
                 const vertex_t u = cq[i];
                 // Keep the next vertex's adjacency metadata in flight
@@ -79,7 +72,7 @@ class NaiveStep {
                         }
                     });
             }
-        }
+        });
         return true;
     }
 
@@ -96,7 +89,7 @@ class NaiveStep {
 
     void plan_next() {
         const FrontierQueue& cq = ws_.queues[current_];
-        plan_frontier(*ws_.wq, cq.data(), cq.size(), g_, schedule_, 1);
+        plan_frontier(*ws_.wq, cq.data(), cq.size(), g_);
         prefetch_next_frontier(g_, cq.data(), cq.size());
     }
 
@@ -117,7 +110,6 @@ class NaiveStep {
 
   private:
     const Graph& g_;
-    const SchedulePolicy schedule_;
     BfsWorkspace& ws_;
     std::atomic<std::uint64_t>* const claim_;
     const std::uint32_t epoch_;
@@ -130,7 +122,7 @@ class NaiveStep {
 template <class Graph>
 void bfs_naive(const Graph& g, vertex_t root, const BfsOptions& options,
                ThreadTeam& team, BfsWorkspace& ws, BfsResult& result) {
-    NaiveStep<Graph> step(g, options, ws);
+    NaiveStep<Graph> step(g, ws);
     run_levels(g, root, "bfs_naive", options, team, ws, result, step);
 }
 

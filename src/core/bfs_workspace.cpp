@@ -300,8 +300,7 @@ void BfsWorkspace::reset_for_query(BfsEngine engine) {
 }
 
 template <class Graph>
-void BfsWorkspace::prepare_ms_impl(const Graph& g, SchedulePolicy schedule,
-                                   ThreadTeam& team) {
+void BfsWorkspace::prepare_ms_impl(const Graph& g, ThreadTeam& team) {
     const vertex_t n = g.num_vertices();
     const int threads = team.size();
     if (n != ms_n_ || threads != ms_threads_) {
@@ -319,35 +318,28 @@ void BfsWorkspace::prepare_ms_impl(const Graph& g, SchedulePolicy schedule,
         ++stats.workspace_reuses;
     }
     note_graph(g.id());
-    if (schedule != ms_schedule_) ms_planned = false;
-    if (schedule == SchedulePolicy::kStatic) return;
-    // Cut the degree-weighted [0, n) plan once per (graph, schedule);
-    // later calls only rewind its cursors. MS-BFS's own init pass zeroes
-    // (and on the first call first-touches) the lane buffers — a full
-    // clear is inherent to the 64-lane masks.
+    // Cut the degree-weighted [0, n) plan once per graph; later calls
+    // only rewind its cursors. MS-BFS's own init pass zeroes (and on the
+    // first call first-touches) the lane buffers — a full clear is
+    // inherent to the 64-lane masks.
     if (!ms_planned) {
-        detail::plan_vertex_range(*ms_wq, n, g, schedule,
-                                  detail::resolve_range_chunk(n, threads));
+        detail::plan_vertex_range(*ms_wq, g);
         ms_planned = true;
-        ms_schedule_ = schedule;
     } else {
         ms_wq->reset_cursors();
     }
 }
 
-void BfsWorkspace::prepare_ms(const CsrGraph& g, SchedulePolicy schedule,
-                              ThreadTeam& team) {
-    prepare_ms_impl(g, schedule, team);
+void BfsWorkspace::prepare_ms(const CsrGraph& g, ThreadTeam& team) {
+    prepare_ms_impl(g, team);
 }
 
-void BfsWorkspace::prepare_ms(const CompressedCsrGraph& g,
-                              SchedulePolicy schedule, ThreadTeam& team) {
-    prepare_ms_impl(g, schedule, team);
+void BfsWorkspace::prepare_ms(const CompressedCsrGraph& g, ThreadTeam& team) {
+    prepare_ms_impl(g, team);
 }
 
-void BfsWorkspace::prepare_ms(const PagedGraph& g, SchedulePolicy schedule,
-                              ThreadTeam& team) {
-    prepare_ms_impl(g, schedule, team);
+void BfsWorkspace::prepare_ms(const PagedGraph& g, ThreadTeam& team) {
+    prepare_ms_impl(g, team);
 }
 
 }  // namespace sge

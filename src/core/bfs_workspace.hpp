@@ -61,12 +61,9 @@ class BfsWorkspace {
 
     /// Readies the MS-BFS lane buffers (seen/frontier/next masks) and
     /// the dense-scan plan for one multi_source_bfs call on `team`.
-    void prepare_ms(const CsrGraph& g, SchedulePolicy schedule,
-                    ThreadTeam& team);
-    void prepare_ms(const CompressedCsrGraph& g, SchedulePolicy schedule,
-                    ThreadTeam& team);
-    void prepare_ms(const PagedGraph& g, SchedulePolicy schedule,
-                    ThreadTeam& team);
+    void prepare_ms(const CsrGraph& g, ThreadTeam& team);
+    void prepare_ms(const CompressedCsrGraph& g, ThreadTeam& team);
+    void prepare_ms(const PagedGraph& g, ThreadTeam& team);
 
     // ---- engine-facing state ------------------------------------------
 
@@ -153,8 +150,7 @@ class BfsWorkspace {
     void prepare_impl(const Graph& g, BfsEngine engine,
                       const BfsOptions& options, ThreadTeam& team);
     template <class Graph>
-    void prepare_ms_impl(const Graph& g, SchedulePolicy schedule,
-                         ThreadTeam& team);
+    void prepare_ms_impl(const Graph& g, ThreadTeam& team);
 
     void allocate(vertex_t n, BfsEngine engine, const BfsOptions& options,
                   ThreadTeam& team);
@@ -176,7 +172,6 @@ class BfsWorkspace {
     // MS-BFS plan identity.
     vertex_t ms_n_ = kInvalidVertex;
     int ms_threads_ = 0;
-    SchedulePolicy ms_schedule_ = SchedulePolicy::kStatic;
 };
 
 }  // namespace sge

@@ -535,20 +535,10 @@ inline std::pair<std::size_t, std::size_t> split_range(std::size_t n, int parts,
 // Edge-aware frontier scheduling (docs/PERF_MODEL.md "Load balance").
 // ---------------------------------------------------------------------
 
-/// Weighted plans target this many chunks per claimant: enough slack
-/// that dynamic claiming (and stealing) can rebalance a ragged tail,
-/// few enough that cursor traffic stays a rounding error next to the
-/// per-chunk edge work.
+/// Plans target this many chunks per claimant: enough slack that
+/// stealing can rebalance a ragged tail, few enough that cursor traffic
+/// stays a rounding error next to the per-chunk edge work.
 inline constexpr std::size_t kChunksPerClaimant = 16;
-
-/// Claim granularity of the whole-vertex-range sweeps (kHybrid's
-/// bottom-up levels, MS-BFS's dense scan): n / (threads * 64) clamped to
-/// [64, 4096] — coarse enough to amortise the cursor on big graphs, fine
-/// enough that small graphs still yield several chunks per thread.
-inline std::size_t resolve_range_chunk(std::size_t n, int threads) noexcept {
-    const std::size_t derived = n / (static_cast<std::size_t>(threads) * 64);
-    return derived < 64 ? 64 : (derived > 4096 ? 4096 : derived);
-}
 
 /// Logical socket of every worker, in team order — the WorkQueue's
 /// steal-domain map.
@@ -559,46 +549,46 @@ inline std::vector<int> team_socket_map(const ThreadTeam& team) {
     return sockets;
 }
 
-/// Plans `wq` over the `count` vertices at `items` for `policy`:
-/// fixed `chunk_size` vertex chunks (kStatic) or degree-balanced cuts
-/// from the CSR offsets (kEdgeWeighted / kStealing, the latter dealt
-/// into per-claimant ranges). Weight is out-degree + 1 so zero-degree
-/// vertices still advance the cut. Single-threaded; publish via a
-/// barrier before claiming.
+/// Plans `wq` over the `count` vertices at `items`: degree-balanced cuts
+/// from the CSR offsets, dealt into per-claimant ranges. Weight is
+/// out-degree + 1 so zero-degree vertices still advance the cut.
+/// Single-threaded; publish via a barrier before claiming.
 template <class Graph>
 inline void plan_frontier(WorkQueue& wq, const vertex_t* items,
-                          std::size_t count, const Graph& g,
-                          SchedulePolicy policy, std::size_t chunk_size) {
-    if (policy == SchedulePolicy::kStatic) {
-        wq.plan_static(count, chunk_size);
-        return;
-    }
-    const std::size_t chunks =
-        static_cast<std::size_t>(wq.claimants()) * kChunksPerClaimant;
-    wq.plan_weighted(count, chunks, policy == SchedulePolicy::kStealing,
-                     [items, &g](std::size_t i) {
-                         return static_cast<std::uint64_t>(
-                                    g.degree(items[i])) + 1;
-                     });
+                          std::size_t count, const Graph& g) {
+    wq.plan(count, static_cast<std::size_t>(wq.claimants()) * kChunksPerClaimant,
+            [items, &g](std::size_t i) {
+                return static_cast<std::uint64_t>(g.degree(items[i])) + 1;
+            });
 }
 
 /// Plans `wq` over the whole vertex range [0, n) — the hybrid engine's
 /// bottom-up sweep and MS-BFS's dense scan, where the "frontier" is
 /// every vertex and the chunk item IS the vertex id.
 template <class Graph>
-inline void plan_vertex_range(WorkQueue& wq, std::size_t n, const Graph& g,
-                              SchedulePolicy policy, std::size_t chunk_size) {
-    if (policy == SchedulePolicy::kStatic) {
-        wq.plan_static(n, chunk_size);
-        return;
+inline void plan_vertex_range(WorkQueue& wq, const Graph& g) {
+    wq.plan(g.num_vertices(),
+            static_cast<std::size_t>(wq.claimants()) * kChunksPerClaimant,
+            [&g](std::size_t v) {
+                return static_cast<std::uint64_t>(
+                           g.degree(static_cast<vertex_t>(v))) + 1;
+            });
+}
+
+/// Claims chunks of `wq` for `claimant` until it and its same-socket
+/// siblings are drained, calling `fn(begin, end)` on each and tallying
+/// chunks_claimed / chunks_stolen — the claim loop of every engine.
+template <class Fn>
+inline void for_each_claim(WorkQueue& wq, int claimant, ThreadCounters& tc,
+                           Fn&& fn) {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    WorkQueue::Claim cl;
+    while ((cl = wq.claim(claimant, begin, end)) != WorkQueue::Claim::kNone) {
+        tc.add<LevelCounter::chunks_claimed>(1);
+        tc.add<LevelCounter::chunks_stolen>(cl == WorkQueue::Claim::kStolen);
+        fn(begin, end);
     }
-    const std::size_t chunks =
-        static_cast<std::size_t>(wq.claimants()) * kChunksPerClaimant;
-    wq.plan_weighted(n, chunks, policy == SchedulePolicy::kStealing,
-                     [&g](std::size_t v) {
-                         return static_cast<std::uint64_t>(
-                                    g.degree(static_cast<vertex_t>(v))) + 1;
-                     });
 }
 
 }  // namespace sge::detail

@@ -10,13 +10,13 @@
 
 namespace sge {
 
-/// Level frontier: a flat vertex array with two atomic cursors.
+/// Level frontier: a flat vertex array with an atomic push cursor.
 ///
-/// This is the modern realization of the paper's LockedEnqueue /
-/// LockedDequeue queues: producers *reserve* a contiguous slice with one
-/// fetch_add and memcpy their batch in (the batching optimization of
-/// Section III applied to the local queues); consumers *claim* scan
-/// chunks with one fetch_add. Because every vertex enters a frontier at
+/// This is the modern realization of the paper's LockedEnqueue queue:
+/// producers *reserve* a contiguous slice with one fetch_add and memcpy
+/// their batch in (the batching optimization of Section III applied to
+/// the local queues); consumers claim scan chunks through a WorkQueue
+/// plan over the filled slots. Because every vertex enters a frontier at
 /// most once per BFS (the bitmap guarantees it), capacity == n always
 /// suffices and the array never reallocates mid-level.
 class FrontierQueue {
@@ -25,24 +25,19 @@ class FrontierQueue {
 
     explicit FrontierQueue(std::size_t capacity) : slots_(capacity) {
         push_->store(0, std::memory_order_relaxed);
-        scan_->store(0, std::memory_order_relaxed);
     }
 
     // Movable so engines can build std::vector<FrontierQueue> per
     // socket; moves must be externally synchronised (setup time only) —
-    // the atomic cursors transfer by value.
+    // the atomic cursor transfers by value.
     FrontierQueue(FrontierQueue&& other) noexcept
         : slots_(std::move(other.slots_)) {
         push_->store(other.push_->load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-        scan_->store(other.scan_->load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
     }
     FrontierQueue& operator=(FrontierQueue&& other) noexcept {
         slots_ = std::move(other.slots_);
         push_->store(other.push_->load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-        scan_->store(other.scan_->load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
         return *this;
     }
@@ -55,25 +50,6 @@ class FrontierQueue {
 
     /// Producer: appends one vertex (the unbatched path of Algorithm 1).
     void push_one(vertex_t v) noexcept { push_batch(&v, 1); }
-
-    /// Consumer: claims the next scan chunk of up to `chunk` vertices.
-    /// Returns false when the queue is exhausted. Safe from any thread,
-    /// but only meaningful once producers for this level are done
-    /// (level-synchronous usage) or for work that was fully enqueued
-    /// before scanning begins (how the BFS uses the current queue).
-    bool next_chunk(std::size_t chunk, std::size_t& begin, std::size_t& end) noexcept {
-        const std::size_t limit = push_->load(std::memory_order_acquire);
-        // Cheap pre-check so an exhausted queue does not keep advancing
-        // the cursor (keeps reset-free reuse sane and saves the RMW in
-        // the common "drained" case). Racing scanners may still each
-        // overshoot by one fetch_add, which reset() rewinds.
-        if (scan_->load(std::memory_order_relaxed) >= limit) return false;
-        const std::size_t base = scan_->fetch_add(chunk, std::memory_order_acq_rel);
-        if (base >= limit) return false;
-        begin = base;
-        end = base + chunk < limit ? base + chunk : limit;
-        return true;
-    }
 
     [[nodiscard]] const vertex_t* data() const noexcept { return slots_.data(); }
     [[nodiscard]] vertex_t operator[](std::size_t i) const noexcept {
@@ -101,17 +77,13 @@ class FrontierQueue {
         push_->store(count, std::memory_order_release);
     }
 
-    /// Empties the queue and rewinds the scan cursor for the next level.
-    /// Not thread-safe; call between barriers.
-    void reset() noexcept {
-        push_->store(0, std::memory_order_relaxed);
-        scan_->store(0, std::memory_order_relaxed);
-    }
+    /// Empties the queue for the next level. Not thread-safe; call
+    /// between barriers.
+    void reset() noexcept { push_->store(0, std::memory_order_relaxed); }
 
   private:
     AlignedBuffer<vertex_t> slots_;
     CachePadded<std::atomic<std::size_t>> push_{};
-    CachePadded<std::atomic<std::size_t>> scan_{};
 };
 
 /// Local staging buffer a worker fills before paying one atomic

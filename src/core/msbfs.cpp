@@ -64,23 +64,18 @@ std::uint32_t multi_source_bfs_impl(const Graph& g,
 
     // Degree-weighted scan scheduling: one cut of [0, n) up front (the
     // weights never change), cursors rewound each level by tid 0.
-    // kStatic bypasses the queue entirely — fixed slices, the legacy
-    // behaviour.
-    const bool scheduled = options.schedule != SchedulePolicy::kStatic;
     const simd::IsaLevel isa = simd::active_level();
     if (ws != nullptr) {
         // prepare_ms (re)allocates the lane buffers on shape change and
         // cuts/rewinds the dense-scan plan.
-        ws->prepare_ms(g, options.schedule, team);
+        ws->prepare_ms(g, team);
     } else {
         local_seen = AlignedBuffer<std::atomic<std::uint64_t>>(n);
         local_frontier = AlignedBuffer<std::uint64_t>(n);
         local_next = AlignedBuffer<std::atomic<std::uint64_t>>(n);
         local_wq =
             std::make_unique<WorkQueue>(threads, detail::team_socket_map(team));
-        if (scheduled)
-            detail::plan_vertex_range(*local_wq, n, g, options.schedule,
-                                      detail::resolve_range_chunk(n, threads));
+        detail::plan_vertex_range(*local_wq, g);
     }
     std::atomic<std::uint64_t>* const seen =
         ws != nullptr ? ws->ms_seen.data() : local_seen.data();
@@ -172,23 +167,11 @@ std::uint32_t multi_source_bfs_impl(const Graph& g,
             // frontier[] is read-only during the scan phase, so empty lane
             // masks are skipped a word block at a time instead of one
             // load+branch per vertex.
-            const auto scan_span = [&](std::size_t lo, std::size_t hi) {
-                simd::for_each_nonzero_u64(frontier, lo, hi, isa, scan_words,
-                                           scan_vertex);
-            };
-            if (scheduled) {
-                std::size_t lo = 0;
-                std::size_t hi = 0;
-                WorkQueue::Claim cl;
-                while ((cl = wq.claim(tid, lo, hi)) != WorkQueue::Claim::kNone) {
-                    counters.add<LevelCounter::chunks_claimed>(1);
-                    counters.add<LevelCounter::chunks_stolen>(
-                        cl == WorkQueue::Claim::kStolen);
-                    scan_span(lo, hi);
-                }
-            } else {
-                scan_span(begin, end);
-            }
+            detail::for_each_claim(
+                wq, tid, counters, [&](std::size_t lo, std::size_t hi) {
+                    simd::for_each_nonzero_u64(frontier, lo, hi, isa,
+                                               scan_words, scan_vertex);
+                });
             counters.add<LevelCounter::simd_words_scanned>(scan_words);
             counters.flush_into(slot);
             if (!detail::timed_wait(barrier, slot, collect)) return;
@@ -238,7 +221,7 @@ std::uint32_t multi_source_bfs_impl(const Graph& g,
                 if (!shared.done) {
                     detail::acquire_level_slot(stats, level + 1)
                         .set<LevelCounter::frontier_size>(active);
-                    if (scheduled) wq.reset_cursors();
+                    wq.reset_cursors();
                 }
             }
             if (!detail::timed_wait(barrier, slot, collect)) return;

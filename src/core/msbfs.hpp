@@ -38,13 +38,6 @@ struct MsBfsOptions {
     /// null, per-call buffers are allocated as before.
     BfsWorkspace* workspace = nullptr;
 
-    /// Scan-phase scheduling. kStatic keeps the legacy fixed per-thread
-    /// vertex slices; the weighted policies claim degree-balanced chunks
-    /// of [0, n) so one hub-heavy slice cannot stall the level barrier.
-    /// The swap/report phase always uses fixed slices (each worker owns
-    /// its frontier[] writes).
-    SchedulePolicy schedule = SchedulePolicy::kEdgeWeighted;
-
     /// Collect per-level counters into *level_stats. frontier_size
     /// counts vertices active in *any* lane; atomic_wins counts
     /// fetch_or calls that claimed at least one new lane (the n-1

@@ -355,7 +355,6 @@ void GraphService::run_wave(Worker& w,
     mo.team = w.runner ? w.runner->team() : nullptr;
     mo.workspace = mo.team != nullptr && w.runner ? w.runner->workspace()
                                                   : nullptr;
-    mo.schedule = options_.bfs.schedule;
     mo.cancel = &w.token;
     if (mo.team == nullptr) mo.threads = 1;
 

@@ -54,7 +54,7 @@ namespace sge::service {
 
 struct ServiceOptions {
     /// Engine configuration for the parallel attempts (engine, threads,
-    /// topology, schedule...). `cancel` and `watchdog_seconds` are
+    /// topology, backend...). `cancel` and `watchdog_seconds` are
     /// overridden per worker: the service's deadline mechanism is the
     /// CancelToken, not the global watchdog.
     BfsOptions bfs;

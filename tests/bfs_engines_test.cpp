@@ -45,10 +45,9 @@ class BfsEngineMatrix : public ::testing::TestWithParam<EngineConfig> {
         opts.threads = cfg.threads;
         opts.topology = cfg.topology;
         opts.bitmap_double_check = cfg.double_check;
-        // Small batches/chunks/rings on purpose: exercise the flush and
-        // spill paths that big defaults would hide.
+        // Small batches/rings on purpose: exercise the flush and spill
+        // paths that big defaults would hide.
         opts.batch_size = 8;
-        opts.chunk_size = 4;
         opts.channel_capacity = 64;
         return opts;
     }

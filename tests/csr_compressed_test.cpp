@@ -460,14 +460,13 @@ TEST_F(CompressedCsrIoTest, RejectsCorruptBlobViaWellFormed) {
 
 // ---------------------------------------------------------------------
 // Traversal equivalence: every engine must produce bit-identical levels
-// on the compressed backend, across schedules and the double-check.
+// on the compressed backend, with and without the double-check.
 // ---------------------------------------------------------------------
 
 struct BackendConfig {
     BfsEngine engine;
     int threads;
     Topology topology;
-    SchedulePolicy schedule;
     bool double_check;  // false: every visited claim is a locked RMW
     const char* label;
 };
@@ -486,11 +485,9 @@ class CompressedCsrEngineMatrix
         opts.engine = cfg.engine;
         opts.threads = cfg.threads;
         opts.topology = cfg.topology;
-        opts.schedule = cfg.schedule;
         opts.bitmap_double_check = cfg.double_check;
-        // Small batches/chunks exercise flush and spill paths.
+        // Small batches/rings exercise flush and spill paths.
         opts.batch_size = 8;
-        opts.chunk_size = 4;
         opts.channel_capacity = 64;
         return opts;
     }
@@ -539,35 +536,34 @@ TEST_P(CompressedCsrEngineMatrix, RmatGraph) {
 }
 
 // Rows suffixed _atomic turn the double-check off, so every visited
-// claim is a locked RMW (the Figure 4/5 ablation). Algorithm 1 claims
-// with an unconditional CAS either way; its _atomic row covers the
-// stealing schedule instead.
+// claim is a locked RMW (the Figure 4/5 ablation; `static` in two labels
+// names a retired schedule). Algorithm 1 claims with an unconditional
+// CAS either way, so its _atomic row runs on two emulated sockets
+// instead, as does bitmap_4t_stealing: a global queue whose steal
+// domain splits in two.
 INSTANTIATE_TEST_SUITE_P(
     Backends, CompressedCsrEngineMatrix,
     ::testing::Values(
         BackendConfig{BfsEngine::kSerial, 1, Topology::emulate(1, 1, 1),
-                      SchedulePolicy::kEdgeWeighted, true, "serial"},
+                      true, "serial"},
         BackendConfig{BfsEngine::kNaive, 4, Topology::emulate(1, 4, 1),
-                      SchedulePolicy::kEdgeWeighted, true, "naive_4t"},
-        BackendConfig{BfsEngine::kNaive, 4, Topology::emulate(1, 4, 1),
-                      SchedulePolicy::kStealing, false, "naive_4t_atomic"},
+                      true, "naive_4t"},
+        BackendConfig{BfsEngine::kNaive, 4, Topology::emulate(2, 2, 1),
+                      false, "naive_4t_atomic"},
         BackendConfig{BfsEngine::kBitmap, 4, Topology::emulate(1, 4, 1),
-                      SchedulePolicy::kEdgeWeighted, true, "bitmap_4t"},
+                      true, "bitmap_4t"},
         BackendConfig{BfsEngine::kBitmap, 4, Topology::emulate(1, 4, 1),
-                      SchedulePolicy::kStatic, false,
-                      "bitmap_4t_static_atomic"},
-        BackendConfig{BfsEngine::kBitmap, 4, Topology::emulate(1, 4, 1),
-                      SchedulePolicy::kStealing, true, "bitmap_4t_stealing"},
+                      false, "bitmap_4t_static_atomic"},
+        BackendConfig{BfsEngine::kBitmap, 4, Topology::emulate(2, 2, 1),
+                      true, "bitmap_4t_stealing"},
         BackendConfig{BfsEngine::kMultiSocket, 8, Topology::nehalem_ep(),
-                      SchedulePolicy::kEdgeWeighted, true, "multisocket_ep_8t"},
+                      true, "multisocket_ep_8t"},
         BackendConfig{BfsEngine::kMultiSocket, 4, Topology::emulate(2, 2, 1),
-                      SchedulePolicy::kStatic, false,
-                      "multisocket_2s_static_atomic"},
+                      false, "multisocket_2s_static_atomic"},
         BackendConfig{BfsEngine::kHybrid, 4, Topology::emulate(1, 4, 1),
-                      SchedulePolicy::kEdgeWeighted, true, "hybrid_4t"},
+                      true, "hybrid_4t"},
         BackendConfig{BfsEngine::kHybrid, 4, Topology::emulate(1, 4, 1),
-                      SchedulePolicy::kEdgeWeighted, false,
-                      "hybrid_4t_atomic"}),
+                      false, "hybrid_4t_atomic"}),
     backend_config_name);
 
 // The serial engine is deterministic, so the compressed backend must

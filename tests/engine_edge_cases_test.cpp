@@ -46,11 +46,10 @@ TEST(EngineEdgeCases, BatchLargerThanGraph) {
     opts.threads = 4;
     opts.topology = Topology::emulate(2, 2, 1);
     opts.batch_size = 1 << 20;
-    opts.chunk_size = 1 << 20;
     expect_equivalent(serial_reference(g, 0), bfs(g, 0, opts));
 }
 
-TEST(EngineEdgeCases, BatchAndChunkOfOne) {
+TEST(EngineEdgeCases, BatchOfOne) {
     RmatParams params;
     params.scale = 10;
     params.num_edges = 8192;
@@ -62,7 +61,6 @@ TEST(EngineEdgeCases, BatchAndChunkOfOne) {
         opts.threads = 3;
         opts.topology = Topology::emulate(3, 1, 1);
         opts.batch_size = 1;
-        opts.chunk_size = 1;
         expect_equivalent(serial_reference(g, 5), bfs(g, 5, opts));
     }
 }

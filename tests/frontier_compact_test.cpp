@@ -1,6 +1,6 @@
 // Atomic-free frontier generation (src/core/frontier_compact.hpp,
 // src/runtime/simd_scan.hpp): serial-equivalent levels and valid trees
-// across every engine and schedule, the compactor's exact-cover
+// across every engine, the compactor's exact-cover
 // prefix-sum property, SIMD-vs-scalar word-scan equality (including
 // tail words), and the counter invariants documented in
 // docs/OBSERVABILITY.md.
@@ -25,10 +25,6 @@
 
 namespace sge {
 namespace {
-
-constexpr SchedulePolicy kAllPolicies[] = {SchedulePolicy::kStatic,
-                                           SchedulePolicy::kEdgeWeighted,
-                                           SchedulePolicy::kStealing};
 
 CsrGraph skewed_graph() {
     RmatParams params;
@@ -243,8 +239,8 @@ TEST(SimdScan, MaskHelpersHonourEpochStamps) {
 }
 
 // ---------------------------------------------------------------------
-// End-to-end: every engine, schedule and graph shape reproduces the
-// serial levels, and its parents form a valid tree.
+// End-to-end: every engine and graph shape reproduces the serial
+// levels, and its parents form a valid tree.
 // ---------------------------------------------------------------------
 
 TEST(CompactFrontier, AllEnginesAllSchedulesMatchSerial) {
@@ -255,19 +251,16 @@ TEST(CompactFrontier, AllEnginesAllSchedulesMatchSerial) {
     for (const CsrGraph& g : graphs) {
         const BfsResult reference = bfs(g, 0, {});  // serial
         for (const BfsEngine engine : engines) {
-            for (const SchedulePolicy policy : kAllPolicies) {
-                BfsOptions options;
-                options.engine = engine;
-                options.threads = 4;
-                options.topology = Topology::emulate(2, 2, 1);
-                options.schedule = policy;
-                SCOPED_TRACE(to_string(engine) + "/" + to_string(policy));
-                const BfsResult r = bfs(g, 0, options);
-                EXPECT_TRUE(validate_bfs_tree(g, 0, r).ok);
-                test::expect_equivalent(reference, r);
-                // Levels are deterministic: bit-identical to serial.
-                EXPECT_EQ(reference.level, r.level);
-            }
+            BfsOptions options;
+            options.engine = engine;
+            options.threads = 4;
+            options.topology = Topology::emulate(2, 2, 1);
+            SCOPED_TRACE(to_string(engine));
+            const BfsResult r = bfs(g, 0, options);
+            EXPECT_TRUE(validate_bfs_tree(g, 0, r).ok);
+            test::expect_equivalent(reference, r);
+            // Levels are deterministic: bit-identical to serial.
+            EXPECT_EQ(reference.level, r.level);
         }
     }
 }

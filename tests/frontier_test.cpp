@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -18,36 +17,18 @@ TEST(FrontierQueue, PushBatchAndScan) {
     EXPECT_EQ(q.size(), 5u);
 
     std::vector<vertex_t> got;
-    std::size_t b = 0;
-    std::size_t e = 0;
-    while (q.next_chunk(2, b, e))
-        for (std::size_t i = b; i < e; ++i) got.push_back(q[i]);
+    for (std::size_t i = 0; i < q.size(); ++i) got.push_back(q[i]);
     EXPECT_EQ(got, (std::vector<vertex_t>{5, 6, 7, 8, 9}));
 }
 
-TEST(FrontierQueue, ResetRewindsBothCursors) {
+TEST(FrontierQueue, ResetEmptiesTheQueue) {
     FrontierQueue q(10);
     q.push_one(1);
-    std::size_t b = 0;
-    std::size_t e = 0;
-    EXPECT_TRUE(q.next_chunk(4, b, e));
     q.reset();
     EXPECT_EQ(q.size(), 0u);
-    EXPECT_FALSE(q.next_chunk(4, b, e));
     q.push_one(2);
-    EXPECT_TRUE(q.next_chunk(4, b, e));
-    EXPECT_EQ(q[b], 2u);
-}
-
-TEST(FrontierQueue, ChunkLargerThanContent) {
-    FrontierQueue q(10);
-    q.push_one(42);
-    std::size_t b = 0;
-    std::size_t e = 0;
-    ASSERT_TRUE(q.next_chunk(100, b, e));
-    EXPECT_EQ(b, 0u);
-    EXPECT_EQ(e, 1u);
-    EXPECT_FALSE(q.next_chunk(100, b, e));
+    ASSERT_EQ(q.size(), 1u);
+    EXPECT_EQ(q[0], 2u);
 }
 
 TEST(FrontierQueue, ConcurrentProducersLoseNothing) {
@@ -76,36 +57,6 @@ TEST(FrontierQueue, ConcurrentProducersLoseNothing) {
     std::vector<vertex_t> all(q.data(), q.data() + q.size());
     std::sort(all.begin(), all.end());
     for (std::size_t i = 0; i < all.size(); ++i) ASSERT_EQ(all[i], i);
-}
-
-TEST(FrontierQueue, ConcurrentScannersPartitionTheWork) {
-    FrontierQueue q(50000);
-    for (vertex_t i = 0; i < 50000; ++i) q.push_one(i);
-
-    constexpr int kThreads = 6;
-    std::atomic<std::uint64_t> sum{0};
-    std::atomic<std::uint64_t> count{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&] {
-            std::uint64_t local_sum = 0;
-            std::uint64_t local_count = 0;
-            std::size_t b = 0;
-            std::size_t e = 0;
-            while (q.next_chunk(128, b, e)) {
-                for (std::size_t i = b; i < e; ++i) {
-                    local_sum += q[i];
-                    ++local_count;
-                }
-            }
-            sum.fetch_add(local_sum);
-            count.fetch_add(local_count);
-        });
-    }
-    for (auto& th : threads) th.join();
-
-    EXPECT_EQ(count.load(), 50000u);  // every element claimed exactly once
-    EXPECT_EQ(sum.load(), 50000ULL * 49999 / 2);
 }
 
 TEST(LocalBatch, SignalsFullAtCapacity) {

@@ -3,18 +3,29 @@
 // are the parameter, so failures reproduce exactly.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <deque>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "concurrency/channel.hpp"
 #include "concurrency/spsc_ring.hpp"
 #include "core/bfs.hpp"
+#include "core/bfs_workspace.hpp"
+#include "core/engine_common.hpp"
+#include "core/msbfs.hpp"
 #include "core/validate.hpp"
 #include "gen/rmat.hpp"
 #include "gen/small_world.hpp"
 #include "gen/uniform.hpp"
 #include "graph/builder.hpp"
+#include "graph/csr_compressed.hpp"
+#include "graph/paged_graph.hpp"
 #include "runtime/prng.hpp"
 #include "test_util.hpp"
 
@@ -84,32 +95,25 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BuilderFuzz, ::testing::Range<std::uint64_t>(1, 
 // serial oracle.
 // ---------------------------------------------------------------------
 
-class EngineFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(EngineFuzz, AllEnginesMatchSerialOnRandomWorkloads) {
-    Xoshiro256 rng(GetParam() * 7919);
-
-    // Random workload, symmetrized or left directed (unstamped: hybrid
-    // must then stay top-down).
+/// A random workload — uniform, R-MAT or small-world — symmetrized or
+/// left directed (unstamped: hybrid must then stay top-down).
+CsrGraph draw_graph(Xoshiro256& rng) {
     BuildOptions build;
     build.make_undirected = rng.next() & 1;
-    CsrGraph g;
     switch (rng.next_below(3)) {
         case 0: {
             UniformParams params;
             params.num_vertices = static_cast<vertex_t>(2 + rng.next_below(3000));
             params.degree = static_cast<std::uint32_t>(1 + rng.next_below(12));
             params.seed = rng.next();
-            g = csr_from_edges(generate_uniform(params), build);
-            break;
+            return csr_from_edges(generate_uniform(params), build);
         }
         case 1: {
             RmatParams params;
             params.scale = static_cast<std::uint32_t>(6 + rng.next_below(6));
             params.num_edges = (2 + rng.next_below(14)) << params.scale;
             params.seed = rng.next();
-            g = csr_from_edges(generate_rmat(params), build);
-            break;
+            return csr_from_edges(generate_rmat(params), build);
         }
         default: {
             SmallWorldParams params;
@@ -118,10 +122,16 @@ TEST_P(EngineFuzz, AllEnginesMatchSerialOnRandomWorkloads) {
                 2 + rng.next_below(6));
             params.rewire_probability = rng.next_double();
             params.seed = rng.next();
-            g = csr_from_edges(generate_small_world(params), build);
-            break;
+            return csr_from_edges(generate_small_world(params), build);
         }
     }
+}
+
+class EngineFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(EngineFuzz, AllEnginesMatchSerialOnRandomWorkloads) {
+    Xoshiro256 rng(GetParam() * 7919);
+    const CsrGraph g = draw_graph(rng);
     const auto root = static_cast<vertex_t>(rng.next_below(g.num_vertices()));
 
     BfsOptions serial;
@@ -140,7 +150,6 @@ TEST_P(EngineFuzz, AllEnginesMatchSerialOnRandomWorkloads) {
     opts.threads = static_cast<int>(1 + rng.next_below(
         static_cast<std::uint64_t>(sockets) * cores));
     opts.batch_size = 1 + rng.next_below(128);
-    opts.chunk_size = 1 + rng.next_below(256);
     opts.channel_capacity = 2 + rng.next_below(512);
     opts.bitmap_double_check = rng.next() & 1;
     opts.remote_sender_filter = rng.next() & 1;
@@ -148,19 +157,14 @@ TEST_P(EngineFuzz, AllEnginesMatchSerialOnRandomWorkloads) {
                                      GraphBackend::kCompressed,
                                      GraphBackend::kPaged};
     opts.backend = backends[rng.next_below(3)];
-    const SchedulePolicy schedules[] = {SchedulePolicy::kStatic,
-                                        SchedulePolicy::kEdgeWeighted,
-                                        SchedulePolicy::kStealing};
-    opts.schedule = schedules[rng.next_below(3)];
     opts.collect_stats = rng.next() & 1;
 
     const BfsResult actual = bfs(g, root, opts);
     const std::string config =
         to_string(opts.engine) + " t=" + std::to_string(opts.threads) +
         " backend=" + to_string(opts.backend) +
-        " schedule=" + to_string(opts.schedule) +
         " stats=" + std::to_string(opts.collect_stats) +
-        " undirected=" + std::to_string(build.make_undirected);
+        " undirected=" + std::to_string(g.symmetric());
     SCOPED_TRACE(config);
     test::expect_equivalent(expected, actual);
     const ValidationReport report = validate_bfs_tree(g, root, actual);
@@ -181,6 +185,168 @@ TEST_P(EngineFuzz, AllEnginesMatchSerialOnRandomWorkloads) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzz, ::testing::Range<std::uint64_t>(1, 41));
+
+// ---------------------------------------------------------------------
+// MS-BFS fuzz: random sources x team shape x backend x buffer reuse vs
+// one serial BFS per lane.
+// ---------------------------------------------------------------------
+
+/// 1..64 distinct sources in [0, n).
+std::vector<vertex_t> draw_sources(Xoshiro256& rng, vertex_t n) {
+    const std::size_t k = 1 + rng.next_below(std::min<std::uint64_t>(64, n));
+    std::vector<bool> taken(n, false);
+    std::vector<vertex_t> sources;
+    while (sources.size() < k) {
+        const auto v = static_cast<vertex_t>(rng.next_below(n));
+        if (!taken[v]) {
+            taken[v] = true;
+            sources.push_back(v);
+        }
+    }
+    return sources;
+}
+
+class MsBfsFuzz : public ::testing::TestWithParam<std::uint64_t> {
+  protected:
+    void TearDown() override { std::filesystem::remove_all(dir_); }
+
+    /// Calls `fn` with `g` on backend 0 (plain), 1 (compressed) or 2
+    /// (paged, spilled under a per-test directory as `name`).
+    template <class Fn>
+    void with_backend(int backend, const CsrGraph& g, const std::string& name,
+                      Fn&& fn) {
+        if (backend == 0) return fn(g);
+        if (backend == 1) return fn(csr_compress(g));
+        std::filesystem::create_directories(dir_);
+        return fn(make_paged(g, (dir_ / name).string()));
+    }
+
+    /// Runs one wave from `sources` and checks every lane's levels
+    /// against the serial engine on `plain`, the return value against
+    /// the deepest lane, and — with stats — the level counters against
+    /// the visitor calls.
+    template <class Graph>
+    void check_wave(const Graph& g, const CsrGraph& plain,
+                    const std::vector<vertex_t>& sources, MsBfsOptions mo) {
+        const std::size_t n = plain.num_vertices();
+        std::vector<level_t> levels(sources.size() * n, kInvalidLevel);
+        std::atomic<std::uint64_t> calls{0};
+        std::atomic<bool> bad_report{false};
+        std::vector<BfsLevelStats> stats;
+        mo.level_stats = &stats;
+        // Concurrent calls report distinct vertices, and a level barrier
+        // separates calls for one vertex, so the slot writes never race.
+        const std::uint32_t ran = multi_source_bfs(
+            g, sources,
+            [&](int, level_t level, vertex_t v, std::uint64_t mask) {
+                calls.fetch_add(1, std::memory_order_relaxed);
+                if (mask == 0) bad_report.store(true);
+                for (; mask != 0; mask &= mask - 1) {
+                    const auto lane =
+                        static_cast<std::size_t>(std::countr_zero(mask));
+                    level_t& slot = levels[lane * n + v];
+                    if (slot != kInvalidLevel) bad_report.store(true);
+                    slot = level;
+                }
+            },
+            mo);
+        EXPECT_FALSE(bad_report.load())
+            << "an empty lane mask, or a lane reported a vertex twice";
+
+        BfsOptions serial;
+        serial.engine = BfsEngine::kSerial;
+        level_t deepest = 0;
+        for (std::size_t i = 0; i < sources.size(); ++i) {
+            const BfsResult expected = bfs(plain, sources[i], serial);
+            const auto lane = levels.begin() + static_cast<std::ptrdiff_t>(i * n);
+            ASSERT_TRUE(std::equal(expected.level.begin(), expected.level.end(),
+                                   lane))
+                << "lane " << i << " (source " << sources[i] << ")";
+            for (const level_t l : expected.level)
+                if (l != kInvalidLevel) deepest = std::max(deepest, l);
+        }
+        EXPECT_EQ(ran, deepest + 1);
+
+        if (!mo.collect_stats) return;
+        ASSERT_EQ(stats.size(), ran);
+        std::uint64_t frontier = 0;
+        for (std::size_t d = 0; d < stats.size(); ++d) {
+            frontier += stats[d].frontier_size;
+            EXPECT_LE(stats[d].chunks_stolen, stats[d].chunks_claimed)
+                << "level " << d;
+        }
+        EXPECT_EQ(frontier, calls.load());
+    }
+
+    std::filesystem::path dir_ =
+        std::filesystem::temp_directory_path() /
+        ("sge_msbfs_fuzz_" + std::to_string(::getpid()) + "_" +
+         std::to_string(GetParam()));
+};
+
+TEST_P(MsBfsFuzz, EveryLaneMatchesSerial) {
+    Xoshiro256 rng(GetParam() * 104723);
+    const CsrGraph g = draw_graph(rng);
+    const vertex_t n = g.num_vertices();
+
+    const int threads = static_cast<int>(1 + rng.next_below(8));
+    const Topology topology = Topology::emulate(
+        static_cast<int>(1 + rng.next_below(4)),
+        static_cast<int>(1 + rng.next_below(4)),
+        static_cast<int>(1 + rng.next_below(2)));
+    const int backend = static_cast<int>(rng.next_below(3));
+    const bool reuse = rng.next() & 1;
+    MsBfsOptions mo;
+    mo.collect_stats = rng.next() & 1;
+    SCOPED_TRACE("t=" + std::to_string(threads) + " on " +
+                 topology.describe() + " backend=" + std::to_string(backend) +
+                 " reuse=" + std::to_string(reuse) +
+                 " stats=" + std::to_string(mo.collect_stats) +
+                 " n=" + std::to_string(n));
+
+    if (!reuse) {
+        mo.threads = threads;
+        mo.topology = topology;
+        with_backend(backend, g, "g", [&](const auto& graph) {
+            check_wave(graph, g, draw_sources(rng, n), mo);
+        });
+        return;
+    }
+
+    // A runner's team and workspace: two waves on g, then one on a second
+    // graph with the same vertex count, whose degrees the reused [0, n)
+    // plan must be re-cut from.
+    BfsOptions bo;
+    bo.engine = BfsEngine::kBitmap;  // parallel, so the runner keeps a team
+    bo.threads = threads;
+    bo.topology = topology;
+    BfsRunner runner(bo);
+    (void)runner.run(g, 0);  // the workspace exists from the first query
+    mo.team = runner.team();
+    mo.workspace = runner.workspace();
+    ASSERT_NE(mo.workspace, nullptr);
+    with_backend(backend, g, "g", [&](const auto& graph) {
+        check_wave(graph, g, draw_sources(rng, n), mo);
+        check_wave(graph, g, draw_sources(rng, n), mo);
+    });
+    UniformParams params;
+    params.num_vertices = n;
+    params.degree = static_cast<std::uint32_t>(1 + rng.next_below(12));
+    params.seed = rng.next();
+    const CsrGraph g2 = csr_from_edges(generate_uniform(params));
+    with_backend(backend, g2, "g2", [&](const auto& graph) {
+        check_wave(graph, g2, draw_sources(rng, n), mo);
+    });
+    WorkQueue fresh(mo.team->size(), detail::team_socket_map(*mo.team));
+    detail::plan_vertex_range(fresh, g2);
+    const WorkQueue& used = *mo.workspace->ms_wq;
+    ASSERT_EQ(used.num_chunks(), fresh.num_chunks());
+    for (std::size_t c = 0; c < fresh.num_chunks(); ++c)
+        EXPECT_EQ(used.chunk_bounds(c), fresh.chunk_bounds(c))
+            << "chunk " << c;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MsBfsFuzz, ::testing::Range<std::uint64_t>(1, 21));
 
 // ---------------------------------------------------------------------
 // Channel fuzz: random push/pop sequences vs a deque model.

@@ -1,19 +1,17 @@
 // Edge-aware frontier scheduler (src/concurrency/work_queue.hpp) and
-// its BfsOptions::schedule wiring: plan invariants, steal-domain
-// containment, and output equivalence across all policies and engines.
+// its engine wiring: plan invariants, steal-domain containment, and
+// output equivalence across the engines.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <mutex>
 #include <utility>
 #include <vector>
 
 #include "concurrency/work_queue.hpp"
 #include "core/bfs.hpp"
 #include "core/engine_common.hpp"
-#include "core/msbfs.hpp"
 #include "core/validate.hpp"
 #include "gen/permute.hpp"
 #include "gen/rmat.hpp"
@@ -23,10 +21,6 @@
 
 namespace sge {
 namespace {
-
-constexpr SchedulePolicy kAllPolicies[] = {SchedulePolicy::kStatic,
-                                           SchedulePolicy::kEdgeWeighted,
-                                           SchedulePolicy::kStealing};
 
 /// Drains every chunk one claimant may take; returns the claimed
 /// [begin, end) item ranges in claim order.
@@ -54,17 +48,6 @@ void expect_exact_cover(
     EXPECT_EQ(at, count);
 }
 
-TEST(WorkQueue, StaticPlanTilesRangeExactlyOnce) {
-    WorkQueue wq(3, {0, 0, 0});
-    wq.plan_static(1000, 64);
-    EXPECT_EQ(wq.num_chunks(), (1000 + 63) / 64u);
-    // Shared cursor: interleave claimants, pool the ranges.
-    std::vector<std::pair<std::size_t, std::size_t>> all;
-    for (int c = 0; c < 3; ++c)
-        for (const auto& r : drain(wq, c)) all.push_back(r);
-    expect_exact_cover(std::move(all), 1000);
-}
-
 TEST(WorkQueue, WeightedPlanTilesRangeAndBoundsChunkWeight) {
     // Skewed weights: items 0, 100, 200, ... are hundred-fold "hubs".
     const std::size_t count = 500;
@@ -80,7 +63,7 @@ TEST(WorkQueue, WeightedPlanTilesRangeAndBoundsChunkWeight) {
 
     WorkQueue wq(4, {0, 0, 0, 0});
     const std::size_t max_chunks = 4 * 16;
-    wq.plan_weighted(count, max_chunks, false, weight);
+    wq.plan(count, max_chunks, weight);
     ASSERT_GE(wq.num_chunks(), 1u);
     ASSERT_LE(wq.num_chunks(), max_chunks);
 
@@ -108,8 +91,7 @@ TEST(WorkQueue, StarGraphLeafFrontierSpreadAtMostTwiceIdeal) {
     for (vertex_t v = 1; v < g.num_vertices(); ++v) frontier.push_back(v);
 
     WorkQueue wq(8, std::vector<int>(8, 0));
-    detail::plan_frontier(wq, frontier.data(), frontier.size(), g,
-                          SchedulePolicy::kEdgeWeighted, 128);
+    detail::plan_frontier(wq, frontier.data(), frontier.size(), g);
 
     const auto weight = [&](std::size_t i) {
         return static_cast<std::uint64_t>(g.degree(frontier[i])) + 1;
@@ -128,7 +110,7 @@ TEST(WorkQueue, StarGraphLeafFrontierSpreadAtMostTwiceIdeal) {
     // The hub level (frontier = {0}) must still produce a plan that
     // covers the single item.
     const vertex_t hub = 0;
-    detail::plan_frontier(wq, &hub, 1, g, SchedulePolicy::kEdgeWeighted, 128);
+    detail::plan_frontier(wq, &hub, 1, g);
     EXPECT_EQ(wq.num_chunks(), 1u);
     EXPECT_EQ(wq.chunk_bounds(0), (std::pair<std::size_t, std::size_t>{0, 1}));
 }
@@ -138,25 +120,36 @@ TEST(WorkQueue, OwnedPlanStealsOnlyWithinSocket) {
     // everything it is allowed to touch: its own range plus claimant 1's
     // — never socket 1's chunks.
     WorkQueue wq(4, {0, 0, 1, 1});
-    wq.plan_weighted(400, 8, true, [](std::size_t) { return 1u; });
+    wq.plan(400, 8, [](std::size_t) { return 1u; });
     ASSERT_EQ(wq.num_chunks(), 8u);
 
     std::size_t b = 0;
     std::size_t e = 0;
-    std::size_t owned = 0;
     std::size_t stolen = 0;
+    std::vector<std::pair<std::size_t, std::size_t>> owned;
     std::vector<std::pair<std::size_t, std::size_t>> got;
     for (;;) {
         const WorkQueue::Claim cl = wq.claim(0, b, e);
         if (cl == WorkQueue::Claim::kNone) break;
         got.emplace_back(b, e);
-        (cl == WorkQueue::Claim::kOwned ? owned : stolen) += 1;
+        if (cl == WorkQueue::Claim::kOwned) {
+            EXPECT_EQ(stolen, 0u) << "owned claim after a steal";
+            owned.emplace_back(b, e);
+        } else {
+            ++stolen;
+        }
     }
     // Own range first, then the same-socket sibling's.
     const auto [r0b, r0e] = wq.claimant_range(0);
     const auto [r1b, r1e] = wq.claimant_range(1);
-    EXPECT_EQ(owned, r0e - r0b);
+    EXPECT_EQ(owned.size(), r0e - r0b);
     EXPECT_EQ(stolen, r1e - r1b);
+    // The owned claims come back as one ascending, contiguous run of
+    // items: a claimant scans its slice of the frontier in order.
+    ASSERT_FALSE(owned.empty());
+    EXPECT_EQ(owned.front().first, wq.chunk_bounds(r0b).first);
+    for (std::size_t i = 1; i < owned.size(); ++i)
+        EXPECT_EQ(owned[i].first, owned[i - 1].second) << "claim " << i;
 
     // Socket 1's chunks are untouched: claimants 2 and 3 still drain
     // their full ranges, and the four drains tile the items exactly.
@@ -174,7 +167,7 @@ TEST(WorkQueue, OwnedPlanStealsOnlyWithinSocket) {
 
 TEST(WorkQueue, ResetCursorsReplaysTheSamePlan) {
     WorkQueue wq(2, {0, 0});
-    wq.plan_weighted(100, 10, true, [](std::size_t) { return 1u; });
+    wq.plan(100, 10, [](std::size_t) { return 1u; });
     const auto first = drain(wq, 0);   // own + stolen: everything
     EXPECT_TRUE(drain(wq, 1).empty());  // nothing left
     wq.reset_cursors();
@@ -184,26 +177,15 @@ TEST(WorkQueue, ResetCursorsReplaysTheSamePlan) {
 
 TEST(WorkQueue, EmptyPlanYieldsNoClaims) {
     WorkQueue wq(2, {0, 0});
-    for (const bool owned : {false, true}) {
-        wq.plan_weighted(0, 16, owned, [](std::size_t) { return 1u; });
-        EXPECT_EQ(wq.num_chunks(), 0u);
-        EXPECT_TRUE(drain(wq, 0).empty());
-        EXPECT_TRUE(drain(wq, 1).empty());
-    }
-}
-
-TEST(Scheduler, BottomupChunkDerivesFromGraphSize) {
-    // Small graph: the floor clamps at 64.
-    EXPECT_EQ(detail::resolve_range_chunk(1000, 8), 64u);
-    // Mid-size: n / (threads * 64).
-    EXPECT_EQ(detail::resolve_range_chunk(1 << 20, 8), 2048u);
-    // Huge: the ceiling clamps at 4096.
-    EXPECT_EQ(detail::resolve_range_chunk(1u << 31, 8), 4096u);
+    wq.plan(0, 16, [](std::size_t) { return 1u; });
+    EXPECT_EQ(wq.num_chunks(), 0u);
+    EXPECT_TRUE(drain(wq, 0).empty());
+    EXPECT_TRUE(drain(wq, 1).empty());
 }
 
 // ---------------------------------------------------------------------
-// End-to-end: every policy on every parallel engine yields a valid BFS
-// tree with the same reachability as the serial reference.
+// End-to-end: every parallel engine yields a valid BFS tree with the
+// same reachability as the serial reference.
 // ---------------------------------------------------------------------
 
 CsrGraph skewed_graph() {
@@ -216,7 +198,7 @@ CsrGraph skewed_graph() {
     return csr_from_edges(edges);
 }
 
-TEST(Scheduler, AllPoliciesAllEnginesProduceValidEquivalentTrees) {
+TEST(Scheduler, AllEnginesProduceValidEquivalentTrees) {
     const CsrGraph graphs[] = {skewed_graph(), test::star_graph(257),
                                test::path_graph(200)};
     const BfsEngine engines[] = {BfsEngine::kNaive, BfsEngine::kBitmap,
@@ -224,17 +206,14 @@ TEST(Scheduler, AllPoliciesAllEnginesProduceValidEquivalentTrees) {
     for (const CsrGraph& g : graphs) {
         const BfsResult reference = bfs(g, 0, {});  // serial
         for (const BfsEngine engine : engines) {
-            for (const SchedulePolicy policy : kAllPolicies) {
-                BfsOptions options;
-                options.engine = engine;
-                options.threads = 4;
-                options.topology = Topology::emulate(2, 2, 1);
-                options.schedule = policy;
-                const BfsResult result = bfs(g, 0, options);
-                SCOPED_TRACE(to_string(engine) + "/" + to_string(policy));
-                EXPECT_TRUE(validate_bfs_tree(g, 0, result).ok);
-                test::expect_equivalent(reference, result);
-            }
+            BfsOptions options;
+            options.engine = engine;
+            options.threads = 4;
+            options.topology = Topology::emulate(2, 2, 1);
+            const BfsResult result = bfs(g, 0, options);
+            SCOPED_TRACE(to_string(engine));
+            EXPECT_TRUE(validate_bfs_tree(g, 0, result).ok);
+            test::expect_equivalent(reference, result);
         }
     }
 }
@@ -244,51 +223,14 @@ TEST(Scheduler, MultisocketPartialBatchesFullyDrained) {
     // ships a final partial batch through the channels; the engine's
     // debug drain assert and the tree validation both cover it.
     const CsrGraph g = skewed_graph();
-    for (const SchedulePolicy policy : kAllPolicies) {
-        BfsOptions options;
-        options.engine = BfsEngine::kMultiSocket;
-        options.threads = 4;
-        options.topology = Topology::emulate(2, 2, 1);
-        options.schedule = policy;
-        options.batch_size = 7;
-        const BfsResult result = bfs(g, 0, options);
-        SCOPED_TRACE(to_string(policy));
-        EXPECT_TRUE(validate_bfs_tree(g, 0, result).ok);
-        test::expect_equivalent(bfs(g, 0, {}), result);
-    }
-}
-
-TEST(Scheduler, MsBfsPoliciesAgree) {
-    const CsrGraph g = skewed_graph();
-    const std::vector<vertex_t> sources = {0, 1, 2, 3};
-
-    // (vertex, level) -> lane mask, per policy. The visitor runs
-    // concurrently on distinct vertices; guard with a per-call mutex.
-    const auto run = [&](SchedulePolicy policy) {
-        std::vector<std::uint64_t> masks(g.num_vertices() * 64, 0);
-        std::mutex mu;
-        MsBfsOptions options;
-        options.threads = 4;
-        options.topology = Topology::emulate(2, 2, 1);
-        options.schedule = policy;
-        const std::uint32_t levels = multi_source_bfs(
-            g, sources,
-            [&](int, level_t level, vertex_t v, std::uint64_t mask) {
-                std::lock_guard lock(mu);
-                masks[static_cast<std::size_t>(v) * 64 + level] |= mask;
-            },
-            options);
-        return std::pair{levels, std::move(masks)};
-    };
-
-    const auto [levels_static, masks_static] = run(SchedulePolicy::kStatic);
-    for (const SchedulePolicy policy :
-         {SchedulePolicy::kEdgeWeighted, SchedulePolicy::kStealing}) {
-        const auto [levels, masks] = run(policy);
-        SCOPED_TRACE(to_string(policy));
-        EXPECT_EQ(levels, levels_static);
-        EXPECT_EQ(masks, masks_static);
-    }
+    BfsOptions options;
+    options.engine = BfsEngine::kMultiSocket;
+    options.threads = 4;
+    options.topology = Topology::emulate(2, 2, 1);
+    options.batch_size = 7;
+    const BfsResult result = bfs(g, 0, options);
+    EXPECT_TRUE(validate_bfs_tree(g, 0, result).ok);
+    test::expect_equivalent(bfs(g, 0, {}), result);
 }
 
 // ---------------------------------------------------------------------
@@ -296,66 +238,32 @@ TEST(Scheduler, MsBfsPoliciesAgree) {
 // compiled to zero otherwise).
 // ---------------------------------------------------------------------
 
-TEST(Scheduler, StaticChunksClaimedMatchChunksProduced) {
+TEST(Scheduler, ChunkCounterInvariants) {
     if (!obs::compiled_in() || !obs::enabled())
         GTEST_SKIP() << "needs SGE_OBS build with SGE_OBS != 0";
-    // Single-socket bitmap engine with a fixed static chunk: the number
-    // of chunks the plan produces per level is exactly
-    // ceil(frontier / chunk), and every one must be claimed once.
     const CsrGraph g = skewed_graph();
     BfsOptions options;
     options.engine = BfsEngine::kBitmap;
     options.threads = 4;
-    options.topology = Topology::emulate(1, 4, 1);
-    options.schedule = SchedulePolicy::kStatic;
-    options.chunk_size = 64;
+    options.topology = Topology::emulate(2, 2, 1);
     options.collect_stats = true;
     const BfsResult result = bfs(g, 0, options);
-    ASSERT_FALSE(result.level_stats.empty());
-    for (std::size_t d = 0; d < result.level_stats.size(); ++d) {
-        const BfsLevelStats& s = result.level_stats[d];
-        EXPECT_EQ(s.chunks_claimed, (s.frontier_size + 63) / 64)
-            << "level " << d;
-        EXPECT_EQ(s.chunks_stolen, 0u) << "shared cursor never steals";
+    std::uint64_t claimed = 0;
+    std::uint64_t edges = 0;
+    std::uint64_t max_edges = 0;
+    for (const BfsLevelStats& s : result.level_stats) {
+        // Plans cap chunk count at claimants x 16 per level.
+        EXPECT_LE(s.chunks_claimed, 4u * 16u);
+        EXPECT_GE(s.chunks_claimed, s.frontier_size > 0 ? 1u : 0u);
+        EXPECT_LE(s.chunks_stolen, s.chunks_claimed);
+        EXPECT_LE(s.max_thread_edges, s.edges_scanned);
+        claimed += s.chunks_claimed;
+        edges += s.edges_scanned;
+        max_edges += s.max_thread_edges;
     }
-}
-
-TEST(Scheduler, WeightedAndStealingCounterInvariants) {
-    if (!obs::compiled_in() || !obs::enabled())
-        GTEST_SKIP() << "needs SGE_OBS build with SGE_OBS != 0";
-    const CsrGraph g = skewed_graph();
-    for (const SchedulePolicy policy :
-         {SchedulePolicy::kEdgeWeighted, SchedulePolicy::kStealing}) {
-        BfsOptions options;
-        options.engine = BfsEngine::kBitmap;
-        options.threads = 4;
-        options.topology = Topology::emulate(2, 2, 1);
-        options.schedule = policy;
-        options.collect_stats = true;
-        const BfsResult result = bfs(g, 0, options);
-        SCOPED_TRACE(to_string(policy));
-        std::uint64_t claimed = 0;
-        std::uint64_t stolen = 0;
-        std::uint64_t edges = 0;
-        std::uint64_t max_edges = 0;
-        for (const BfsLevelStats& s : result.level_stats) {
-            // Weighted plans cap chunk count at claimants x 16 per level.
-            EXPECT_LE(s.chunks_claimed, 4u * 16u);
-            EXPECT_GE(s.chunks_claimed, s.frontier_size > 0 ? 1u : 0u);
-            EXPECT_LE(s.chunks_stolen, s.chunks_claimed);
-            EXPECT_LE(s.max_thread_edges, s.edges_scanned);
-            claimed += s.chunks_claimed;
-            stolen += s.chunks_stolen;
-            edges += s.edges_scanned;
-            max_edges += s.max_thread_edges;
-        }
-        EXPECT_GT(claimed, 0u);
-        EXPECT_GT(max_edges, 0u);
-        EXPECT_LE(max_edges, edges);
-        if (policy == SchedulePolicy::kEdgeWeighted) {
-            EXPECT_EQ(stolen, 0u) << "shared cursor never steals";
-        }
-    }
+    EXPECT_GT(claimed, 0u);
+    EXPECT_GT(max_edges, 0u);
+    EXPECT_LE(max_edges, edges);
 }
 
 }  // namespace

@@ -562,58 +562,77 @@ TEST(LiveServiceTest, MutationPublishesAndLaterQueriesObserveIt) {
     EXPECT_EQ(store.counters().batches_applied.load(), 1u);
 }
 
+// Three cases: plain with waves, and the compressed and paged backends
+// without batching. Every unbatched query runs through
+// BfsRunner::run_into, whose encoding/spill cache is keyed on the
+// snapshot's id(); each published snapshot is a fresh graph, so an
+// answer served from a stale encoding or spill fails the per-version
+// check.
 TEST(LiveServiceTest, AnswersAreExactOnTheirReportedVersion) {
-    constexpr vertex_t kN = 128;
-    VersionedGraphStore store(kN);
-    GraphService svc(store, live_options(2));
+    struct Case {
+        GraphBackend backend;
+        bool batching;
+    };
+    for (const Case c : {Case{GraphBackend::kPlain, true},
+                         Case{GraphBackend::kCompressed, false},
+                         Case{GraphBackend::kPaged, false}}) {
+        SCOPED_TRACE(to_string(c.backend) +
+                     (c.batching ? " with waves" : " unbatched"));
+        constexpr vertex_t kN = 128;
+        VersionedGraphStore store(kN);
+        ServiceOptions options = live_options(2);
+        options.bfs.backend = c.backend;
+        options.batching = c.batching;
+        GraphService svc(store, options);
 
-    // Reference levels per published version, recorded as each
-    // mutation resolves (this thread is the only mutation source, so
-    // the store sits at exactly that version right after).
-    std::map<std::uint64_t, std::vector<level_t>> reference;
-    reference[1] = serial_levels(store.acquire().graph(), 0);
+        // Reference levels per published version, recorded as each
+        // mutation resolves (this thread is the only mutation source, so
+        // the store sits at exactly that version right after).
+        std::map<std::uint64_t, std::vector<level_t>> reference;
+        reference[1] = serial_levels(store.acquire().graph(), 0);
 
-    SplitMix64 rng(7);
-    std::vector<std::future<QueryResult>> queries;
-    for (int round = 0; round < 40; ++round) {
-        MutationBatch b;
-        for (int i = 0; i < 10; ++i) {
-            const auto u = static_cast<vertex_t>(rng.next() % kN);
-            const auto v = static_cast<vertex_t>(rng.next() % kN);
-            if (rng.next() % 6 == 0)
-                b.remove(u, v);
-            else
-                b.insert(u, v);
+        SplitMix64 rng(7);
+        std::vector<std::future<QueryResult>> queries;
+        for (int round = 0; round < 40; ++round) {
+            MutationBatch b;
+            for (int i = 0; i < 10; ++i) {
+                const auto u = static_cast<vertex_t>(rng.next() % kN);
+                const auto v = static_cast<vertex_t>(rng.next() % kN);
+                if (rng.next() % 6 == 0)
+                    b.remove(u, v);
+                else
+                    b.insert(u, v);
+            }
+            SubmitResult mf = svc.submit_mutation(std::move(b));
+            ASSERT_TRUE(mf.admitted);
+            // These race the mutation through the queue: each may answer
+            // against the version before or after it — both are published
+            // states, and snapshot_version says which.
+            for (int q = 0; q < 4; ++q) queries.push_back(svc.submit(0).result);
+
+            const QueryResult m = mf.result.get();
+            ASSERT_EQ(m.outcome, Outcome::kCompleted);
+            const SnapshotRef ref = store.acquire();
+            ASSERT_EQ(ref.version(), m.snapshot_version);
+            reference.emplace(m.snapshot_version,
+                              serial_levels(ref.graph(), 0));
         }
-        SubmitResult mf = svc.submit_mutation(std::move(b));
-        ASSERT_TRUE(mf.admitted);
-        // These race the mutation through the queue: each may answer
-        // against the version before or after it — both are published
-        // states, and snapshot_version says which.
-        for (int q = 0; q < 4; ++q) queries.push_back(svc.submit(0).result);
 
-        const QueryResult m = mf.result.get();
-        ASSERT_EQ(m.outcome, Outcome::kCompleted);
-        const SnapshotRef ref = store.acquire();
-        ASSERT_EQ(ref.version(), m.snapshot_version);
-        reference.emplace(m.snapshot_version,
-                          serial_levels(ref.graph(), 0));
+        std::uint64_t answered = 0;
+        for (auto& f : queries) {
+            const QueryResult r = f.get();
+            if (!r.answered()) continue;
+            ++answered;
+            const auto it = reference.find(r.snapshot_version);
+            ASSERT_NE(it, reference.end())
+                << "unknown snapshot version " << r.snapshot_version;
+            EXPECT_EQ(r.level, it->second)
+                << "answer not exact on version " << r.snapshot_version;
+        }
+        svc.stop();
+        EXPECT_GT(answered, 0u);
+        EXPECT_EQ(svc.counters().mutations.load(), 40u);
     }
-
-    std::uint64_t answered = 0;
-    for (auto& f : queries) {
-        const QueryResult r = f.get();
-        if (!r.answered()) continue;
-        ++answered;
-        const auto it = reference.find(r.snapshot_version);
-        ASSERT_NE(it, reference.end())
-            << "unknown snapshot version " << r.snapshot_version;
-        EXPECT_EQ(r.level, it->second)
-            << "answer not exact on version " << r.snapshot_version;
-    }
-    svc.stop();
-    EXPECT_GT(answered, 0u);
-    EXPECT_EQ(svc.counters().mutations.load(), 40u);
 }
 
 TEST(LiveServiceTest, MutationOnStaticServiceThrows) {

@@ -87,12 +87,11 @@ TEST(WorkspaceBitmap, WraparoundPhysicallyClears) {
 // ---------------------------------------------------------------------
 // Reuse determinism: the same runner answering many queries must match
 // a fresh runner (and the serial reference semantics) on every query,
-// for every engine and schedule policy.
+// for every engine.
 // ---------------------------------------------------------------------
 
 struct ReuseConfig {
     BfsEngine engine;
-    SchedulePolicy schedule;
     Topology topology;
     const char* label;
 };
@@ -109,11 +108,9 @@ class WorkspaceReuseMatrix : public ::testing::TestWithParam<ReuseConfig> {
         opts.engine = cfg.engine;
         opts.threads = 4;
         opts.topology = cfg.topology;
-        opts.schedule = cfg.schedule;
-        // Small batches/chunks/rings on purpose: exercise the flush and
-        // spill paths that big defaults would hide.
+        // Small batches/rings on purpose: exercise the flush and spill
+        // paths that big defaults would hide.
         opts.batch_size = 8;
-        opts.chunk_size = 4;
         opts.channel_capacity = 64;
         return opts;
     }
@@ -142,26 +139,11 @@ TEST_P(WorkspaceReuseMatrix, TenRootsMatchFreshRunner) {
 INSTANTIATE_TEST_SUITE_P(
     Engines, WorkspaceReuseMatrix,
     ::testing::Values(
-        ReuseConfig{BfsEngine::kNaive, SchedulePolicy::kStatic,
-                    Topology::emulate(1, 4, 1), "naive_static"},
-        ReuseConfig{BfsEngine::kNaive, SchedulePolicy::kEdgeWeighted,
-                    Topology::emulate(1, 4, 1), "naive_edge"},
-        ReuseConfig{BfsEngine::kBitmap, SchedulePolicy::kStatic,
-                    Topology::emulate(1, 4, 1), "bitmap_static"},
-        ReuseConfig{BfsEngine::kBitmap, SchedulePolicy::kEdgeWeighted,
-                    Topology::emulate(1, 4, 1), "bitmap_edge"},
-        ReuseConfig{BfsEngine::kBitmap, SchedulePolicy::kStealing,
-                    Topology::emulate(1, 4, 1), "bitmap_stealing"},
-        ReuseConfig{BfsEngine::kMultiSocket, SchedulePolicy::kStatic,
-                    Topology::emulate(2, 2, 1), "multisocket_static"},
-        ReuseConfig{BfsEngine::kMultiSocket, SchedulePolicy::kEdgeWeighted,
-                    Topology::emulate(2, 2, 1), "multisocket_edge"},
-        ReuseConfig{BfsEngine::kMultiSocket, SchedulePolicy::kStealing,
-                    Topology::emulate(2, 2, 1), "multisocket_stealing"},
-        ReuseConfig{BfsEngine::kHybrid, SchedulePolicy::kStatic,
-                    Topology::emulate(1, 4, 1), "hybrid_static"},
-        ReuseConfig{BfsEngine::kHybrid, SchedulePolicy::kEdgeWeighted,
-                    Topology::emulate(1, 4, 1), "hybrid_edge"}),
+        ReuseConfig{BfsEngine::kNaive, Topology::emulate(1, 4, 1), "naive"},
+        ReuseConfig{BfsEngine::kBitmap, Topology::emulate(1, 4, 1), "bitmap"},
+        ReuseConfig{BfsEngine::kMultiSocket, Topology::emulate(2, 2, 1),
+                    "multisocket"},
+        ReuseConfig{BfsEngine::kHybrid, Topology::emulate(1, 4, 1), "hybrid"}),
     reuse_name);
 
 // ---------------------------------------------------------------------
