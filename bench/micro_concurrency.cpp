@@ -7,12 +7,11 @@
 
 #include <atomic>
 
-#include "concurrency/atomic_bitmap.hpp"
 #include "concurrency/channel.hpp"
 #include "concurrency/spin_barrier.hpp"
 #include "concurrency/spsc_ring.hpp"
 #include "concurrency/ticket_lock.hpp"
-#include "core/frontier.hpp"
+#include "concurrency/versioned_bitmap.hpp"
 
 namespace {
 
@@ -70,7 +69,7 @@ void BM_ChannelBatchedRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_ChannelBatchedRoundTrip)->Arg(1)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_BitmapTest(benchmark::State& state) {
-    sge::AtomicBitmap bitmap(1 << 20);
+    sge::VersionedBitmap bitmap(1 << 20);
     for (std::size_t i = 0; i < (1u << 20); i += 2) bitmap.test_and_set(i);
     std::size_t i = 0;
     for (auto _ : state) {
@@ -82,7 +81,7 @@ void BM_BitmapTest(benchmark::State& state) {
 BENCHMARK(BM_BitmapTest);
 
 void BM_BitmapTestAndSet(benchmark::State& state) {
-    sge::AtomicBitmap bitmap(1 << 20);
+    sge::VersionedBitmap bitmap(1 << 20);
     std::size_t i = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(bitmap.test_and_set(i));
@@ -95,7 +94,7 @@ BENCHMARK(BM_BitmapTestAndSet);
 void BM_BitmapDoubleCheckedVisited(benchmark::State& state) {
     // The hot path of Algorithm 2 on an already-visited vertex: the
     // double check makes this a plain load.
-    sge::AtomicBitmap bitmap(1 << 16);
+    sge::VersionedBitmap bitmap(1 << 16);
     for (std::size_t i = 0; i < (1u << 16); ++i) bitmap.test_and_set(i);
     std::size_t i = 0;
     for (auto _ : state) {
@@ -107,18 +106,6 @@ void BM_BitmapDoubleCheckedVisited(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BitmapDoubleCheckedVisited);
-
-void BM_FrontierPushBatch(benchmark::State& state) {
-    const std::size_t batch = static_cast<std::size_t>(state.range(0));
-    sge::FrontierQueue queue(1 << 20);
-    std::vector<sge::vertex_t> items(batch, 5);
-    for (auto _ : state) {
-        queue.push_batch(items.data(), batch);
-        if (queue.size() + batch > queue.capacity()) queue.reset();
-    }
-    state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_FrontierPushBatch)->Arg(1)->Arg(64);
 
 void BM_BarrierSingleParty(benchmark::State& state) {
     sge::SpinBarrier barrier(1);

@@ -8,9 +8,10 @@
 
 namespace sge {
 
-/// Epoch-versioned concurrent bitmap: AtomicBitmap's double-checked
-/// protocol with O(1) whole-bitmap reset, for query-serving workloads
-/// that run many traversals over one prepared graph.
+/// Epoch-versioned concurrent bitmap: the visited set of Algorithm 2's
+/// double-checked protocol (a plain test, then an atomic test_and_set)
+/// with O(1) whole-bitmap reset, for query-serving workloads that run
+/// many traversals over one prepared graph.
 ///
 /// Each 64-bit word packs `epoch (high 32) | payload bits (low 32)`, so
 /// one word covers 32 vertices. A word whose stamp is older than the
@@ -20,11 +21,10 @@ namespace sge {
 /// *next* traversal), not O(n) — the stale words are reclaimed lazily
 /// by the first test_and_set that lands on them.
 ///
-/// The price versus AtomicBitmap is 2x the bytes per vertex (2 bits/
-/// vertex of payload density instead of 1). The paper's Figure-2
-/// argument still holds: 8 MB covers a 32 M-vertex graph, well inside
-/// the LLC sizes where the bitmap's random-read advantage over the
-/// parent array lives.
+/// The price is 2 bits per vertex instead of the paper's 1. The
+/// paper's Figure-2 argument still holds: 8 MB covers a 32 M-vertex
+/// graph, well inside the LLC sizes where the bitmap's random-read
+/// advantage over the parent array lives.
 ///
 /// Epoch wraparound: the 32-bit epoch is bumped once per query; at
 /// kMaxEpoch the advance physically zeroes every word and restarts at
@@ -49,9 +49,9 @@ class VersionedBitmap {
     VersionedBitmap(VersionedBitmap&&) noexcept = default;
     VersionedBitmap& operator=(VersionedBitmap&&) noexcept = default;
 
-    /// Non-RMW test: one acquire load plus an epoch compare. As with
-    /// AtomicBitmap::test, `false` means "maybe unvisited" — confirm
-    /// with test_and_set before acting on it.
+    /// Non-RMW test: one acquire load plus an epoch compare. `false`
+    /// means "maybe unvisited" — confirm with test_and_set before acting
+    /// on it.
     [[nodiscard]] bool test(std::size_t i) const noexcept {
         const std::uint64_t w =
             words_[i / kSlotsPerWord].load(std::memory_order_acquire);

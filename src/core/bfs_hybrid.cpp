@@ -67,8 +67,8 @@ template <class Graph>
 /// Workspace reuse: the visited set and both frontier bitmaps are
 /// epoch-versioned, so the per-level `clear_all` of the old frontier
 /// bits is an O(1) epoch bump, and back-to-back queries skip every O(n)
-/// re-initialisation. The [0, n) range plan survives across queries on
-/// the same graph (ws.range_planned) — only its cursors rewind.
+/// re-initialisation. The [0, n) range plan, shared with MS-BFS,
+/// survives across queries on the same graph — only its cursors rewind.
 template <class Graph>
 class HybridStep {
   public:
@@ -114,9 +114,12 @@ class HybridStep {
         const int cur = current_;
         std::uint64_t next_size = 0;
         std::uint64_t next_degree = 0;
-        for (const BfsWorkspace::ThreadScratch& t : ws_.scratch) {
-            next_size += t.tally.discovered;
-            next_degree += t.tally.discovered_degree;
+        // This team's tallies only: a wave on a larger team grows scratch.
+        for (int t = 0; t < threads_; ++t) {
+            const BfsWorkspace::LevelTally& tally =
+                ws_.scratch[static_cast<std::size_t>(t)].tally;
+            next_size += tally.discovered;
+            next_degree += tally.discovered_degree;
         }
         Direction next = direction_;
         if (flips_) {
@@ -159,20 +162,14 @@ class HybridStep {
     }
 
     /// Schedules the next level. A queue-borne frontier is re-cut per
-    /// level; the [0, n) range plan is cut once — at the first bottom-up
-    /// level on this graph — and merely rewound. After a bottom-up level
-    /// the queue does not exist yet: convert() harvests and plans it.
+    /// level; the [0, n) range plan is cut once per graph and merely
+    /// rewound. After a bottom-up level the queue does not exist yet:
+    /// convert() harvests and plans it.
     void plan_next() {
-        if (direction_ == Direction::kBottomUp) {
-            if (!ws_.range_planned) {
-                plan_vertex_range(*ws_.range_wq, g_);
-                ws_.range_planned = true;
-            } else {
-                ws_.range_wq->reset_cursors();
-            }
-        } else if (!convert_to_queue_) {
+        if (direction_ == Direction::kBottomUp)
+            ws_.vertex_range_plan(g_);
+        else if (!convert_to_queue_)
             plan_queue(ws_.queues[current_]);
-        }
     }
 
     /// Representation conversions on a direction flip, threads-parallel.
@@ -368,8 +365,8 @@ void bfs_hybrid(const Graph& g, vertex_t root, BfsEngine engine,
                 BfsResult& result) {
     const bool flips = engine == BfsEngine::kHybrid;
     HybridStep<Graph> step(g, options, ws, team.size(), flips);
-    run_levels(g, root, flips ? "bfs_hybrid" : "bfs_bitmap", options, team, ws,
-               result, step);
+    run_single_source(g, root, flips ? "bfs_hybrid" : "bfs_bitmap", options,
+                      team, ws, result, step);
 }
 
 template void bfs_hybrid(const CsrGraph&, vertex_t, BfsEngine,

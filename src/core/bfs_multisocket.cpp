@@ -202,7 +202,8 @@ template <class Graph>
 void bfs_multisocket(const Graph& g, vertex_t root, const BfsOptions& options,
                      ThreadTeam& team, BfsWorkspace& ws, BfsResult& result) {
     MultiSocketStep<Graph> step(g, options, team, ws);
-    run_levels(g, root, "bfs_multisocket", options, team, ws, result, step);
+    run_single_source(g, root, "bfs_multisocket", options, team, ws, result,
+                      step);
 }
 
 template void bfs_multisocket(const CsrGraph&, vertex_t, const BfsOptions&,

@@ -123,7 +123,7 @@ template <class Graph>
 void bfs_naive(const Graph& g, vertex_t root, const BfsOptions& options,
                ThreadTeam& team, BfsWorkspace& ws, BfsResult& result) {
     NaiveStep<Graph> step(g, ws);
-    run_levels(g, root, "bfs_naive", options, team, ws, result, step);
+    run_single_source(g, root, "bfs_naive", options, team, ws, result, step);
 }
 
 template void bfs_naive(const CsrGraph&, vertex_t, const BfsOptions&,

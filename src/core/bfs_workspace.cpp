@@ -33,6 +33,7 @@ void BfsWorkspace::prepare_impl(const Graph& g, BfsEngine engine,
         ++stats.workspace_reuses;
     }
     note_graph(g.id());
+    if (engine == BfsEngine::kHybrid) ensure_range_wq(team);
     reset_for_query(engine);
 }
 
@@ -55,8 +56,15 @@ void BfsWorkspace::note_graph(std::uint64_t graph_id) {
     if (graph_id == graph_id_) return;
     // Different graph (even at equal n): degree-derived plans are stale.
     range_planned = false;
-    ms_planned = false;
     graph_id_ = graph_id;
+}
+
+void BfsWorkspace::ensure_range_wq(ThreadTeam& team) {
+    // MS-BFS may share this workspace on a team of another size.
+    if (range_wq && range_wq->claimants() == team.size()) return;
+    range_wq =
+        std::make_unique<WorkQueue>(team.size(), detail::team_socket_map(team));
+    range_planned = false;
 }
 
 void BfsWorkspace::allocate(vertex_t n, BfsEngine engine,
@@ -139,8 +147,6 @@ void BfsWorkspace::allocate(vertex_t n, BfsEngine engine,
             if (engine == BfsEngine::kHybrid) {
                 frontier_bits[0] = VersionedBitmap(n, /*zeroed=*/false);
                 frontier_bits[1] = VersionedBitmap(n, /*zeroed=*/false);
-                range_wq = std::make_unique<WorkQueue>(
-                    threads, detail::team_socket_map(team));
             }
             break;
         case BfsEngine::kSerial:
@@ -303,31 +309,33 @@ template <class Graph>
 void BfsWorkspace::prepare_ms_impl(const Graph& g, ThreadTeam& team) {
     const vertex_t n = g.num_vertices();
     const int threads = team.size();
-    if (n != ms_n_ || threads != ms_threads_) {
+    if (n != ms_n_) {
         ms_n_ = kInvalidVertex;  // poison until all three land
         ms_seen = AlignedBuffer<std::atomic<std::uint64_t>>(n);
         ms_frontier = AlignedBuffer<std::uint64_t>(n);
         ms_next = AlignedBuffer<std::atomic<std::uint64_t>>(n);
-        ms_wq = std::make_unique<WorkQueue>(threads,
-                                            detail::team_socket_map(team));
-        ms_planned = false;
         ms_n_ = n;
-        ms_threads_ = threads;
         ++stats.prepares;
     } else {
         ++stats.workspace_reuses;
     }
+    // The tallies and the [0, n) plan, which only some engines keep.
+    if (scratch.size() < static_cast<std::size_t>(threads))
+        scratch.resize(static_cast<std::size_t>(threads));
+    ensure_range_wq(team);
     note_graph(g.id());
-    // Cut the degree-weighted [0, n) plan once per graph; later calls
-    // only rewind its cursors. MS-BFS's own init pass zeroes (and on the
-    // first call first-touches) the lane buffers — a full clear is
-    // inherent to the 64-lane masks.
-    if (!ms_planned) {
-        detail::plan_vertex_range(*ms_wq, g);
-        ms_planned = true;
-    } else {
-        ms_wq->reset_cursors();
-    }
+    vertex_range_plan(g);
+    // Each worker zeroes (on the first call, first-touches) the slice
+    // of the lanes it swaps: a full clear is inherent to the 64-lane
+    // masks.
+    team.run([&](int tid) {
+        const auto [lo, hi] = detail::split_range(n, threads, tid);
+        for (std::size_t v = lo; v < hi; ++v) {
+            ms_seen[v].store(0, std::memory_order_relaxed);
+            ms_frontier[v] = 0;
+            ms_next[v].store(0, std::memory_order_relaxed);
+        }
+    });
 }
 
 void BfsWorkspace::prepare_ms(const CsrGraph& g, ThreadTeam& team) {

@@ -59,8 +59,9 @@ class BfsWorkspace {
     void prepare(const PagedGraph& g, BfsEngine engine,
                  const BfsOptions& options, ThreadTeam& team);
 
-    /// Readies the MS-BFS lane buffers (seen/frontier/next masks) and
-    /// the dense-scan plan for one multi_source_bfs call on `team`.
+    /// Readies the MS-BFS lane buffers (seen/frontier/next masks), the
+    /// per-thread tallies and the [0, n) plan for one multi_source_bfs
+    /// call on `team`; each worker zeroes its own slice of the lanes.
     void prepare_ms(const CsrGraph& g, ThreadTeam& team);
     void prepare_ms(const CompressedCsrGraph& g, ThreadTeam& team);
     void prepare_ms(const PagedGraph& g, ThreadTeam& team);
@@ -90,11 +91,24 @@ class BfsWorkspace {
     /// Inter-socket channels, one per owner socket (multisocket).
     std::vector<std::unique_ptr<Channel<std::uint64_t, kEmptyVisit>>> channels;
 
-    /// Frontier scheduler (naive/bitmap/hybrid) and kHybrid's
-    /// whole-vertex-range scheduler with its cut-once flag.
+    /// Frontier scheduler (naive/bitmap/hybrid).
     std::unique_ptr<WorkQueue> wq;
+
+    /// The degree-weighted [0, n) plan that kHybrid's bottom-up levels
+    /// and MS-BFS claim from, with its cut-once flag (vertex_range_plan).
     std::unique_ptr<WorkQueue> range_wq;
     bool range_planned = false;
+
+    /// Readies range_wq for a sweep over `g`'s vertices: cut once per
+    /// graph id(), only rewound otherwise. Single-threaded.
+    template <class Graph>
+    void vertex_range_plan(const Graph& g) {
+        if (range_planned)
+            range_wq->reset_cursors();
+        else
+            detail::plan_vertex_range(*range_wq, g);
+        range_planned = true;
+    }
 
     /// Per-socket frontier schedulers (multisocket).
     std::vector<std::unique_ptr<WorkQueue>> socket_wqs;
@@ -104,10 +118,10 @@ class BfsWorkspace {
     std::vector<int> rank_in_socket;
     std::vector<int> socket_threads;
 
-    /// One thread's discoveries in the level just scanned (hybrid step):
-    /// written by its owner before the level barrier, summed by thread 0
-    /// after it. A line of its own, so the owner's store never
-    /// invalidates a line another worker reads.
+    /// One thread's discoveries in the level just scanned (hybrid and
+    /// MS-BFS steps): written by its owner before the level barrier,
+    /// summed by thread 0 after it. A line of its own, so the owner's
+    /// store never invalidates a line another worker reads.
     struct alignas(kCacheLineSize) LevelTally {
         std::uint64_t discovered = 0;         ///< vertices claimed
         std::uint64_t discovered_degree = 0;  ///< their summed out-degrees
@@ -119,7 +133,7 @@ class BfsWorkspace {
     struct alignas(kCacheLineSize) ThreadScratch {
         std::vector<LocalBatch<std::uint64_t>> remote;  ///< per-socket tuples
         AlignedBuffer<std::uint64_t> drain;  ///< channel drain buffer
-        LevelTally tally;                    ///< hybrid's per-level sums
+        LevelTally tally;                    ///< per-level sums
     };
     std::vector<ThreadScratch> scratch;
 
@@ -136,8 +150,6 @@ class BfsWorkspace {
     AlignedBuffer<std::atomic<std::uint64_t>> ms_seen;
     AlignedBuffer<std::uint64_t> ms_frontier;
     AlignedBuffer<std::atomic<std::uint64_t>> ms_next;
-    std::unique_ptr<WorkQueue> ms_wq;
-    bool ms_planned = false;
 
     /// Lifetime counters (prepares / reuses / reset words).
     BfsWorkspaceStats stats;
@@ -154,6 +166,7 @@ class BfsWorkspace {
 
     void allocate(vertex_t n, BfsEngine engine, const BfsOptions& options,
                   ThreadTeam& team);
+    void ensure_range_wq(ThreadTeam& team);
     void first_touch(BfsEngine engine, ThreadTeam& team);
     void reset_for_query(BfsEngine engine);
     void note_graph(std::uint64_t graph_id);
@@ -169,9 +182,8 @@ class BfsWorkspace {
     // but invalidates degree-derived plans.
     std::uint64_t graph_id_ = 0;
 
-    // MS-BFS plan identity.
+    // Length of the MS-BFS lane buffers.
     vertex_t ms_n_ = kInvalidVertex;
-    int ms_threads_ = 0;
 };
 
 }  // namespace sge

@@ -287,19 +287,6 @@ struct alignas(kCacheLineSize) ThreadCounters {
     }
 };
 
-/// Barrier arrival that optionally times the wait into `slot` (the
-/// load-imbalance signal: how long this worker idled for stragglers).
-/// `timed` is false when stats are off, so un-instrumented runs pay
-/// only the branch.
-inline bool timed_wait(SpinBarrier& barrier, LevelAccum& slot, bool timed) {
-    if (!kCounted<LevelCounter::barrier_wait_ns> || !timed)
-        return barrier.arrive_and_wait();
-    WallTimer wait;
-    const bool ok = barrier.arrive_and_wait();
-    slot.add<LevelCounter::barrier_wait_ns>(wait.nanoseconds());
-    return ok;
-}
-
 /// One worker's compaction copy-out step: exclusive prefix offset +
 /// contiguous memcpy of its staged discoveries into `dst` (the target
 /// queue's slots). Times the step into the level slot's prefix_sum_ns
@@ -331,8 +318,6 @@ class SpanRecorder {
         if (enabled_) logs_.resize(static_cast<std::size_t>(threads));
     }
 
-    [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-
     /// Timestamp against the traversal epoch — free when disabled, so
     /// engines can call it unconditionally at level boundaries.
     [[nodiscard]] std::uint64_t now(const WallTimer& epoch) const noexcept {
@@ -346,16 +331,15 @@ class SpanRecorder {
             BfsThreadSpan{tid, level, start_ns, end_ns});
     }
 
-    /// Moves every worker's spans into result.thread_spans (ordered by
-    /// thread, then level). Call after the parallel region has joined.
-    void collect_into(BfsResult& result) {
+    /// Moves every worker's spans into `out` (ordered by thread, then
+    /// level). Call after the parallel region has joined.
+    void collect_into(std::vector<BfsThreadSpan>& out) {
         if (!enabled_) return;
         std::size_t total = 0;
         for (const auto& log : logs_) total += log.value.size();
-        result.thread_spans.reserve(total);
+        out.reserve(total);
         for (auto& log : logs_)
-            result.thread_spans.insert(result.thread_spans.end(),
-                                       log.value.begin(), log.value.end());
+            out.insert(out.end(), log.value.begin(), log.value.end());
     }
 
   private:
@@ -447,8 +431,7 @@ inline void scan_adjacency_until(const Graph& g, vertex_t v,
             tc.add<LevelCounter::edges_scanned>(1);
             return fn(w);
         };
-        counted_decode(tc,
-                       [&] { return g.neighbors_for_each_until(v, counted); });
+        counted_decode(tc, [&] { return g.neighbors_for_each(v, counted); });
     } else {
         for (const vertex_t w : g.neighbors(v)) {
             tc.add<LevelCounter::edges_scanned>(1);

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <cstring>
 
 #include "graph/types.hpp"
 #include "runtime/aligned_buffer.hpp"
@@ -10,12 +9,12 @@
 
 namespace sge {
 
-/// Level frontier: a flat vertex array with an atomic push cursor.
+/// Level frontier: a flat vertex array and its published size.
 ///
-/// This is the modern realization of the paper's LockedEnqueue queue:
-/// producers *reserve* a contiguous slice with one fetch_add and memcpy
-/// their batch in (the batching optimization of Section III applied to
-/// the local queues); consumers claim scan chunks through a WorkQueue
+/// The modern realization of the paper's LockedEnqueue queue without the
+/// lock: the FrontierCompactor (or the hybrid's bitmap harvest) copies
+/// each worker's discoveries into a disjoint segment and one thread
+/// publishes the total; consumers claim scan chunks through a WorkQueue
 /// plan over the filled slots. Because every vertex enters a frontier at
 /// most once per BFS (the bitmap guarantees it), capacity == n always
 /// suffices and the array never reallocates mid-level.
@@ -24,32 +23,31 @@ class FrontierQueue {
     FrontierQueue() = default;
 
     explicit FrontierQueue(std::size_t capacity) : slots_(capacity) {
-        push_->store(0, std::memory_order_relaxed);
+        size_->store(0, std::memory_order_relaxed);
     }
 
     // Movable so engines can build std::vector<FrontierQueue> per
     // socket; moves must be externally synchronised (setup time only) —
-    // the atomic cursor transfers by value.
+    // the atomic size transfers by value.
     FrontierQueue(FrontierQueue&& other) noexcept
         : slots_(std::move(other.slots_)) {
-        push_->store(other.push_->load(std::memory_order_relaxed),
+        size_->store(other.size_->load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
     }
     FrontierQueue& operator=(FrontierQueue&& other) noexcept {
         slots_ = std::move(other.slots_);
-        push_->store(other.push_->load(std::memory_order_relaxed),
+        size_->store(other.size_->load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
         return *this;
     }
 
-    /// Producer: appends `count` vertices. Safe from any thread.
-    void push_batch(const vertex_t* items, std::size_t count) noexcept {
-        const std::size_t base = push_->fetch_add(count, std::memory_order_acq_rel);
-        std::memcpy(slots_.data() + base, items, count * sizeof(vertex_t));
+    /// Appends one vertex: the root seed, single-threaded, before the
+    /// workers start.
+    void push_one(vertex_t v) noexcept {
+        const std::size_t n = size();
+        slots_[n] = v;
+        set_size(n + 1);
     }
-
-    /// Producer: appends one vertex (the unbatched path of Algorithm 1).
-    void push_one(vertex_t v) noexcept { push_batch(&v, 1); }
 
     [[nodiscard]] const vertex_t* data() const noexcept { return slots_.data(); }
     [[nodiscard]] vertex_t operator[](std::size_t i) const noexcept {
@@ -60,36 +58,32 @@ class FrontierQueue {
     /// each socket's workers fault in their own slice of the queue pages.
     [[nodiscard]] vertex_t* slots_mut() noexcept { return slots_.data(); }
 
-    /// Number of vertices enqueued. Exact once producers are quiescent.
+    /// Number of vertices enqueued (the last published size).
     [[nodiscard]] std::size_t size() const noexcept {
-        return push_->load(std::memory_order_acquire);
+        return size_->load(std::memory_order_acquire);
     }
-
-    [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
 
     /// Publishes the queue's size after an externally-synchronised
     /// compact fill (FrontierCompactor: workers memcpy disjoint segments
     /// into slots_mut(), a barrier quiesces them, then one thread
     /// publishes the total). Release pairs with size()'s acquire so
-    /// scanners see the filled slots. Not for concurrent producers —
-    /// that is what push_batch's reservation is for.
+    /// scanners see the filled slots.
     void set_size(std::size_t count) noexcept {
-        push_->store(count, std::memory_order_release);
+        size_->store(count, std::memory_order_release);
     }
 
     /// Empties the queue for the next level. Not thread-safe; call
     /// between barriers.
-    void reset() noexcept { push_->store(0, std::memory_order_relaxed); }
+    void reset() noexcept { size_->store(0, std::memory_order_relaxed); }
 
   private:
     AlignedBuffer<vertex_t> slots_;
-    CachePadded<std::atomic<std::size_t>> push_{};
+    CachePadded<std::atomic<std::size_t>> size_{};
 };
 
-/// Local staging buffer a worker fills before paying one atomic
-/// reservation (FrontierQueue) or one lock acquisition (Channel) — the
-/// batching optimization of Section III. Capacity is a runtime knob
-/// (BfsOptions::batch_size).
+/// Local staging buffer a worker fills before paying one lock
+/// acquisition (Channel) — the batching optimization of Section III.
+/// Capacity is a runtime knob (BfsOptions::batch_size).
 template <typename T>
 class LocalBatch {
   public:

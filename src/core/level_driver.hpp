@@ -1,13 +1,14 @@
 #pragma once
 
-// The level-synchronous skeleton shared by the parallel engines
-// (docs/ALGORITHMS.md "Memory model groundwork"). Internal: include only
-// from src/core/*.cpp.
+// The level-synchronous skeleton shared by the parallel engines and
+// MS-BFS (docs/ALGORITHMS.md "Memory model groundwork"). Internal:
+// include only from src/core/*.cpp.
 
 #include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "concurrency/spin_barrier.hpp"
 #include "concurrency/thread_team.hpp"
@@ -34,9 +35,18 @@ struct LevelCtx {
     std::size_t staged = 0;  // discoveries written to `out` this level
     ThreadCounters counters;
 
-    /// Barrier arrival (timed into the level's slot when stats are on).
-    /// False when the run was aborted: the caller must return at once.
-    bool wait() { return timed_wait(barrier, slot, timed); }
+    /// Barrier arrival, timed into the level's slot when stats are on
+    /// (the load-imbalance signal: how long this worker idled for
+    /// stragglers). False when the run was aborted: the caller must
+    /// return at once.
+    bool wait() {
+        if (!kCounted<LevelCounter::barrier_wait_ns> || !timed)
+            return barrier.arrive_and_wait();
+        WallTimer timer;
+        const bool ok = barrier.arrive_and_wait();
+        slot.add<LevelCounter::barrier_wait_ns>(timer.nanoseconds());
+        return ok;
+    }
 
     /// Records a claim of `v` from parent `u` that this worker won.
     void settle(vertex_t v, vertex_t u) noexcept {
@@ -70,16 +80,35 @@ inline bool double_checked_claim(VersionedBitmap& visited, vertex_t v,
     return !visited.test_and_set(v);
 }
 
-/// Runs one BFS from `root` over `g` as levels separated by barriers, on
-/// `team` and the workspace prepare()d for this engine. The driver owns
-/// everything the parallel engines do identically: root check and result
-/// reset, the barrier and progress block, level slots and timing, thread
-/// spans, the watchdog, the once-per-level cancel poll, the compact
-/// copy-out, the unreached-sentinel fill, the allocation-free check and
-/// the epilogue. `step` supplies the rest, resolved at compile time:
+/// Where a level loop writes: the settle targets LevelCtx hands the
+/// step (null when the step settles no parents) and, with
+/// collect_stats, the per-level counters (then required) and the
+/// thread spans (null: none recorded).
+struct LevelSinks {
+    vertex_t* parent = nullptr;
+    level_t* level = nullptr;
+    std::vector<BfsLevelStats>* level_stats = nullptr;
+    std::vector<BfsThreadSpan>* spans = nullptr;
+};
+
+/// What a finished level loop reports.
+struct LevelRun {
+    std::uint32_t levels = 0;   ///< levels run, the last one empty
+    std::uint64_t visited = 0;  ///< the seed plus Σ end_level()
+    std::uint64_t edges = 0;    ///< Σ edges_scanned
+    double seconds = 0.0;       ///< the team's wall time
+};
+
+/// The level loop of every parallel traversal: runs `step` as levels
+/// separated by barriers on `team` and the workspace prepared for it,
+/// from a level 0 of `seeded` vertices the caller already claimed. The
+/// loop owns what every traversal does identically: the barrier and
+/// progress block, level slots and timing, thread spans, the watchdog,
+/// the once-per-level cancel poll, the compact copy-out, the
+/// allocation-free check and the epilogue. `finish(tid)` runs on every
+/// worker once the last level is done. `step` supplies the rest,
+/// resolved at compile time:
 ///
-///   void seed(vertex_t root)        claim `root` and plan level 0 (caller
-///                                   thread, before the team starts)
 ///   bool compacts() const           this level's discoveries go through
 ///                                   the compactor (read by every worker
 ///                                   at the top of the level)
@@ -92,49 +121,34 @@ inline bool double_checked_claim(VersionedBitmap& visited, vertex_t v,
 ///   void plan_next()                thread 0: schedule the next level
 ///   bool convert(LevelCtx&)         every worker, between levels: change
 ///                                   the frontier's representation
-///   bool visited(std::size_t v)     the unreached-sentinel test
-///   std::uint64_t edges_traversed(std::uint64_t scanned)
-///                                   the run's `ma`, given Σ edges_scanned
 ///   std::string diagnose() const    watchdog snapshot (atomic reads only)
 ///
 /// A level costs three barriers (scan, copy-out, bookkeeping) plus any the
 /// step's scan or convert adds; a level that does not compact skips the
-/// copy-out's.
-template <class Graph, class Step>
-void run_levels(const Graph& g, vertex_t root, const char* name,
-                const BfsOptions& options, ThreadTeam& team, BfsWorkspace& ws,
-                BfsResult& result, Step& step) {
-    check_root(g, root);
-    const vertex_t n = g.num_vertices();
+/// copy-out's. Throws BfsDeadlineError when the watchdog or the cancel
+/// token ended the run.
+template <class Step, class Finish>
+LevelRun run_levels(const char* name, const BfsOptions& options,
+                    ThreadTeam& team, BfsWorkspace& ws, Step& step,
+                    std::uint64_t seeded, const LevelSinks& sinks,
+                    const Finish& finish) {
     const int threads = team.size();
-    const SocketPartition partition(n, team.sockets_used());
-    reset_result(result, n, options.compute_levels);
-    vertex_t* const parent = result.parent.data();
-    level_t* const level = options.compute_levels ? result.level.data() : nullptr;
-
     SpinBarrier barrier(threads);
     FrontierCompactor& fc = ws.compactor;
     LevelAccumLog& stats = ws.accum;
     const bool collect = options.collect_stats;
-    SpanRecorder spans(threads, collect);
+    SpanRecorder spans(threads, collect && sinks.spans != nullptr);
 
     // Written by thread 0 between barriers; the atomics let the watchdog
     // snapshot progress mid-run.
     struct Shared {
-        std::atomic<std::uint64_t> visited{1};
+        std::atomic<std::uint64_t> visited;
         std::atomic<std::uint32_t> levels_run{0};
         std::uint64_t edges = 0;
         bool done = false;
         bool cancelled = false;
-    } shared;
-
-    // No init pass: the workspace's epoch bumps already cleared the
-    // visited state, and unreached parent/level slots are filled after
-    // the traversal. team.run publishes the seed to every worker.
-    step.seed(root);
-    parent[root] = root;
-    if (level != nullptr) level[root] = 0;
-    acquire_level_slot(stats, 0).set<LevelCounter::frontier_size>(1);
+    } shared{seeded};
+    acquire_level_slot(stats, 0).set<LevelCounter::frontier_size>(seeded);
 
     LevelWatchdog watchdog(resolve_watchdog_seconds(options), barrier, [&] {
         return "level=" +
@@ -150,15 +164,17 @@ void run_levels(const Graph& g, vertex_t root, const char* name,
         // must not trip this worker's check.
         [[maybe_unused]] const std::uint64_t allocs_before =
             thread_aligned_alloc_count();
-        vertex_t* const out = fc.buffer(tid);
         WallTimer level_timer;  // thread 0 stamps per-level wall time
         for (level_t depth = 0;; ++depth) {
             const std::uint64_t span_start = spans.now(timer);
+            // Only a compacting level takes a compactor buffer: a
+            // workspace prepared for MS-BFS alone has none.
+            const bool compacts = step.compacts();
             // Deque slots never relocate, so the reference stays valid
             // across thread 0's acquire of the next slot.
             LevelCtx lv{tid, depth, stats[depth], barrier, collect,
-                        parent, level, out, 0, {}};
-            const bool compacts = step.compacts();
+                        sinks.parent, sinks.level,
+                        compacts ? fc.buffer(tid) : nullptr, 0, {}};
             if (!step.scan(lv)) return;
             if (compacts) fc.publish(tid, lv.staged);
             lv.counters.flush_into(lv.slot);
@@ -195,35 +211,73 @@ void run_levels(const Graph& g, vertex_t root, const char* name,
             if (shared.done) break;
             if (!step.convert(lv)) return;
         }
-
-        // Unreached sentinels for this worker's share of its socket's
-        // slice (writes only the slots no winner claimed).
-        const int my = team.socket_of(tid);
-        const auto [lo, hi] = partition.range(my);
-        const auto [b, e] = split_range(
-            hi - lo, ws.socket_threads[static_cast<std::size_t>(my)],
-            ws.rank_in_socket[static_cast<std::size_t>(tid)]);
-        fill_unreached(lo + b, lo + e, parent, level,
-                       [&](std::size_t v) { return step.visited(v); });
+        finish(tid);
 
         // A prepared workspace makes the traversal allocation-free.
         assert(thread_aligned_alloc_count() == allocs_before);
     }, &barrier);
 
-    const std::uint32_t levels = shared.levels_run.load(std::memory_order_relaxed);
-    const std::uint64_t visited = shared.visited.load(std::memory_order_relaxed);
-    finish_watchdog(watchdog, name, levels, visited);
-    if (shared.cancelled) throw_cancelled(name, levels, visited);
-    result.seconds = timer.seconds();
-    spans.collect_into(result);
-    result.vertices_visited = visited;
-    result.edges_traversed = step.edges_traversed(shared.edges);
-    result.num_levels = levels;
-    if (collect) copy_level_stats(result.level_stats, stats, levels);
+    const LevelRun run{shared.levels_run.load(std::memory_order_relaxed),
+                       shared.visited.load(std::memory_order_relaxed),
+                       shared.edges, timer.seconds()};
+    finish_watchdog(watchdog, name, run.levels, run.visited);
+    if (shared.cancelled) throw_cancelled(name, run.levels, run.visited);
+    if (sinks.spans != nullptr) spans.collect_into(*sinks.spans);
+    if (collect) copy_level_stats(*sinks.level_stats, stats, run.levels);
+    return run;
 }
 
-// The engines: each builds its step and hands it to run_levels. Defined
-// (and instantiated for the three graph backends) in bfs_<engine>.cpp.
+/// One BFS from `root` into `result`: the single-source layer over
+/// run_levels. It checks the root, resets the result, seeds the root,
+/// fills the unreached sentinels after the last level and reports the
+/// run's `ma`. `step` adds three hooks to run_levels':
+///
+///   void seed(vertex_t root)        claim `root` and plan level 0 (caller
+///                                   thread, before the team starts)
+///   bool visited(std::size_t v)     the unreached-sentinel test
+///   std::uint64_t edges_traversed(std::uint64_t scanned)
+///                                   the run's `ma`, given Σ edges_scanned
+template <class Graph, class Step>
+void run_single_source(const Graph& g, vertex_t root, const char* name,
+                       const BfsOptions& options, ThreadTeam& team,
+                       BfsWorkspace& ws, BfsResult& result, Step& step) {
+    check_root(g, root);
+    const vertex_t n = g.num_vertices();
+    const SocketPartition partition(n, team.sockets_used());
+    reset_result(result, n, options.compute_levels);
+    vertex_t* const parent = result.parent.data();
+    level_t* const level = options.compute_levels ? result.level.data() : nullptr;
+
+    // No init pass: the workspace's epoch bumps already cleared the
+    // visited state, and unreached parent/level slots are filled after
+    // the traversal. team.run publishes the seed to every worker.
+    step.seed(root);
+    parent[root] = root;
+    if (level != nullptr) level[root] = 0;
+
+    const LevelRun run = run_levels(
+        name, options, team, ws, step, 1,
+        {parent, level, &result.level_stats, &result.thread_spans},
+        [&](int tid) {
+            // Unreached sentinels for this worker's share of its
+            // socket's slice (writes only the slots no winner claimed).
+            const int my = team.socket_of(tid);
+            const auto [lo, hi] = partition.range(my);
+            const auto [b, e] = split_range(
+                hi - lo, ws.socket_threads[static_cast<std::size_t>(my)],
+                ws.rank_in_socket[static_cast<std::size_t>(tid)]);
+            fill_unreached(lo + b, lo + e, parent, level,
+                           [&](std::size_t v) { return step.visited(v); });
+        });
+    result.seconds = run.seconds;
+    result.vertices_visited = run.visited;
+    result.edges_traversed = step.edges_traversed(run.edges);
+    result.num_levels = run.levels;
+}
+
+// The engines: each builds its step and hands it to run_single_source.
+// Defined (and instantiated for the three graph backends) in
+// bfs_<engine>.cpp.
 
 /// Algorithm 1 (bfs_naive.cpp).
 template <class Graph>

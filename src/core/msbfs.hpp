@@ -20,6 +20,8 @@ class BfsWorkspace;
 /// sources[i] first reaches `v` at distance `level`. May be called
 /// concurrently from different workers (distinct vertices); `tid`
 /// identifies the worker so callers can keep per-thread accumulators.
+/// Level 0 (the sources) is reported from the calling thread as tid 0,
+/// before the workers start.
 using MsBfsVisitor =
     std::function<void(int tid, level_t level, vertex_t v, std::uint64_t mask)>;
 
@@ -33,9 +35,9 @@ struct MsBfsOptions {
     ThreadTeam* team = nullptr;
 
     /// Reuse a BfsRunner-owned workspace's MS-BFS lane buffers and
-    /// dense-scan plan across calls (prepare_ms). Requires `team` (the
+    /// [0, n) plan across calls (prepare_ms). Requires `team` (the
     /// buffers are first-touched/placed for that team's pinning). When
-    /// null, per-call buffers are allocated as before.
+    /// null, each call prepares a workspace of its own.
     BfsWorkspace* workspace = nullptr;
 
     /// Collect per-level counters into *level_stats. frontier_size
@@ -51,9 +53,12 @@ struct MsBfsOptions {
     /// Optional cooperative cancellation (not owned; must outlive the
     /// call). Thread 0 polls once per level; a fired token ends the wave
     /// at the next level barrier and multi_source_bfs throws
-    /// BfsDeadlineError with cancelled() == true. All lanes stop
-    /// together — the service maps a cancelled wave back onto its member
-    /// requests (expired members are cancelled, the rest retried).
+    /// BfsDeadlineError with cancelled() == true, whose
+    /// vertices_settled() counts the visitor calls made so far, sources
+    /// included. All lanes stop together — the service maps a cancelled
+    /// wave back onto its member requests (expired members are
+    /// cancelled, the rest retried). Waves also honour the
+    /// SGE_BFS_WATCHDOG_MS deadline, as bfs() does.
     CancelToken* cancel = nullptr;
 };
 

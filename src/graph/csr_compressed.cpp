@@ -6,33 +6,50 @@
 
 namespace sge {
 
+namespace varint {
+
 namespace {
 
-/// Bounds-checked decode for untrusted blobs: refuses to read past
-/// `end`, refuses values wider than the 64-bit accumulator. Returns
-/// nullptr on malformed input. The hot path uses the unchecked
-/// varint::decode_u64 instead — this runs once, in well_formed().
+/// One value of at most kMaxBytes that ends before `end`, or nullptr.
 const std::uint8_t* checked_decode_u64(const std::uint8_t* p,
                                        const std::uint8_t* end,
                                        std::uint64_t& value) noexcept {
     std::uint64_t v = 0;
-    unsigned shift = 0;
-    while (p != end) {
+    for (unsigned shift = 0; shift < 7 * kMaxBytes && p != end; shift += 7) {
         const std::uint8_t byte = *p++;
-        if (shift >= 64 || (shift == 63 && (byte & 0x7eu) != 0)) {
-            return nullptr;  // overflows 64 bits
-        }
         v |= static_cast<std::uint64_t>(byte & 0x7fu) << shift;
         if ((byte & 0x80u) == 0) {
             value = v;
             return p;
         }
-        shift += 7;
     }
-    return nullptr;  // ran off the row without a terminating byte
+    return nullptr;
 }
 
 }  // namespace
+
+bool row_well_formed(const std::uint8_t* p, const std::uint8_t* end,
+                     vertex_t v, vertex_t deg, vertex_t n) noexcept {
+    std::uint64_t prev = 0;
+    for (vertex_t i = 0; i < deg; ++i) {
+        std::uint64_t u = 0;
+        p = checked_decode_u64(p, end, u);
+        if (p == nullptr) return false;
+        if (i == 0) {
+            const std::int64_t first =
+                static_cast<std::int64_t>(v) + zigzag_decode(u);
+            if (first < 0 || first >= static_cast<std::int64_t>(n))
+                return false;
+            prev = static_cast<std::uint64_t>(first);
+        } else {
+            if (u >= n - prev) return false;  // would leave [0, n)
+            prev += u;  // gaps are non-negative: sortedness is implicit
+        }
+    }
+    return p == end;  // the row must consume exactly its bytes
+}
+
+}  // namespace varint
 
 CompressedCsrGraph::CompressedCsrGraph(AlignedBuffer<edge_offset_t> byte_offsets,
                                        AlignedBuffer<vertex_t> degrees,
@@ -59,29 +76,11 @@ bool CompressedCsrGraph::well_formed() const noexcept {
         degree_sum += degrees_[v];
     }
     if (degree_sum != num_edges_) return false;
-    for (vertex_t v = 0; v < n; ++v) {
-        const std::uint8_t* p = blob_.data() + byte_offsets_[v];
-        const std::uint8_t* const end = blob_.data() + byte_offsets_[v + 1];
-        const vertex_t deg = degrees_[v];
-        if (deg == 0) {
-            if (p != end) return false;
-            continue;
-        }
-        std::uint64_t u = 0;
-        p = checked_decode_u64(p, end, u);
-        if (p == nullptr) return false;
-        const std::int64_t first =
-            static_cast<std::int64_t>(v) + varint::zigzag_decode(u);
-        if (first < 0 || first >= static_cast<std::int64_t>(n)) return false;
-        std::uint64_t prev = static_cast<std::uint64_t>(first);
-        for (vertex_t i = 1; i < deg; ++i) {
-            p = checked_decode_u64(p, end, u);
-            if (p == nullptr) return false;
-            prev += u;  // gaps are non-negative, so sortedness is implicit
-            if (prev >= n) return false;
-        }
-        if (p != end) return false;  // row must consume exactly its bytes
-    }
+    for (vertex_t v = 0; v < n; ++v)
+        if (!varint::row_well_formed(blob_.data() + byte_offsets_[v],
+                                     blob_.data() + byte_offsets_[v + 1], v,
+                                     degrees_[v], n))
+            return false;
     return true;
 }
 

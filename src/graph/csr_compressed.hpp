@@ -7,15 +7,14 @@
 #include "graph/csr_graph.hpp"
 #include "graph/types.hpp"
 #include "runtime/aligned_buffer.hpp"
-#include "runtime/cacheline.hpp"
 #include "runtime/prefetch.hpp"
 
 namespace sge {
 
 /// LEB128-style variable-length integers (7 payload bits per byte, high
 /// bit = continuation), little-endian groups — the codec behind
-/// CompressedCsrGraph. Kept header-inline: decode_u64 is the innermost
-/// loop of every compressed adjacency scan.
+/// CompressedCsrGraph and the paged varint payload. Kept header-inline:
+/// decode_row is the innermost loop of every compressed adjacency scan.
 namespace varint {
 
 /// Worst case for one encoded value here: the zig-zagged first delta
@@ -44,11 +43,7 @@ inline std::size_t encode_u64(std::uint64_t value, std::uint8_t* out) noexcept {
     return bytes;
 }
 
-/// Unchecked decode of one value; returns the advanced cursor. The
-/// caller guarantees a complete value is present — csr_compress wrote
-/// the blob, or well_formed() validated an untrusted file before any
-/// engine scans it (mirrors plain CSR, where neighbors() indexes
-/// unchecked after the reader's validation).
+/// Unchecked decode of one value; returns the advanced cursor.
 inline const std::uint8_t* decode_u64(const std::uint8_t* p,
                                       std::uint64_t& value) noexcept {
     std::uint8_t byte = *p++;
@@ -76,6 +71,39 @@ inline const std::uint8_t* decode_u64(const std::uint8_t* p,
     return static_cast<std::int64_t>(u >> 1) ^
            -static_cast<std::int64_t>(u & 1);
 }
+
+/// Unchecked decode of vertex `v`'s row of `deg` ids at `p` (the row
+/// format: the zig-zag delta of the first id from v, then the gaps
+/// between ascending ids), calling `fn(w)` per id in order. An `fn`
+/// returning bool stops the decode at its first false. Returns the bytes
+/// consumed, up to and including the stopping id. The caller guarantees
+/// a well-formed row — csr_compress wrote it, or row_well_formed passed
+/// it (mirrors plain CSR, whose spans index unchecked after the reader's
+/// validation).
+template <class Fn>
+inline std::size_t decode_row(const std::uint8_t* p, vertex_t v, vertex_t deg,
+                              Fn&& fn) noexcept {
+    if (deg == 0) return 0;
+    const std::uint8_t* const start = p;
+    std::uint64_t u = 0;
+    p = decode_u64(p, u);
+    auto w = static_cast<vertex_t>(static_cast<std::int64_t>(v) +
+                                   zigzag_decode(u));
+    for (vertex_t i = 1; detail::keep_scanning(fn, w) && i < deg; ++i) {
+        p = decode_u64(p, u);
+        w = static_cast<vertex_t>(w + u);
+    }
+    return static_cast<std::size_t>(p - start);
+}
+
+/// Bounds-checked validation of an untrusted row in [p, end): vertex
+/// `v`'s `deg` ids in a graph of `n` vertices. Rejects a value longer
+/// than kMaxBytes or running past `end`, a first id outside [0, n), a
+/// gap >= n - prev (so no sum wraps and every id stays below n), and
+/// bytes left over. Once it holds, decode_row on the row is safe.
+[[nodiscard]] bool row_well_formed(const std::uint8_t* p,
+                                   const std::uint8_t* end, vertex_t v,
+                                   vertex_t deg, vertex_t n) noexcept;
 
 }  // namespace varint
 
@@ -144,93 +172,15 @@ class CompressedCsrGraph {
                                         byte_offsets_[v]);
     }
 
-    /// Decodes v's full adjacency, calling `fn(w)` per neighbour in
-    /// storage (ascending) order. Returns the blob bytes consumed — the
-    /// bytes_decoded observability feed.
+    /// Decodes v's adjacency, calling `fn(w)` per neighbour in storage
+    /// (ascending) order; an `fn` returning bool stops at its first
+    /// false (the bottom-up probe's early exit). Returns the blob bytes
+    /// consumed up to the stop — the bytes_decoded observability feed.
     template <class Fn>
     std::size_t neighbors_for_each(vertex_t v, Fn&& fn) const noexcept {
-        const vertex_t deg = degrees_[v];
-        if (deg == 0) return 0;
-        const std::uint8_t* p = blob_.data() + byte_offsets_[v];
-        const std::uint8_t* const start = p;
-        std::uint64_t u = 0;
-        p = varint::decode_u64(p, u);
-        auto prev = static_cast<vertex_t>(static_cast<std::int64_t>(v) +
-                                          varint::zigzag_decode(u));
-        fn(prev);
-        for (vertex_t i = 1; i < deg; ++i) {
-            p = varint::decode_u64(p, u);
-            prev = static_cast<vertex_t>(prev + u);
-            fn(prev);
-        }
-        return static_cast<std::size_t>(p - start);
+        return varint::decode_row(blob_.data() + byte_offsets_[v], v,
+                                  degrees_[v], fn);
     }
-
-    /// Early-exit variant for the bottom-up probe: `fn(w)` returns true
-    /// to continue, false to stop. Returns the bytes consumed up to and
-    /// including the stopping neighbour — the early exit's savings show
-    /// up as fewer bytes decoded, exactly like the plain backend's
-    /// shorter span walk.
-    template <class Fn>
-    std::size_t neighbors_for_each_until(vertex_t v, Fn&& fn) const noexcept {
-        const vertex_t deg = degrees_[v];
-        if (deg == 0) return 0;
-        const std::uint8_t* p = blob_.data() + byte_offsets_[v];
-        const std::uint8_t* const start = p;
-        std::uint64_t u = 0;
-        p = varint::decode_u64(p, u);
-        auto prev = static_cast<vertex_t>(static_cast<std::int64_t>(v) +
-                                          varint::zigzag_decode(u));
-        if (fn(prev)) {
-            for (vertex_t i = 1; i < deg; ++i) {
-                p = varint::decode_u64(p, u);
-                prev = static_cast<vertex_t>(prev + u);
-                if (!fn(prev)) break;
-            }
-        }
-        return static_cast<std::size_t>(p - start);
-    }
-
-    /// Run-buffered iterator: each next_run() decodes up to one cache
-    /// line of vertex_t ids (16) into an internal buffer and returns
-    /// them as a span — for consumers that want slices instead of
-    /// per-neighbour callbacks. An empty span means the adjacency is
-    /// exhausted.
-    class Cursor {
-      public:
-        static constexpr std::size_t kRunLength =
-            kCacheLineSize / sizeof(vertex_t);
-
-        Cursor(const CompressedCsrGraph& g, vertex_t v) noexcept
-            : p_(g.blob().data() + g.offsets()[v]),
-              remaining_(static_cast<vertex_t>(g.degree(v))),
-              prev_(v),
-              first_(true) {}
-
-        [[nodiscard]] std::span<const vertex_t> next_run() noexcept {
-            std::size_t k = 0;
-            while (k < kRunLength && remaining_ != 0) {
-                std::uint64_t u = 0;
-                p_ = varint::decode_u64(p_, u);
-                prev_ = first_
-                            ? static_cast<vertex_t>(
-                                  static_cast<std::int64_t>(prev_) +
-                                  varint::zigzag_decode(u))
-                            : static_cast<vertex_t>(prev_ + u);
-                first_ = false;
-                buf_[k++] = prev_;
-                --remaining_;
-            }
-            return {buf_, k};
-        }
-
-      private:
-        const std::uint8_t* p_;
-        vertex_t remaining_;
-        vertex_t prev_;
-        bool first_;
-        vertex_t buf_[kRunLength];
-    };
 
     /// Prefetches the adjacency metadata a scan of `v` reads first —
     /// the CompressedCsrGraph counterpart of prefetching a plain CSR
@@ -272,7 +222,7 @@ class CompressedCsrGraph {
 
     /// Structural checks on an untrusted instance (the binary reader's
     /// gate): monotone byte offsets bounded by the blob, degree sum ==
-    /// num_edges(), and a full bounds-checked decode — every run must
+    /// num_edges(), and varint::row_well_formed on every row — each must
     /// consume exactly its byte range and yield sorted in-range ids.
     /// After this returns true the unchecked hot-path decode is safe.
     [[nodiscard]] bool well_formed() const noexcept;

@@ -2,12 +2,29 @@
 
 #include <cstddef>
 #include <span>
+#include <type_traits>
 
 #include "graph/types.hpp"
 #include "runtime/aligned_buffer.hpp"
 #include "runtime/prefetch.hpp"
 
 namespace sge {
+
+namespace detail {
+
+/// Calls a neighbour scan's `fn(w)`; false only when `fn` returns bool
+/// false, which stops the scan (the bottom-up probe's early exit).
+template <class Fn>
+inline bool keep_scanning(Fn& fn, vertex_t w) {
+    if constexpr (std::is_same_v<std::invoke_result_t<Fn&, vertex_t>, bool>) {
+        return fn(w);
+    } else {
+        fn(w);
+        return true;
+    }
+}
+
+}  // namespace detail
 
 /// Immutable Compressed Sparse Row graph — the paper's data layout.
 ///
@@ -73,27 +90,16 @@ class CsrGraph {
                 static_cast<std::size_t>(offsets_[v + 1] - offsets_[v])};
     }
 
-    /// Calls `fn(w)` for every neighbour of `v` in storage order.
-    /// Returns the adjacency bytes touched (degree * sizeof(vertex_t))
-    /// — the same contract as CompressedCsrGraph::neighbors_for_each,
-    /// so accessor-generic code can account streamed volume uniformly.
+    /// Calls `fn(w)` for every neighbour of `v` in storage order; an
+    /// `fn` returning bool stops at its first false. Returns the
+    /// adjacency bytes touched up to the stop (4 per neighbour) — the
+    /// same contract as the other backends' neighbors_for_each, so
+    /// accessor-generic code can account streamed volume uniformly.
     template <class Fn>
     std::size_t neighbors_for_each(vertex_t v, Fn&& fn) const noexcept {
         const auto adj = neighbors(v);
-        for (const vertex_t w : adj) fn(w);
-        return adj.size() * sizeof(vertex_t);
-    }
-
-    /// Early-exit variant: `fn(w)` returns true to continue, false to
-    /// stop. Returns the bytes touched up to and including the stopping
-    /// element.
-    template <class Fn>
-    std::size_t neighbors_for_each_until(vertex_t v, Fn&& fn) const noexcept {
-        const auto adj = neighbors(v);
         std::size_t i = 0;
-        while (i < adj.size()) {
-            ++i;
-            if (!fn(adj[i - 1])) break;
+        while (i < adj.size() && detail::keep_scanning(fn, adj[i++])) {
         }
         return i * sizeof(vertex_t);
     }

@@ -59,24 +59,6 @@ void read_raw(std::ifstream& in, void* p, std::size_t bytes,
         fail("open_paged_graph", "truncated manifest", path);
 }
 
-/// Bounds-checked varint decode for untrusted payload validation (the
-/// hot-path decode in the header trusts well_formed()'s pass).
-bool decode_u64_checked(const std::uint8_t*& p, const std::uint8_t* end,
-                        std::uint64_t& value) noexcept {
-    std::uint64_t v = 0;
-    unsigned shift = 0;
-    while (p < end && shift < 64) {
-        const std::uint8_t byte = *p++;
-        v |= static_cast<std::uint64_t>(byte & 0x7fu) << shift;
-        shift += 7;
-        if ((byte & 0x80u) == 0) {
-            value = v;
-            return true;
-        }
-    }
-    return false;
-}
-
 /// Writes the manifest + stripe files for prebuilt arrays. The payload
 /// kind only matters to readers; here it is an opaque byte stream.
 void write_paged_container(const std::string& path, PagedPayload kind,
@@ -399,30 +381,13 @@ bool PagedGraph::well_formed() const noexcept {
         return true;
     }
 
-    // Varint payload: every run must decode within exactly its byte
-    // range to sorted, in-range ids — mirrors
-    // CompressedCsrGraph::well_formed.
-    for (std::size_t v = 0; v < n; ++v) {
-        const vertex_t deg = degrees_[v];
-        const std::uint8_t* p = payload_ + byte_offsets_[v];
-        const std::uint8_t* const end = payload_ + byte_offsets_[v + 1];
-        if (deg == 0) {
-            if (p != end) return false;
-            continue;
-        }
-        std::uint64_t u = 0;
-        if (!decode_u64_checked(p, end, u)) return false;
-        const std::int64_t first =
-            static_cast<std::int64_t>(v) + varint::zigzag_decode(u);
-        if (first < 0 || first >= static_cast<std::int64_t>(n)) return false;
-        std::uint64_t prev = static_cast<std::uint64_t>(first);
-        for (vertex_t i = 1; i < deg; ++i) {
-            if (!decode_u64_checked(p, end, u)) return false;
-            prev += u;
-            if (prev >= n) return false;
-        }
-        if (p != end) return false;
-    }
+    // Varint payload: the codec's one bounds-checked row validation.
+    for (std::size_t v = 0; v < n; ++v)
+        if (!varint::row_well_formed(payload_ + byte_offsets_[v],
+                                     payload_ + byte_offsets_[v + 1],
+                                     static_cast<vertex_t>(v), degrees_[v],
+                                     static_cast<vertex_t>(n)))
+            return false;
     return true;
 }
 

@@ -142,63 +142,22 @@ class PagedGraph {
                                         byte_offsets_[v]);
     }
 
-    /// Scans v's full adjacency, `fn(w)` per neighbour in storage
-    /// (ascending) order. Returns the payload bytes consumed — the
-    /// bytes_decoded feed, here literally "bytes from the mapping".
+    /// Scans v's adjacency, `fn(w)` per neighbour in storage (ascending)
+    /// order; an `fn` returning bool stops at its first false. Returns
+    /// the payload bytes consumed up to the stop — the bytes_decoded
+    /// feed, here literally "bytes from the mapping".
     template <class Fn>
     std::size_t neighbors_for_each(vertex_t v, Fn&& fn) const noexcept {
         const vertex_t deg = degrees_[v];
         if (deg == 0) return 0;
         const std::uint8_t* p = payload_ + byte_offsets_[v];
-        if (payload_kind_ == PagedPayload::kPlainTargets) {
-            const auto* adj = reinterpret_cast<const vertex_t*>(p);
-            for (vertex_t i = 0; i < deg; ++i) fn(adj[i]);
-            return static_cast<std::size_t>(deg) * sizeof(vertex_t);
+        if (payload_kind_ == PagedPayload::kVarintBlob)
+            return varint::decode_row(p, v, deg, fn);
+        const auto* adj = reinterpret_cast<const vertex_t*>(p);
+        vertex_t i = 0;
+        while (i < deg && detail::keep_scanning(fn, adj[i++])) {
         }
-        const std::uint8_t* const start = p;
-        std::uint64_t u = 0;
-        p = varint::decode_u64(p, u);
-        auto prev = static_cast<vertex_t>(static_cast<std::int64_t>(v) +
-                                          varint::zigzag_decode(u));
-        fn(prev);
-        for (vertex_t i = 1; i < deg; ++i) {
-            p = varint::decode_u64(p, u);
-            prev = static_cast<vertex_t>(prev + u);
-            fn(prev);
-        }
-        return static_cast<std::size_t>(p - start);
-    }
-
-    /// Early-exit variant for the bottom-up probe: `fn(w)` returns true
-    /// to continue, false to stop. Returns the bytes consumed up to and
-    /// including the stopping neighbour.
-    template <class Fn>
-    std::size_t neighbors_for_each_until(vertex_t v, Fn&& fn) const noexcept {
-        const vertex_t deg = degrees_[v];
-        if (deg == 0) return 0;
-        const std::uint8_t* p = payload_ + byte_offsets_[v];
-        if (payload_kind_ == PagedPayload::kPlainTargets) {
-            const auto* adj = reinterpret_cast<const vertex_t*>(p);
-            vertex_t i = 0;
-            while (i < deg) {
-                ++i;
-                if (!fn(adj[i - 1])) break;
-            }
-            return static_cast<std::size_t>(i) * sizeof(vertex_t);
-        }
-        const std::uint8_t* const start = p;
-        std::uint64_t u = 0;
-        p = varint::decode_u64(p, u);
-        auto prev = static_cast<vertex_t>(static_cast<std::int64_t>(v) +
-                                          varint::zigzag_decode(u));
-        if (fn(prev)) {
-            for (vertex_t i = 1; i < deg; ++i) {
-                p = varint::decode_u64(p, u);
-                prev = static_cast<vertex_t>(prev + u);
-                if (!fn(prev)) break;
-            }
-        }
-        return static_cast<std::size_t>(p - start);
+        return static_cast<std::size_t>(i) * sizeof(vertex_t);
     }
 
     /// Prefetches the *resident* adjacency metadata a scan of `v` reads

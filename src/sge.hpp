@@ -16,7 +16,6 @@
 #include "runtime/topology.hpp"
 
 // concurrency
-#include "concurrency/atomic_bitmap.hpp"
 #include "concurrency/cancel_token.hpp"
 #include "concurrency/channel.hpp"
 #include "concurrency/spin_barrier.hpp"

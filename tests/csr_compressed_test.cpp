@@ -193,7 +193,7 @@ TEST(CompressedCsrRoundTrip, UntilStopsEarlyAndChargesFewerBytes) {
     // Stop after the first neighbour: charged bytes must undercut the
     // full row (the early exit's whole point on the bottom-up probe).
     int calls = 0;
-    const std::size_t stopped = z.neighbors_for_each_until(0, [&](vertex_t) {
+    const std::size_t stopped = z.neighbors_for_each(0, [&](vertex_t) {
         ++calls;
         return false;
     });
@@ -202,31 +202,8 @@ TEST(CompressedCsrRoundTrip, UntilStopsEarlyAndChargesFewerBytes) {
 
     // Never stopping walks the whole row.
     const std::size_t full =
-        z.neighbors_for_each_until(0, [](vertex_t) { return true; });
+        z.neighbors_for_each(0, [](vertex_t) { return true; });
     EXPECT_EQ(full, z.row_bytes(0));
-}
-
-TEST(CompressedCsrRoundTrip, CursorRunsConcatenateToAdjacency) {
-    RmatParams params;
-    params.scale = 10;
-    params.num_edges = 1 << 13;
-    params.seed = 4;
-    const CsrGraph g = csr_from_edges(generate_rmat(params));
-    const CompressedCsrGraph z = csr_compress(g);
-
-    for (vertex_t v = 0; v < g.num_vertices(); ++v) {
-        std::vector<vertex_t> decoded;
-        CompressedCsrGraph::Cursor cursor(z, v);
-        for (auto run = cursor.next_run(); !run.empty();
-             run = cursor.next_run()) {
-            EXPECT_LE(run.size(), CompressedCsrGraph::Cursor::kRunLength);
-            decoded.insert(decoded.end(), run.begin(), run.end());
-        }
-        const auto adj = g.neighbors(v);
-        ASSERT_EQ(decoded.size(), adj.size()) << v;
-        EXPECT_TRUE(std::equal(decoded.begin(), decoded.end(), adj.begin()))
-            << "cursor order differs at " << v;
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -288,6 +265,11 @@ TEST(CompressedCsrValidation, WellFormedRejectsCorruptBlob) {
         EXPECT_FALSE(bad.well_formed()) << "continuation bit at blob[" << i
                                         << "] accepted";
     }
+    // Rows that end in place but hold a value longer than the codec's
+    // kMaxBytes: one wraps a gap past 2^64, one carries bits above it.
+    for (const auto& row : test::kHostileVarintRows)
+        EXPECT_FALSE(test::hostile_varint_graph(row).well_formed())
+            << row.size() << "-byte row accepted";
 }
 
 TEST(CompressedCsrValidation, WellFormedRejectsDegreeMismatch) {

@@ -243,7 +243,7 @@ TEST(SimdScan, MaskHelpersHonourEpochStamps) {
 // levels, and its parents form a valid tree.
 // ---------------------------------------------------------------------
 
-TEST(CompactFrontier, AllEnginesAllSchedulesMatchSerial) {
+TEST(CompactFrontier, AllEnginesMatchSerial) {
     const CsrGraph graphs[] = {skewed_graph(), test::star_graph(257),
                                test::path_graph(200), test::two_cliques(40)};
     const BfsEngine engines[] = {BfsEngine::kNaive, BfsEngine::kBitmap,

@@ -313,11 +313,13 @@ TEST_P(MsBfsFuzz, EveryLaneMatchesSerial) {
         return;
     }
 
-    // A runner's team and workspace: two waves on g, then one on a second
+    // A runner's team and workspace, used as the service uses them: a
+    // wave, a single-source query, a wave on g, then a wave on a second
     // graph with the same vertex count, whose degrees the reused [0, n)
-    // plan must be re-cut from.
+    // plan must be re-cut from. With kHybrid on a stamped graph the
+    // query's bottom-up levels and the waves share that plan.
     BfsOptions bo;
-    bo.engine = BfsEngine::kBitmap;  // parallel, so the runner keeps a team
+    bo.engine = rng.next() & 1 ? BfsEngine::kHybrid : BfsEngine::kBitmap;
     bo.threads = threads;
     bo.topology = topology;
     BfsRunner runner(bo);
@@ -325,8 +327,14 @@ TEST_P(MsBfsFuzz, EveryLaneMatchesSerial) {
     mo.team = runner.team();
     mo.workspace = runner.workspace();
     ASSERT_NE(mo.workspace, nullptr);
+    SCOPED_TRACE("runner=" + to_string(bo.engine));
+    BfsOptions serial;
+    serial.engine = BfsEngine::kSerial;
     with_backend(backend, g, "g", [&](const auto& graph) {
         check_wave(graph, g, draw_sources(rng, n), mo);
+        const auto root = static_cast<vertex_t>(rng.next_below(n));
+        const BfsResult got = runner.run(graph, root);
+        EXPECT_EQ(got.level, bfs(g, root, serial).level) << "root " << root;
         check_wave(graph, g, draw_sources(rng, n), mo);
     });
     UniformParams params;
@@ -339,7 +347,7 @@ TEST_P(MsBfsFuzz, EveryLaneMatchesSerial) {
     });
     WorkQueue fresh(mo.team->size(), detail::team_socket_map(*mo.team));
     detail::plan_vertex_range(fresh, g2);
-    const WorkQueue& used = *mo.workspace->ms_wq;
+    const WorkQueue& used = *mo.workspace->range_wq;
     ASSERT_EQ(used.num_chunks(), fresh.num_chunks());
     for (std::size_t c = 0; c < fresh.num_chunks(); ++c)
         EXPECT_EQ(used.chunk_bounds(c), fresh.chunk_bounds(c))

@@ -279,6 +279,14 @@ TEST_F(PagedGraphTest, RejectsCorruptVarintPayloadViaValidation) {
     oopts.prefetch = false;
     const PagedGraph p = open_paged_graph(path("v.pgr"), oopts);
     EXPECT_FALSE(p.well_formed());
+
+    // Rows whose values end in place but run past the codec's kMaxBytes
+    // (a gap wrapping 2^64, bits above it) fail the same validation.
+    for (const auto& row : test::kHostileVarintRows) {
+        write_paged_graph(test::hostile_varint_graph(row), path("h.pgr"));
+        EXPECT_THROW((void)open_paged_graph(path("h.pgr")), PagedIoError)
+            << row.size() << "-byte row accepted";
+    }
 }
 
 // ---------------------------------------------------------------------

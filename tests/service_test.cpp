@@ -193,6 +193,8 @@ TEST_F(EngineCancelTest, MsBfsWaveStopsAllLanesTogether) {
     } catch (const BfsDeadlineError& e) {
         EXPECT_TRUE(e.cancelled());
         EXPECT_EQ(e.level_reached(), 4u);
+        // Every visitor call so far, the sources' level-0 calls included.
+        EXPECT_EQ(e.vertices_settled(), discoveries.load());
     }
     const std::uint64_t partial = discoveries.load();
     EXPECT_GT(partial, 0u);

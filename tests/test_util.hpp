@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "core/bfs.hpp"
 #include "graph/builder.hpp"
+#include "graph/csr_compressed.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/edge_list.hpp"
 
@@ -33,6 +35,32 @@ inline CsrGraph cycle_graph(vertex_t n) {
     EdgeList edges(n);
     for (vertex_t v = 0; v < n; ++v) edges.add(v, (v + 1) % n);
     return csr_from_edges(edges);
+}
+
+/// Varint rows that decode without running off their bytes yet break
+/// the row format's "sorted, in-range ids", for a 4-vertex graph whose
+/// vertex 0 has degree 2 (first id 2, then one 10-byte gap).
+inline const std::vector<std::vector<std::uint8_t>> kHostileVarintRows = {
+    // The gap wraps 64 bits: the row decodes to [2, 1].
+    {0x04, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
+    // The gap carries bits past 2^64.
+    {0x04, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
+};
+
+/// The 4-vertex graph of kHostileVarintRows around `row`, through the
+/// trusting constructor.
+inline CompressedCsrGraph hostile_varint_graph(
+    const std::vector<std::uint8_t>& row) {
+    AlignedBuffer<edge_offset_t> offsets(5);
+    offsets[0] = 0;
+    for (std::size_t v = 1; v < 5; ++v) offsets[v] = row.size();
+    AlignedBuffer<vertex_t> degrees(4);
+    degrees[0] = 2;
+    for (std::size_t v = 1; v < 4; ++v) degrees[v] = 0;
+    AlignedBuffer<std::uint8_t> blob(row.size());
+    for (std::size_t i = 0; i < row.size(); ++i) blob[i] = row[i];
+    return CompressedCsrGraph(std::move(offsets), std::move(degrees),
+                              std::move(blob));
 }
 
 /// Two disjoint cliques of size k (vertices [0,k) and [k,2k)).

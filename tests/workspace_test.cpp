@@ -84,6 +84,33 @@ TEST(WorkspaceBitmap, WraparoundPhysicallyClears) {
     EXPECT_TRUE(b.test(63));
 }
 
+TEST(WorkspaceBitmap, ExactlyOneWinnerPerBitUnderContention) {
+    // The BFS correctness hinge: when many threads race test_and_set on
+    // the same vertex, exactly one sees "previously clear". The second
+    // round races on words still stamped with the old epoch, so the lazy
+    // reclamations race too.
+    constexpr std::size_t kBits = 4096;
+    constexpr int kThreads = 8;
+    VersionedBitmap bm(kBits);
+    for (int round = 0; round < 2; ++round) {
+        if (round == 1) bm.advance_epoch();  // every word is now stale
+        std::atomic<std::uint64_t> wins{0};
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&] {
+                std::uint64_t local = 0;
+                for (std::size_t i = 0; i < kBits; ++i)
+                    if (!bm.test_and_set(i)) ++local;
+                wins.fetch_add(local);
+            });
+        }
+        for (auto& th : threads) th.join();
+        EXPECT_EQ(wins.load(), kBits) << "round " << round;
+        for (std::size_t i = 0; i < kBits; ++i)
+            ASSERT_TRUE(bm.test(i)) << "round " << round << " slot " << i;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Reuse determinism: the same runner answering many queries must match
 // a fresh runner (and the serial reference semantics) on every query,
