@@ -6,24 +6,29 @@
 
 namespace sge {
 
-/// Cooperative cancellation for traversals — the per-request deadline
-/// mechanism of the query service (service/graph_service.hpp), threaded
-/// through BfsOptions::cancel / MsBfsOptions::cancel.
+/// Cooperative cancellation for traversals — the one way a run ends
+/// early, threaded through BfsOptions::cancel / MsBfsOptions::cancel and
+/// armed per request by the query service (service/graph_service.hpp).
 ///
-/// The engines poll the token exactly once per BFS level, in thread 0's
-/// end-of-level bookkeeping window between the level barriers, so a
-/// fired token stops the traversal within one level barrier: thread 0
-/// marks the run done, every worker exits the level loop at the next
-/// barrier, and the engine throws BfsDeadlineError carrying the partial
-/// progress (level reached, vertices settled). Unlike the watchdog
-/// (engine_common.hpp LevelWatchdog), cancellation never poisons the
-/// barrier or abandons mid-level state, so the workspace is immediately
-/// reusable for the next query — which is what lets the service keep a
-/// prepared arena hot across cancelled requests.
+/// The token is enforced at two points:
+///   * Thread 0 polls it once per BFS level, in its end-of-level
+///     bookkeeping window between the level barriers: a fired token marks
+///     the run done, every worker leaves the level loop at the next
+///     barrier, and the engine throws BfsDeadlineError carrying the
+///     partial progress (level reached, vertices settled). The clean stop.
+///   * The thread that started the run sleeps until the token's
+///     deadline() and, if the run is still going, aborts its barrier
+///     (ThreadTeam::run): a level that stalls — say, in Algorithm 3's
+///     channel drain — ends at its next barrier instead of running on.
+/// Either way the workspace is reusable for the next query: prepare()
+/// rewinds whatever an aborted level left behind, which is what lets the
+/// service keep a prepared arena hot across cancelled requests.
 ///
 /// Three trigger modes, any combination:
-///   * cancel()            — manual, from any thread, sticky;
-///   * set_deadline*()     — poll() fires once steady_clock passes it;
+///   * cancel()            — manual, from any thread, sticky (seen at the
+///     next poll);
+///   * set_deadline*()     — poll() fires once steady_clock passes it, and
+///     a run's team aborts a level still running then;
 ///   * fire_after_polls(n) — deterministic: the nth poll() fires. The
 ///     engines poll once per level, so n == "cancel at level n"; used
 ///     by tests and chaos harnesses to hit an exact level regardless of
@@ -42,10 +47,9 @@ class CancelToken {
     /// Requests cancellation. Thread-safe, sticky, idempotent.
     void cancel() noexcept { cancelled_.store(true, std::memory_order_release); }
 
-    /// Fires poll() once `deadline` passes.
+    /// Fires poll() once `deadline` passes; time_point::max() is "none".
     void set_deadline(clock::time_point deadline) noexcept {
         deadline_ = deadline;
-        has_deadline_ = true;
     }
 
     /// Fires poll() once `seconds` from now have elapsed. <= 0 cancels
@@ -82,44 +86,30 @@ class CancelToken {
             cancel();
             return true;
         }
-        if (has_deadline_ && clock::now() >= deadline_) {
+        if (clock::now() >= deadline_) {
             cancel();
             return true;
         }
         return false;
     }
 
-    /// True when a deadline is set and already in the past (checked
-    /// without consuming a poll — the service's pre-dispatch test).
-    [[nodiscard]] bool deadline_passed() const noexcept {
-        if (cancelled()) return true;
-        return has_deadline_ && clock::now() >= deadline_;
-    }
-
-    [[nodiscard]] bool has_deadline() const noexcept { return has_deadline_; }
+    /// The deadline set_deadline*() armed; time_point::max() when none.
     [[nodiscard]] clock::time_point deadline() const noexcept {
         return deadline_;
-    }
-
-    /// Times poll() was called since construction / the last
-    /// fire_after_polls().
-    [[nodiscard]] std::uint64_t polls() const noexcept {
-        return polls_.load(std::memory_order_relaxed);
     }
 
     /// Rewinds the token for reuse (not thread-safe; call between runs).
     void reset() noexcept {
         cancelled_.store(false, std::memory_order_relaxed);
         polls_.store(0, std::memory_order_relaxed);
-        has_deadline_ = false;
+        deadline_ = clock::time_point::max();
         fire_at_poll_ = 0;
     }
 
   private:
     std::atomic<bool> cancelled_{false};
     std::atomic<std::uint64_t> polls_{0};
-    clock::time_point deadline_{};
-    bool has_deadline_ = false;
+    clock::time_point deadline_ = clock::time_point::max();
     std::uint64_t fire_at_poll_ = 0;
 };
 

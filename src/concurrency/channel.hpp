@@ -90,9 +90,9 @@ class Channel {
     }
 
     /// Total items ever pushed/popped. Exact while quiescent (the BFS
-    /// uses these after barriers for termination accounting); safe to
-    /// read concurrently for diagnostics (watchdog reports), where they
-    /// are merely a momentary snapshot.
+    /// uses these after barriers for termination accounting, and in the
+    /// diagnostics of a run stopped mid-level); safe to read
+    /// concurrently, where they are merely a momentary snapshot.
     [[nodiscard]] std::size_t pushed() const noexcept {
         return pushed_.load(std::memory_order_relaxed);
     }

@@ -21,14 +21,16 @@ namespace sge {
 /// CPUs (64 workers on this container's single core must not spin-wait
 /// on each other).
 ///
-/// Abort protocol: a party that cannot reach the barrier (it threw, or
-/// a watchdog decided the run is stuck) calls abort(), which poisons
-/// the barrier — every current waiter is released immediately and every
-/// future arrival returns straight away, all with `false`. Poisoning is
-/// sticky: an aborted barrier never admits another phase, so workers
-/// checking the return value unwind in bounded time instead of spinning
-/// on a generation that will never advance. ThreadTeam::run trips this
-/// automatically for the barrier registered with it (see thread_team.hpp).
+/// Abort protocol: a party that cannot reach the barrier (it threw), or
+/// the thread waiting on a run whose deadline passed, calls abort(),
+/// which poisons the barrier — every current waiter is released
+/// immediately and every future arrival returns straight away, all with
+/// `false`. Poisoning is sticky: an aborted barrier never admits another
+/// phase, so workers checking the return value unwind in bounded time
+/// instead of spinning on a generation that will never advance.
+/// ThreadTeam::run trips this automatically for the barrier registered
+/// with it, on a worker's exception or at the run's deadline (see
+/// thread_team.hpp).
 class SpinBarrier {
   public:
     explicit SpinBarrier(int parties) noexcept

@@ -25,7 +25,8 @@ ThreadTeam::~ThreadTeam() {
 }
 
 void ThreadTeam::run(const std::function<void(int)>& fn,
-                     SpinBarrier* abort_barrier) {
+                     SpinBarrier* abort_barrier,
+                     std::chrono::steady_clock::time_point deadline) {
     std::unique_lock lock(mutex_);
     job_ = &fn;
     abort_barrier_ = abort_barrier;
@@ -33,7 +34,14 @@ void ThreadTeam::run(const std::function<void(int)>& fn,
     first_error_ = nullptr;
     ++epoch_;
     start_cv_.notify_all();
-    done_cv_.wait(lock, [this] { return remaining_ == 0; });
+    const auto finished = [this] { return remaining_ == 0; };
+    // No deadline takes the plain wait: time_point::max() must never
+    // reach wait_until, whose conversion to the native clock overflows.
+    if (abort_barrier != nullptr &&
+        deadline != std::chrono::steady_clock::time_point::max() &&
+        !done_cv_.wait_until(lock, deadline, finished))
+        abort_barrier->abort();  // workers unwind at their next barrier
+    done_cv_.wait(lock, finished);
     job_ = nullptr;
     abort_barrier_ = nullptr;
     if (first_error_) std::rethrow_exception(first_error_);

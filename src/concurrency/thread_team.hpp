@@ -1,5 +1,6 @@
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -27,7 +28,9 @@ class SpinBarrier;
 /// that synchronises internally with a SpinBarrier should pass that
 /// barrier to run(): the first worker exception then aborts the barrier,
 /// releasing siblings that would otherwise spin forever waiting for the
-/// thrower, so run() completes and rethrows in bounded time.
+/// thrower, so run() completes and rethrows in bounded time. With a
+/// deadline as well, the calling thread aborts the barrier itself once
+/// the deadline passes, so a region that stalls also ends.
 class ThreadTeam {
   public:
     /// Spawns `threads` workers placed per `topo` (see
@@ -67,8 +70,15 @@ class ThreadTeam {
     /// and the region completes instead of deadlocking. Workers must
     /// honor that contract by returning when arrive_and_wait yields
     /// false.
+    ///
+    /// `deadline` (with `abort_barrier` only): the caller sleeps until
+    /// it, and if the region is still running then, aborts the barrier —
+    /// the same unwinding, started by the clock instead of a throw.
+    /// time_point::max() means no deadline.
     void run(const std::function<void(int)>& fn,
-             SpinBarrier* abort_barrier = nullptr);
+             SpinBarrier* abort_barrier = nullptr,
+             std::chrono::steady_clock::time_point deadline =
+                 std::chrono::steady_clock::time_point::max());
 
   private:
     void worker_main(int tid);

@@ -118,62 +118,51 @@ struct BfsOptions {
     double hybrid_alpha = 14.0;
     double hybrid_beta = 24.0;
 
-    /// Opt-in watchdog deadline for the whole traversal, in seconds.
-    /// <= 0 disables (the default; SGE_BFS_WATCHDOG_MS then supplies a
-    /// process-wide default). When the deadline passes before the run
-    /// completes, the engine aborts its barrier — unwinding every
-    /// worker in bounded time — and throws BfsDeadlineError carrying a
-    /// diagnostic snapshot (level reached, queue depths, channel
-    /// counters) instead of hanging.
-    double watchdog_seconds = 0.0;
-
-    /// Optional cooperative cancellation (not owned; must outlive the
-    /// run). Thread 0 polls once per level; a fired token ends the
-    /// traversal at the next level barrier and the engine throws
-    /// BfsDeadlineError with cancelled() == true and the partial
-    /// progress filled in. Unlike the watchdog this never aborts the
-    /// barrier, so the workspace stays immediately reusable — it is the
-    /// per-request deadline mechanism of the query service, which
-    /// supersedes the global watchdog for service runs.
+    /// Optional cancellation (not owned; must outlive the run) — the one
+    /// way a run ends early. Thread 0 polls it once per level: a fired
+    /// token (cancel(), a passed deadline, fire_after_polls) ends the
+    /// traversal at that level's end. Its deadline also bounds a level
+    /// that stalls: the thread that started the run aborts the run's
+    /// barrier once it passes, and the workers unwind at their next
+    /// barrier (the serial engine has no barrier and stops at level
+    /// boundaries only). Either way the engine throws BfsDeadlineError
+    /// with the partial progress, and the runner's workspace serves the
+    /// next query. Null: no cancellation and no deadline.
     CancelToken* cancel = nullptr;
 };
 
-/// Thrown by the engines when a run ends before the traversal completes:
-/// either BfsOptions::watchdog_seconds (or SGE_BFS_WATCHDOG_MS) expired
-/// — cancelled() == false — or a BfsOptions::cancel token fired —
-/// cancelled() == true. what() carries the stall diagnostics; the
-/// accessors carry the partial progress so callers (and the service's
-/// degraded-retry path) can report how far the run got instead of a
-/// bare timeout.
+/// Thrown by the engines when a BfsOptions::cancel (or
+/// MsBfsOptions::cancel) token ends a run before the traversal
+/// completes. The accessors carry the partial progress, so callers (and
+/// the service's kCancelled answers) can report how far the run got
+/// instead of a bare timeout. A stop at a level boundary reads
+/// "cancelled by CancelToken at level N"; a level the deadline aborted
+/// reads "deadline passed mid-level", with the level and visited
+/// progress and the engine's diagnostics (queue depths, channel
+/// counters) in what().
 class BfsDeadlineError : public std::runtime_error {
   public:
     explicit BfsDeadlineError(const std::string& what_arg,
                               std::uint32_t level_reached = 0,
-                              std::uint64_t vertices_settled = 0,
-                              bool cancelled = false)
+                              std::uint64_t vertices_settled = 0)
         : std::runtime_error(what_arg),
           level_reached_(level_reached),
-          vertices_settled_(vertices_settled),
-          cancelled_(cancelled) {}
+          vertices_settled_(vertices_settled) {}
 
-    /// Deepest BFS level that fully completed before the run stopped.
+    /// Levels that fully completed before the run stopped.
     [[nodiscard]] std::uint32_t level_reached() const noexcept {
         return level_reached_;
     }
 
-    /// Vertices whose parent was settled before the run stopped.
+    /// Vertices those levels settled, the root (a wave's sources)
+    /// included.
     [[nodiscard]] std::uint64_t vertices_settled() const noexcept {
         return vertices_settled_;
     }
 
-    /// True for cooperative cancellation (a fired CancelToken), false
-    /// for a watchdog abort.
-    [[nodiscard]] bool cancelled() const noexcept { return cancelled_; }
-
   private:
     std::uint32_t level_reached_ = 0;
     std::uint64_t vertices_settled_ = 0;
-    bool cancelled_ = false;
 };
 
 /// Buckets of the per-level channel-batch occupancy histogram: bucket i

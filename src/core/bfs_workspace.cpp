@@ -278,9 +278,9 @@ void BfsWorkspace::reset_for_query(BfsEngine engine) {
             stats.reset_words_touched += visited.advance_epoch();
             for (FrontierQueue& q : socket_queues[0]) q.reset();
             for (FrontierQueue& q : socket_queues[1]) q.reset();
-            // An aborted run (watchdog / fault injection) can leave
-            // undrained tuples behind; flush them so they cannot leak
-            // into the next query as phantom visits.
+            // An aborted run (a deadline mid-level, fault injection) can
+            // leave undrained tuples behind; flush them so they cannot
+            // leak into the next query as phantom visits.
             std::uint64_t sink[64];
             for (auto& ch : channels)
                 while (ch->pop_batch(sink, 64) != 0) {

@@ -5,128 +5,24 @@
 
 #include <atomic>
 #include <bit>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <deque>
-#include <functional>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "concurrency/spin_barrier.hpp"
 #include "concurrency/versioned_bitmap.hpp"
 #include "concurrency/work_queue.hpp"
 #include "core/bfs.hpp"
 #include "core/frontier.hpp"
 #include "core/frontier_compact.hpp"
 #include "runtime/cacheline.hpp"
-#include "runtime/env.hpp"
 #include "runtime/obs.hpp"
 #include "runtime/stats.hpp"
 #include "runtime/timer.hpp"
 
 namespace sge::detail {
-
-/// Effective watchdog deadline for a run: the per-run option wins;
-/// otherwise the process-wide SGE_BFS_WATCHDOG_MS default applies
-/// (0/unset = disabled).
-inline double resolve_watchdog_seconds(const BfsOptions& options) {
-    if (options.watchdog_seconds > 0.0) return options.watchdog_seconds;
-    const std::int64_t ms = env_int("SGE_BFS_WATCHDOG_MS", 0);
-    return ms > 0 ? static_cast<double>(ms) / 1000.0 : 0.0;
-}
-
-/// Per-run watchdog: converts a stalled level step into a diagnostic
-/// error instead of a hang.
-///
-/// Armed with a deadline, it sleeps on a condition variable; if the run
-/// finishes first, disarm() (or the destructor) stops it for free. If
-/// the deadline passes, it snapshots the engine-supplied diagnostics
-/// and aborts the run's barrier, which releases every worker with
-/// `arrive_and_wait() == false`; the engine then observes fired() and
-/// throws BfsDeadlineError. The diagnose callback runs concurrently
-/// with the workers, so it must only read atomic state (queue cursors,
-/// channel counters) — the snapshot is momentary by design.
-class LevelWatchdog {
-  public:
-    LevelWatchdog(double deadline_seconds, SpinBarrier& barrier,
-                  std::function<std::string()> diagnose)
-        : deadline_seconds_(deadline_seconds),
-          barrier_(&barrier),
-          diagnose_(std::move(diagnose)) {
-        if (deadline_seconds_ > 0.0)
-            thread_ = std::thread([this] { watch(); });
-    }
-
-    LevelWatchdog(const LevelWatchdog&) = delete;
-    LevelWatchdog& operator=(const LevelWatchdog&) = delete;
-
-    ~LevelWatchdog() { disarm(); }
-
-    /// Stops the watchdog and joins its thread. Idempotent. After
-    /// disarm() returns, fired()/report() are stable.
-    void disarm() noexcept {
-        {
-            std::lock_guard guard(mutex_);
-            stop_ = true;
-        }
-        cv_.notify_all();
-        if (thread_.joinable()) thread_.join();
-    }
-
-    /// True when the deadline expired and the barrier was aborted.
-    /// Reliable only after disarm().
-    [[nodiscard]] bool fired() const noexcept { return fired_; }
-
-    /// The diagnostic captured at expiry (empty unless fired()).
-    [[nodiscard]] const std::string& report() const noexcept { return report_; }
-
-  private:
-    void watch() {
-        std::unique_lock lock(mutex_);
-        const auto deadline = std::chrono::duration<double>(deadline_seconds_);
-        if (cv_.wait_for(lock, deadline, [this] { return stop_; })) return;
-        fired_ = true;
-        try {
-            report_ = diagnose_ ? diagnose_() : std::string();
-        } catch (...) {
-            report_ = "(diagnostics unavailable)";
-        }
-        runtime_warnings().watchdog_fires.fetch_add(1,
-                                                    std::memory_order_relaxed);
-        barrier_->abort();
-    }
-
-    const double deadline_seconds_;
-    SpinBarrier* const barrier_;
-    const std::function<std::string()> diagnose_;
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    std::thread thread_;
-    bool stop_ = false;
-    bool fired_ = false;      // written by the watchdog thread only;
-    std::string report_;      // read after disarm() joins it
-};
-
-/// Shared epilogue: disarm the watchdog and convert a firing into the
-/// documented error. Call immediately after team.run() returns.
-/// `level_reached`/`vertices_settled` are the partial progress to carry
-/// in the error (pass the run's shared counters when available).
-inline void finish_watchdog(LevelWatchdog& watchdog, const char* engine,
-                            std::uint32_t level_reached = 0,
-                            std::uint64_t vertices_settled = 0) {
-    watchdog.disarm();
-    if (watchdog.fired())
-        throw BfsDeadlineError(std::string(engine) +
-                                   ": watchdog deadline exceeded; " +
-                                   watchdog.report(),
-                               level_reached, vertices_settled,
-                               /*cancelled=*/false);
-}
 
 /// Thread 0's once-per-level cancellation check (free when no token is
 /// threaded through the options). Engines call this in the end-of-level
@@ -136,9 +32,8 @@ inline bool poll_cancel(const BfsOptions& options) noexcept {
     return options.cancel != nullptr && options.cancel->poll();
 }
 
-/// Shared epilogue for cooperative cancellation: call after team.run()
-/// (and after finish_watchdog) when the run ended because a CancelToken
-/// fired. Throws the documented error carrying the partial progress.
+/// The documented error for a run a fired CancelToken stopped at a
+/// level boundary, carrying the partial progress.
 [[noreturn]] inline void throw_cancelled(const char* engine,
                                          std::uint32_t level_reached,
                                          std::uint64_t vertices_settled) {
@@ -146,7 +41,7 @@ inline bool poll_cancel(const BfsOptions& options) noexcept {
         std::string(engine) + ": cancelled by CancelToken at level " +
             std::to_string(level_reached) + " (" +
             std::to_string(vertices_settled) + " vertices settled)",
-        level_reached, vertices_settled, /*cancelled=*/true);
+        level_reached, vertices_settled);
 }
 
 /// Row C of the counter list (core/level_counters.def), and whether this

@@ -2,7 +2,7 @@
 
 // The level-synchronous skeleton shared by the parallel engines and
 // MS-BFS (docs/ALGORITHMS.md "Memory model groundwork"). Internal:
-// include only from src/core/*.cpp.
+// include only from src/core/*.cpp and tests.
 
 #include <atomic>
 #include <cassert>
@@ -103,11 +103,10 @@ struct LevelRun {
 /// separated by barriers on `team` and the workspace prepared for it,
 /// from a level 0 of `seeded` vertices the caller already claimed. The
 /// loop owns what every traversal does identically: the barrier and
-/// progress block, level slots and timing, thread spans, the watchdog,
-/// the once-per-level cancel poll, the compact copy-out, the
-/// allocation-free check and the epilogue. `finish(tid)` runs on every
-/// worker once the last level is done. `step` supplies the rest,
-/// resolved at compile time:
+/// progress block, level slots and timing, thread spans, both checks of
+/// the cancel token, the compact copy-out, the allocation-free check and
+/// the epilogue. `finish(tid)` runs on every worker once the last level
+/// is done. `step` supplies the rest, resolved at compile time:
 ///
 ///   bool compacts() const           this level's discoveries go through
 ///                                   the compactor (read by every worker
@@ -121,12 +120,16 @@ struct LevelRun {
 ///   void plan_next()                thread 0: schedule the next level
 ///   bool convert(LevelCtx&)         every worker, between levels: change
 ///                                   the frontier's representation
-///   std::string diagnose() const    watchdog snapshot (atomic reads only)
+///   std::string diagnose() const    the state a stopped level left
+///                                   behind, read after the workers joined
 ///
 /// A level costs three barriers (scan, copy-out, bookkeeping) plus any the
 /// step's scan or convert adds; a level that does not compact skips the
-/// copy-out's. Throws BfsDeadlineError when the watchdog or the cancel
-/// token ended the run.
+/// copy-out's. The cancel token ends a run two ways, and both throw
+/// BfsDeadlineError: thread 0's poll after a level stops the run at that
+/// level's end, and the token's deadline, passed to team.run, aborts the
+/// barrier under a level still running then. An aborted level reports the
+/// last completed one as the progress, and its what() adds diagnose().
 template <class Step, class Finish>
 LevelRun run_levels(const char* name, const BfsOptions& options,
                     ThreadTeam& team, BfsWorkspace& ws, Step& step,
@@ -139,31 +142,24 @@ LevelRun run_levels(const char* name, const BfsOptions& options,
     const bool collect = options.collect_stats;
     SpanRecorder spans(threads, collect && sinks.spans != nullptr);
 
-    // Written by thread 0 between barriers; the atomics let the watchdog
-    // snapshot progress mid-run.
+    // Written by thread 0 between barriers, read after the join.
     struct Shared {
-        std::atomic<std::uint64_t> visited;
-        std::atomic<std::uint32_t> levels_run{0};
+        std::uint64_t visited;
+        std::uint32_t levels_run = 0;
         std::uint64_t edges = 0;
         bool done = false;
         bool cancelled = false;
     } shared{seeded};
+    // Set by a worker whose barrier wait failed, so it left the level
+    // loop early (the deadline aborted the barrier). Not the barrier's
+    // aborted(): an abort landing after the last barrier stops nobody.
+    std::atomic<bool> stopped{false};
     acquire_level_slot(stats, 0).set<LevelCounter::frontier_size>(seeded);
 
-    LevelWatchdog watchdog(resolve_watchdog_seconds(options), barrier, [&] {
-        return "level=" +
-               std::to_string(shared.levels_run.load(std::memory_order_relaxed)) +
-               " visited=" +
-               std::to_string(shared.visited.load(std::memory_order_relaxed)) +
-               step.diagnose();
-    });
-
     WallTimer timer;
-    team.run([&](int tid) {
-        // Per-thread count: another runner's prepare on another thread
-        // must not trip this worker's check.
-        [[maybe_unused]] const std::uint64_t allocs_before =
-            thread_aligned_alloc_count();
+    // One worker's levels: true when it ran them all, false when a
+    // barrier was aborted under it.
+    const auto levels = [&](int tid) {
         WallTimer level_timer;  // thread 0 stamps per-level wall time
         for (level_t depth = 0;; ++depth) {
             const std::uint64_t span_start = spans.now(timer);
@@ -175,17 +171,17 @@ LevelRun run_levels(const char* name, const BfsOptions& options,
             LevelCtx lv{tid, depth, stats[depth], barrier, collect,
                         sinks.parent, sinks.level,
                         compacts ? fc.buffer(tid) : nullptr, 0, {}};
-            if (!step.scan(lv)) return;
+            if (!step.scan(lv)) return false;
             if (compacts) fc.publish(tid, lv.staged);
             lv.counters.flush_into(lv.slot);
-            if (!lv.wait()) return;
+            if (!lv.wait()) return false;
 
             if (compacts) {
                 // Every count is published and barrier-ordered: copy this
                 // worker's segment to its exclusive prefix offset, then
                 // one more barrier so thread 0 sees the complete queue.
                 compact_copy_out(fc, tid, step.next_slots(tid), lv.slot);
-                if (!lv.wait()) return;
+                if (!lv.wait()) return false;
             }
 
             if (tid == 0) {
@@ -193,8 +189,8 @@ LevelRun run_levels(const char* name, const BfsOptions& options,
                 level_timer.reset();
                 shared.edges += lv.slot.get<LevelCounter::edges_scanned>();
                 const std::uint64_t next = step.end_level();
-                shared.visited.fetch_add(next, std::memory_order_relaxed);
-                shared.levels_run.fetch_add(1, std::memory_order_relaxed);
+                shared.visited += next;
+                ++shared.levels_run;
                 shared.done = next == 0;
                 if (!shared.done && poll_cancel(options)) {
                     shared.cancelled = true;
@@ -206,21 +202,41 @@ LevelRun run_levels(const char* name, const BfsOptions& options,
                     step.plan_next();
                 }
             }
-            if (!lv.wait()) return;
+            if (!lv.wait()) return false;
             spans.record(tid, depth, span_start, spans.now(timer));
-            if (shared.done) break;
-            if (!step.convert(lv)) return;
+            if (shared.done) return true;
+            if (!step.convert(lv)) return false;
         }
-        finish(tid);
+    };
 
-        // A prepared workspace makes the traversal allocation-free.
-        assert(thread_aligned_alloc_count() == allocs_before);
-    }, &barrier);
+    team.run(
+        [&](int tid) {
+            // Per-thread count: another runner's prepare on another
+            // thread must not trip this worker's check.
+            [[maybe_unused]] const std::uint64_t allocs_before =
+                thread_aligned_alloc_count();
+            if (!levels(tid)) {
+                stopped.store(true, std::memory_order_relaxed);
+                return;
+            }
+            finish(tid);
 
-    const LevelRun run{shared.levels_run.load(std::memory_order_relaxed),
-                       shared.visited.load(std::memory_order_relaxed),
-                       shared.edges, timer.seconds()};
-    finish_watchdog(watchdog, name, run.levels, run.visited);
+            // A prepared workspace makes the traversal allocation-free.
+            assert(thread_aligned_alloc_count() == allocs_before);
+        },
+        &barrier,
+        options.cancel != nullptr ? options.cancel->deadline()
+                                  : CancelToken::clock::time_point::max());
+
+    const LevelRun run{shared.levels_run, shared.visited, shared.edges,
+                       timer.seconds()};
+    if (stopped.load(std::memory_order_relaxed))
+        throw BfsDeadlineError(std::string(name) +
+                                   ": CancelToken deadline passed mid-level; "
+                                   "level=" + std::to_string(run.levels) +
+                                   " visited=" + std::to_string(run.visited) +
+                                   step.diagnose(),
+                               run.levels, run.visited);
     if (shared.cancelled) throw_cancelled(name, run.levels, run.visited);
     if (sinks.spans != nullptr) spans.collect_into(*sinks.spans);
     if (collect) copy_level_stats(*sinks.level_stats, stats, run.levels);

@@ -170,8 +170,7 @@ std::uint32_t multi_source_bfs_impl(const Graph& g,
 
     MsBfsStep<Graph> step(g, visit, ws, team.size());
     step.seed(sources);
-    // The driver reads only the cancel token, the stats flag and the
-    // watchdog's environment default.
+    // The driver reads only the cancel token and the stats flag.
     BfsOptions driver;
     driver.cancel = options.cancel;
     driver.collect_stats =

@@ -50,15 +50,16 @@ struct MsBfsOptions {
     /// refilled on each call). Ignored when null or !collect_stats.
     std::vector<BfsLevelStats>* level_stats = nullptr;
 
-    /// Optional cooperative cancellation (not owned; must outlive the
-    /// call). Thread 0 polls once per level; a fired token ends the wave
-    /// at the next level barrier and multi_source_bfs throws
-    /// BfsDeadlineError with cancelled() == true, whose
-    /// vertices_settled() counts the visitor calls made so far, sources
-    /// included. All lanes stop together — the service maps a cancelled
-    /// wave back onto its member requests (expired members are
-    /// cancelled, the rest retried). Waves also honour the
-    /// SGE_BFS_WATCHDOG_MS deadline, as bfs() does.
+    /// Optional cancellation (not owned; must outlive the call), as
+    /// BfsOptions::cancel: thread 0 polls it once per level, and its
+    /// deadline also aborts a level still running then. Either way
+    /// multi_source_bfs throws BfsDeadlineError and all lanes stop
+    /// together — the service maps a cancelled wave back onto its member
+    /// requests (expired members are cancelled, the rest retried). A stop
+    /// at a level boundary counts every visitor call made so far in
+    /// vertices_settled(), sources included; a level the deadline
+    /// aborted may already have reported some of its vertices, so there
+    /// vertices_settled() is at most the visitor calls.
     CancelToken* cancel = nullptr;
 };
 

@@ -12,7 +12,7 @@
 namespace sge {
 
 /// Process-wide robustness counters. Degradations that used to be
-/// silent (a failed pin, an aborted barrier, a tripped watchdog) tick
+/// silent (a failed pin, an aborted barrier) tick
 /// these so operators and tests can observe them; they are monotonic
 /// and never reset.
 ///
@@ -25,12 +25,10 @@ struct RuntimeWarnings {
     /// Threads that requested CPU pinning but could not get it (the run
     /// continues unpinned; see note_pin_failure below).
     std::atomic<std::uint64_t> pin_failures{0};
-    /// Barrier waits that ended by abort rather than a full rendezvous
-    /// (a worker failed or a watchdog cancelled the phase).
+    /// Barriers aborted rather than left by a full rendezvous: a worker
+    /// failed, or a run's CancelToken deadline passed mid-level
+    /// (ThreadTeam::run).
     std::atomic<std::uint64_t> barrier_aborts{0};
-    /// LevelWatchdog deadlines that expired and triggered an abort of
-    /// the traversal in progress.
-    std::atomic<std::uint64_t> watchdog_fires{0};
 };
 
 /// The process-wide RuntimeWarnings singleton. Thread-safe: fields are

@@ -21,11 +21,11 @@ double seconds_between(clock::time_point from, clock::time_point to) noexcept {
 
 }  // namespace
 
-/// One dispatcher: a persistent CancelToken (every run of this worker —
-/// parallel, wave, or serial retry — polls it), a BfsRunner owning the
-/// pinned team and prepared workspace (null in serial-only fallback
-/// mode), and reusable scratch so steady-state queries allocate
-/// nothing beyond the result copies handed to callers.
+/// One dispatcher: a persistent CancelToken (arm_token() readies it for
+/// every run of this worker — parallel, wave, or serial retry), a
+/// BfsRunner owning the pinned team and prepared workspace (null in
+/// serial-only fallback mode), and reusable scratch so steady-state
+/// queries allocate nothing beyond the result copies handed to callers.
 struct GraphService::Worker {
     int id = 0;
     CancelToken token;
@@ -123,12 +123,10 @@ SubmitResult GraphService::enqueue(const AdmissionQueue::Item& item,
                                    double deadline_seconds) {
     const double dl = deadline_seconds > 0.0 ? deadline_seconds
                                              : options_.default_deadline_seconds;
-    if (dl > 0.0) {
-        item->has_deadline = true;
+    if (dl > 0.0)
         item->deadline =
             item->submitted + std::chrono::duration_cast<clock::duration>(
                                   std::chrono::duration<double>(dl));
-    }
 
     SubmitResult out;
     out.result = item->promise.get_future();
@@ -152,6 +150,24 @@ SubmitResult GraphService::enqueue(const AdmissionQueue::Item& item,
         resolve(item, std::move(r));
     }
     return out;
+}
+
+void GraphService::resolve_cancelled(const AdmissionQueue::Item& item,
+                                     const BfsDeadlineError* stopped) {
+    QueryResult r;
+    r.outcome = Outcome::kCancelled;
+    r.root = item->request.root;
+    if (stopped != nullptr) {
+        r.level_reached = stopped->level_reached();
+        r.vertices_settled = stopped->vertices_settled();
+    }
+    resolve(item, std::move(r));
+}
+
+void GraphService::arm_token(Worker& w, clock::time_point deadline) const {
+    w.token.reset();
+    if (hard_cancel_.load(std::memory_order_acquire)) w.token.cancel();
+    w.token.set_deadline(deadline);
 }
 
 void GraphService::resolve(const AdmissionQueue::Item& item,
@@ -242,14 +258,10 @@ void GraphService::process_batch(Worker& w,
     live.reserve(batch.size());
     for (const auto& item : batch) {
         item->dispatched = now;
-        if (item->expired(now)) {
-            QueryResult r;
-            r.outcome = Outcome::kCancelled;
-            r.root = item->request.root;
-            resolve(item, std::move(r));
-        } else {
+        if (item->expired(now))
+            resolve_cancelled(item);
+        else
             live.push_back(item);
-        }
     }
     if (live.empty()) return;
 
@@ -277,13 +289,12 @@ void GraphService::process_batch(Worker& w,
 
 void GraphService::run_mutation(const AdmissionQueue::Item& item) {
     if (item->resolved) return;
-    QueryResult r;
-    r.root = item->request.root;
     if (item->expired(clock::now())) {
-        r.outcome = Outcome::kCancelled;
-        resolve(item, std::move(r));
+        resolve_cancelled(item);
         return;
     }
+    QueryResult r;
+    r.root = item->request.root;
     try {
         r.snapshot_version = store_->apply(item->mutation);
         r.outcome = Outcome::kCompleted;
@@ -328,16 +339,10 @@ void GraphService::run_wave(Worker& w,
     // The wave's deadline is the tightest member deadline: when it
     // fires, expired members resolve kCancelled and the rest retry
     // individually — no member waits on a lane it no longer needs.
-    w.token.reset();
-    if (hard_cancel_.load(std::memory_order_acquire)) w.token.cancel();
-    bool any_deadline = false;
-    clock::time_point min_deadline = clock::time_point::max();
+    clock::time_point deadline = clock::time_point::max();
     for (const auto& item : batch)
-        if (item->has_deadline) {
-            any_deadline = true;
-            min_deadline = std::min(min_deadline, item->deadline);
-        }
-    if (any_deadline) w.token.set_deadline(min_deadline);
+        deadline = std::min(deadline, item->deadline);
+    arm_token(w, deadline);
 
     // One pin for the whole wave: every member answers against the
     // same published version (exact on that snapshot, stale by however
@@ -375,16 +380,10 @@ void GraphService::run_wave(Worker& w,
         // done; the rest get an individual run with their own slack.
         const auto now = clock::now();
         for (const auto& item : batch) {
-            if (item->expired(now)) {
-                QueryResult r;
-                r.outcome = Outcome::kCancelled;
-                r.root = item->request.root;
-                r.level_reached = e.level_reached();
-                r.vertices_settled = e.vertices_settled();
-                resolve(item, std::move(r));
-            } else {
+            if (item->expired(now))
+                resolve_cancelled(item, &e);
+            else
                 run_single(w, item);
-            }
         }
         return;
     } catch (const std::exception&) {
@@ -430,12 +429,8 @@ void GraphService::run_wave(Worker& w,
 
 void GraphService::run_single(Worker& w, const AdmissionQueue::Item& item) {
     if (item->resolved) return;
-    const auto now = clock::now();
-    if (item->expired(now)) {
-        QueryResult r;
-        r.outcome = Outcome::kCancelled;
-        r.root = item->request.root;
-        resolve(item, std::move(r));
+    if (item->expired(clock::now())) {
+        resolve_cancelled(item);
         return;
     }
     if (!w.runner) {
@@ -444,10 +439,7 @@ void GraphService::run_single(Worker& w, const AdmissionQueue::Item& item) {
         return;
     }
 
-    w.token.reset();
-    if (hard_cancel_.load(std::memory_order_acquire)) w.token.cancel();
-    if (item->has_deadline) w.token.set_deadline(item->deadline);
-
+    arm_token(w, item->deadline);
     const SnapshotRef pin =
         store_ != nullptr ? store_->acquire() : SnapshotRef{};
 
@@ -455,16 +447,7 @@ void GraphService::run_single(Worker& w, const AdmissionQueue::Item& item) {
         w.runner->run_into(w.scratch, pin ? pin.graph() : *graph_,
                            item->request.root);
     } catch (const BfsDeadlineError& e) {
-        if (e.cancelled()) {
-            QueryResult r;
-            r.outcome = Outcome::kCancelled;
-            r.root = item->request.root;
-            r.level_reached = e.level_reached();
-            r.vertices_settled = e.vertices_settled();
-            resolve(item, std::move(r));
-            return;
-        }
-        run_degraded(w, item);  // watchdog abort: retry serially
+        resolve_cancelled(item, &e);
         return;
     } catch (const std::exception&) {
         run_degraded(w, item);  // injected fault / bad_alloc / ...
@@ -491,19 +474,12 @@ void GraphService::run_degraded(Worker& w, const AdmissionQueue::Item& item) {
         run_mutation(item);
         return;
     }
-    const auto now = clock::now();
-    if (item->expired(now)) {
-        QueryResult r;
-        r.outcome = Outcome::kCancelled;
-        r.root = item->request.root;
-        resolve(item, std::move(r));
+    if (item->expired(clock::now())) {
+        resolve_cancelled(item);
         return;
     }
 
-    w.token.reset();
-    if (hard_cancel_.load(std::memory_order_acquire)) w.token.cancel();
-    if (item->has_deadline) w.token.set_deadline(item->deadline);
-
+    arm_token(w, item->deadline);
     BfsOptions so;
     so.engine = BfsEngine::kSerial;
     so.threads = 1;
@@ -524,9 +500,8 @@ void GraphService::run_degraded(Worker& w, const AdmissionQueue::Item& item) {
         r.vertices_visited = res.vertices_visited;
         r.num_levels = res.num_levels;
     } catch (const BfsDeadlineError& e) {
-        r.outcome = Outcome::kCancelled;
-        r.level_reached = e.level_reached();
-        r.vertices_settled = e.vertices_settled();
+        resolve_cancelled(item, &e);
+        return;
     } catch (const std::exception&) {
         // The serial engine has no injected fault sites; reaching this
         // means something genuinely unrecoverable. The future still
@@ -587,12 +562,7 @@ void GraphService::stop() {
     // Workers are gone; resolve anything still queued.
     std::vector<AdmissionQueue::Item> leftovers;
     queue_.drain(leftovers);
-    for (const auto& item : leftovers) {
-        QueryResult r;
-        r.outcome = Outcome::kCancelled;
-        r.root = item->request.root;
-        resolve(item, std::move(r));
-    }
+    for (const auto& item : leftovers) resolve_cancelled(item);
 }
 
 }  // namespace sge::service

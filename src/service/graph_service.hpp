@@ -19,13 +19,14 @@
 // window, Grappa's buffer-then-flush idiom).
 //
 // Robustness ladder, in order:
-//   * per-request deadlines ride a CancelToken polled at every level
-//     barrier (superseding the global watchdog for service runs): a
-//     late query stops within one level and resolves kCancelled, and
-//     the workspace is immediately reusable;
-//   * a parallel run that throws (injected fault, allocation failure,
-//     watchdog) is retried once on the serial engine => kDegraded with
-//     a still-correct answer;
+//   * per-request deadlines ride the worker's CancelToken, polled at
+//     every level barrier, and a level still running at the deadline
+//     has its barrier aborted: a late query stops at its level's next
+//     barrier and resolves kCancelled, and the workspace is
+//     immediately reusable;
+//   * a parallel run that throws anything else (injected fault,
+//     allocation failure) is retried once on the serial engine =>
+//     kDegraded with a still-correct answer;
 //   * a worker whose dispatch loop faults degrades its current batch,
 //     then rebuilds its runner (team + workspace); if the rebuild
 //     fails too, the worker falls back to serial-only — the pool
@@ -54,9 +55,8 @@ namespace sge::service {
 
 struct ServiceOptions {
     /// Engine configuration for the parallel attempts (engine, threads,
-    /// topology, backend...). `cancel` and `watchdog_seconds` are
-    /// overridden per worker: the service's deadline mechanism is the
-    /// CancelToken, not the global watchdog.
+    /// topology, backend...). `cancel` is overridden per worker: each
+    /// worker's CancelToken carries its requests' deadlines.
     BfsOptions bfs;
 
     /// Dispatcher threads, each owning an independent BfsRunner (team +
@@ -196,7 +196,14 @@ class GraphService {
     void run_single(Worker& w, const AdmissionQueue::Item& item);
     void run_degraded(Worker& w, const AdmissionQueue::Item& item);
     void run_mutation(const AdmissionQueue::Item& item);
+    /// Rewinds `w`'s token for one run: stop()'s hard cancel, then
+    /// `deadline` (time_point::max() when none).
+    void arm_token(Worker& w, PendingQuery::clock::time_point deadline) const;
     void resolve(const AdmissionQueue::Item& item, QueryResult result);
+    /// Resolves `item` kCancelled, with the partial progress of the run
+    /// `stopped` ended, if one ran.
+    void resolve_cancelled(const AdmissionQueue::Item& item,
+                           const BfsDeadlineError* stopped = nullptr);
     void rebuild_runner(Worker& w);
     [[nodiscard]] vertex_t graph_vertices() const noexcept;
 

@@ -27,9 +27,9 @@ enum class RequestKind : std::uint8_t { kQuery, kMutation };
 enum class Outcome {
     /// Answered by a parallel engine or an MS-BFS wave.
     kCompleted,
-    /// The parallel attempt threw (injected fault, allocation failure,
-    /// watchdog); the serial retry answered. The result is still a
-    /// correct BFS — only slower.
+    /// The parallel attempt threw (injected fault, allocation failure);
+    /// the serial retry answered. The result is still a correct BFS —
+    /// only slower. A deadline never degrades: it cancels.
     kDegraded,
     /// The per-request deadline fired before an answer was produced
     /// (includes requests cancelled by a shutdown drain).
@@ -135,15 +135,14 @@ struct PendingQuery {
     /// Stamped by the worker that picked the batch up (wait vs run time
     /// split); a default value means "never dispatched" (shed / drained).
     clock::time_point dispatched{};
-    /// Absolute deadline, valid when has_deadline.
-    clock::time_point deadline{};
-    bool has_deadline = false;
+    /// Absolute deadline; time_point::max() when the request has none.
+    clock::time_point deadline = clock::time_point::max();
     /// Guards single resolution. Touched only by the owning worker (or
     /// by submit/stop before/after the queue hand-off), so plain bool.
     bool resolved = false;
 
     [[nodiscard]] bool expired(clock::time_point now) const noexcept {
-        return has_deadline && now >= deadline;
+        return now >= deadline;
     }
 };
 

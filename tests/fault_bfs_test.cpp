@@ -1,17 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <new>
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "concurrency/spin_barrier.hpp"
+#include "concurrency/cancel_token.hpp"
 #include "core/bfs.hpp"
-#include "core/engine_common.hpp"
 #include "core/validate.hpp"
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
+#include "graph/edge_list.hpp"
 #include "runtime/fault.hpp"
-#include "runtime/stats.hpp"
 
 namespace sge {
 namespace {
@@ -109,66 +111,74 @@ TEST_F(FaultBfsTest, EveryParallelEngineSurvivesBarrierFault) {
     }
 }
 
-TEST(LevelWatchdogTest, FiresOnStalledBarrierAndCapturesDiagnostics) {
-    // A two-party barrier with only ever one arrival models a stalled
-    // level step: the watchdog must fire, capture the diagnostic, and
-    // release the waiter via abort.
-    SpinBarrier barrier(2);
-    detail::LevelWatchdog watchdog(0.05, barrier,
-                                   [] { return std::string("level=3 q0=17"); });
-    const auto start = std::chrono::steady_clock::now();
-    EXPECT_FALSE(barrier.arrive_and_wait());  // released by the abort
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    EXPECT_LT(elapsed, std::chrono::seconds(5));
-    watchdog.disarm();
-    EXPECT_TRUE(watchdog.fired());
-    EXPECT_EQ(watchdog.report(), "level=3 q0=17");
-    EXPECT_THROW(detail::finish_watchdog(watchdog, "test"), BfsDeadlineError);
-}
-
-TEST(LevelWatchdogTest, DisarmedBeforeDeadlineIsFree) {
-    SpinBarrier barrier(1);
-    detail::LevelWatchdog watchdog(60.0, barrier, [] { return std::string(); });
-    watchdog.disarm();
-    EXPECT_FALSE(watchdog.fired());
-    EXPECT_FALSE(barrier.aborted());
-    detail::finish_watchdog(watchdog, "test");  // must not throw
-}
-
-TEST(LevelWatchdogTest, ZeroDeadlineNeverArms) {
-    SpinBarrier barrier(1);
-    detail::LevelWatchdog watchdog(0.0, barrier, [] { return std::string(); });
-    watchdog.disarm();
-    EXPECT_FALSE(watchdog.fired());
-}
-
-TEST_F(FaultBfsTest, WatchdogConvertsStallIntoDiagnosticError) {
-    // Throttle the channel drain to one tuple per pop and give the run
-    // a deadline it cannot meet: the watchdog must abort the run and
-    // the engine must throw BfsDeadlineError carrying diagnostics.
-    fault::arm(Site::kChannelPop, Trigger{.probability = 1.0, .nth = 0});
+TEST_F(FaultBfsTest, TokenDeadlineEndsStalledLevel) {
+    // A hub linked only to the vertices the other socket owns ships its
+    // whole row through that socket's channel in level 0. With the drain
+    // throttled to one tuple per pop, the level's drain phase takes
+    // several times as long as the scan before it. A deadline already
+    // past when the run starts must end the run at the scan's barrier,
+    // skipping the drain; a stop at level ends alone runs through it.
+    using clock = std::chrono::steady_clock;
+    constexpr vertex_t kN = 1 << 20;
+    EdgeList edges(kN);
+    for (vertex_t v = kN / 2; v < kN; ++v) edges.add(0, v);
+    const CsrGraph g = csr_from_edges(edges);
+    BfsOptions serial;
+    serial.engine = BfsEngine::kSerial;
+    const std::vector<level_t> expected = bfs(g, 0, serial).level;
+    CancelToken token;
     BfsOptions options = multisocket_options();
-    options.watchdog_seconds = 0.001;
-    const std::uint64_t fires_before =
-        runtime_warnings().watchdog_fires.load(std::memory_order_relaxed);
-    try {
-        const BfsResult result = bfs(graph_, 0, options);
-        // Plausible on a very fast host: the run beat the deadline.
-        // Then the result must still be valid.
+    options.threads = 4;  // two drain each channel: the test stays short
+    options.topology = Topology::emulate(2, 2, 1);
+    options.cancel = &token;
+    BfsRunner runner(options);
+    runner.run(g, 0);  // prepared: the times below cover only the runs
+
+    // One throttled run, stopped by the token `arm` sets up from the
+    // start time; returns how long it ran and what() it threw. The
+    // unthrottled run after it drains what an aborted level left behind
+    // and must answer exactly.
+    const auto throttled = [&](const auto& arm) {
+        fault::arm(Site::kChannelPop, Trigger{.probability = 1.0, .nth = 0});
+        token.reset();
+        const clock::time_point start = clock::now();
+        arm(start);
+        std::string what;
+        try {
+            runner.run(g, 0);
+            ADD_FAILURE() << "expected BfsDeadlineError";
+        } catch (const BfsDeadlineError& e) {
+            what = e.what();
+        }
+        const clock::duration elapsed = clock::now() - start;
         fault::disarm_all();
-        const ValidationReport report = validate_bfs_tree(graph_, 0, result);
-        EXPECT_TRUE(report.ok) << report.error;
-    } catch (const BfsDeadlineError& e) {
-        fault::disarm_all();
-        const std::string what = e.what();
-        EXPECT_NE(what.find("watchdog deadline exceeded"), std::string::npos)
+        token.reset();
+        EXPECT_EQ(runner.run(g, 0).level, expected);
+        return std::pair{elapsed, what};
+    };
+    // The poll alone stops the run at level 0's end, after the drain.
+    const auto stop_by_poll = [&](clock::time_point) {
+        token.fire_after_polls(1);
+    };
+    const clock::duration poll_stop =
+        std::min(throttled(stop_by_poll).first, throttled(stop_by_poll).first);
+
+    // Each deadline run ends before the poll alone would have stopped it;
+    // the fastest, which host noise touched least, in under half that
+    // time, because the drain never ran.
+    clock::duration fastest = clock::duration::max();
+    for (int round = 0; round < 3; ++round) {
+        const auto [elapsed, what] = throttled([&](clock::time_point start) {
+            token.set_deadline(start - std::chrono::milliseconds(1));
+        });
+        EXPECT_LT(elapsed, poll_stop) << "round " << round;
+        fastest = std::min(fastest, elapsed);
+        EXPECT_NE(what.find("mid-level; level=0 "), std::string::npos)
             << what;
-        EXPECT_NE(what.find("level="), std::string::npos) << what;
-        EXPECT_NE(what.find("socket"), std::string::npos) << what;
-        EXPECT_GT(runtime_warnings().watchdog_fires.load(
-                      std::memory_order_relaxed),
-                  fires_before);
+        EXPECT_NE(what.find("socket 1: "), std::string::npos) << what;
+        EXPECT_NE(what.find("channel pushed="), std::string::npos) << what;
     }
+    EXPECT_LT(fastest, poll_stop / 2);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -9,11 +11,13 @@
 
 #include "concurrency/cancel_token.hpp"
 #include "core/bfs.hpp"
+#include "core/level_driver.hpp"
 #include "core/msbfs.hpp"
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/prng.hpp"
+#include "runtime/stats.hpp"
 #include "service/admission.hpp"
 #include "service/graph_service.hpp"
 #include "stream/versioned_store.hpp"
@@ -91,16 +95,23 @@ TEST(CancelTokenTest, FiresOnNthPoll) {
 }
 
 TEST(CancelTokenTest, DeadlineFiresOnPoll) {
+    using clock = CancelToken::clock;
     CancelToken token;
+    EXPECT_EQ(token.deadline(), clock::time_point::max());  // none
     token.set_deadline_after(-1.0);  // already-spent budget
     EXPECT_TRUE(token.cancelled());
 
     token.reset();
     token.set_deadline_after(0.005);
+    EXPECT_LT(token.deadline(), clock::time_point::max());
     EXPECT_FALSE(token.poll());
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_TRUE(token.deadline_passed());
+    EXPECT_FALSE(token.cancelled());  // a passed deadline fires on a poll
     EXPECT_TRUE(token.poll());
+    EXPECT_TRUE(token.cancelled());
+
+    token.reset();
+    EXPECT_EQ(token.deadline(), clock::time_point::max());
 }
 
 // ---------------------------------------------------------------------
@@ -128,7 +139,6 @@ TEST_F(EngineCancelTest, SerialStopsAtRequestedLevel) {
         bfs(g, 0, options);
         FAIL() << "expected BfsDeadlineError";
     } catch (const BfsDeadlineError& e) {
-        EXPECT_TRUE(e.cancelled());
         EXPECT_EQ(e.level_reached(), 5u);
         EXPECT_GT(e.vertices_settled(), 0u);
         EXPECT_LT(e.vertices_settled(), 512u);
@@ -156,7 +166,6 @@ TEST_F(EngineCancelTest, ParallelEnginesStopMidTraversalAndRunnerIsReusable) {
             runner.run(g, 0);
             FAIL() << "expected BfsDeadlineError for " << to_string(engine);
         } catch (const BfsDeadlineError& e) {
-            EXPECT_TRUE(e.cancelled()) << to_string(engine);
             EXPECT_EQ(e.level_reached(), 7u) << to_string(engine);
             EXPECT_GT(e.vertices_settled(), 0u) << to_string(engine);
             EXPECT_LT(e.vertices_settled(), 512u) << to_string(engine);
@@ -191,7 +200,6 @@ TEST_F(EngineCancelTest, MsBfsWaveStopsAllLanesTogether) {
         multi_source_bfs(g, sources, count, options);
         FAIL() << "expected BfsDeadlineError";
     } catch (const BfsDeadlineError& e) {
-        EXPECT_TRUE(e.cancelled());
         EXPECT_EQ(e.level_reached(), 4u);
         // Every visitor call so far, the sources' level-0 calls included.
         EXPECT_EQ(e.vertices_settled(), discoveries.load());
@@ -203,6 +211,120 @@ TEST_F(EngineCancelTest, MsBfsWaveStopsAllLanesTogether) {
     const std::uint32_t levels = multi_source_bfs(g, sources, count, options);
     EXPECT_GT(levels, 0u);
     EXPECT_GT(discoveries.load(), partial);
+}
+
+TEST_F(EngineCancelTest, DeadlinesStopRunsAndTheRunnerAnswersExactlyAfter) {
+    // Two deadlines per run: one already past when the run starts, which
+    // the team enforces before the first level ends, and one a quarter
+    // into a run, which lands inside one of this graph's few fat levels
+    // (or at a level's end, where thread 0's poll takes it). Either way
+    // the run throws, and the same runner's next answer is exact.
+    using clock = CancelToken::clock;
+    const CsrGraph g = rmat_test_graph(16, 1 << 20, 7);
+    const std::vector<level_t> expected = serial_levels(g, 0);
+    // The fastest of three full runs of `run`.
+    const auto fastest = [](const auto& run) {
+        clock::duration best = clock::duration::max();
+        for (int i = 0; i < 3; ++i) {
+            const auto start = clock::now();
+            run();
+            best = std::min(best, clock::now() - start);
+        }
+        return best;
+    };
+
+    for (const BfsEngine engine :
+         {BfsEngine::kNaive, BfsEngine::kBitmap, BfsEngine::kMultiSocket,
+          BfsEngine::kHybrid}) {
+        SCOPED_TRACE(to_string(engine));
+        CancelToken token;
+        BfsOptions options = parallel_options(engine);
+        options.cancel = &token;
+        BfsRunner runner(options);
+        const clock::duration full = fastest([&] { runner.run(g, 0); });
+        for (const clock::duration offset : {-full, full / 4}) {
+            token.reset();
+            token.set_deadline(clock::now() + offset);
+            EXPECT_THROW(runner.run(g, 0), BfsDeadlineError);
+            token.reset();
+            EXPECT_EQ(runner.run(g, 0).level, expected);
+        }
+    }
+
+    // A 64-lane wave on a runner's team and workspace.
+    const CsrGraph wg = rmat_test_graph(14, 1 << 18, 7);
+    const vertex_t n = wg.num_vertices();
+    std::vector<vertex_t> roots(64);
+    std::vector<std::vector<level_t>> want(64);
+    for (std::size_t l = 0; l < 64; ++l) {
+        roots[l] = static_cast<vertex_t>(l * (n / 64));
+        want[l] = serial_levels(wg, roots[l]);
+    }
+    BfsRunner runner(parallel_options(BfsEngine::kHybrid));
+    runner.run(wg, 0);  // creates the workspace the waves share
+    CancelToken token;
+    MsBfsOptions mo;
+    mo.team = runner.team();
+    mo.workspace = runner.workspace();
+    mo.cancel = &token;
+    std::vector<std::vector<level_t>> lanes(64);
+    const auto record = [&lanes](int, level_t level, vertex_t v,
+                                 std::uint64_t mask) {
+        for (; mask != 0; mask &= mask - 1)
+            lanes[static_cast<std::size_t>(std::countr_zero(mask))][v] = level;
+    };
+    const auto wave = [&] {
+        for (auto& lane : lanes) lane.assign(n, kInvalidLevel);
+        multi_source_bfs(wg, roots, record, mo);
+    };
+    const clock::duration full = fastest(wave);
+    for (const clock::duration offset : {-full, full / 4}) {
+        token.reset();
+        token.set_deadline(clock::now() + offset);
+        EXPECT_THROW(wave(), BfsDeadlineError);
+        token.reset();
+        wave();
+        for (std::size_t l = 0; l < 64; ++l)
+            EXPECT_TRUE(lanes[l] == want[l]) << "lane " << l;
+    }
+}
+
+/// A run_levels step with one level and no discoveries.
+struct OneLevelStep {
+    bool compacts() const noexcept { return false; }
+    bool scan(detail::LevelCtx&) noexcept { return true; }
+    vertex_t* next_slots(int) noexcept { return nullptr; }
+    std::uint64_t end_level() noexcept { return 0; }
+    void plan_next() noexcept {}
+    bool convert(detail::LevelCtx&) noexcept { return true; }
+    std::string diagnose() const { return {}; }
+};
+
+TEST_F(EngineCancelTest, DeadlineAfterTheLastBarrierStopsNobody) {
+    // Every worker's finish() outlasts the deadline, so the team aborts
+    // the barrier after the level loop's last rendezvous, when nobody
+    // waits on it any more. The run completed: it must not be reported
+    // as stopped.
+    using clock = CancelToken::clock;
+    ThreadTeam team(4, Topology::emulate(2, 2, 1));
+    BfsWorkspace ws;
+    CancelToken token;
+    BfsOptions options;
+    options.cancel = &token;
+    OneLevelStep step;
+    const std::uint64_t aborts_before =
+        runtime_warnings().barrier_aborts.load();
+    const clock::time_point deadline =
+        clock::now() + std::chrono::milliseconds(200);
+    token.set_deadline(deadline);
+    const detail::LevelRun run = detail::run_levels(
+        "one_level", options, team, ws, step, 1, {}, [&](int) {
+            std::this_thread::sleep_until(deadline +
+                                          std::chrono::milliseconds(50));
+        });
+    EXPECT_EQ(run.levels, 1u);
+    EXPECT_EQ(run.visited, 1u);
+    EXPECT_EQ(runtime_warnings().barrier_aborts.load() - aborts_before, 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -348,6 +470,35 @@ TEST_F(ServiceTest, ExpiredDeadlineResolvesCancelled) {
     EXPECT_FALSE(r.answered());
     EXPECT_TRUE(r.level.empty());
     svc.stop();
+    EXPECT_EQ(svc.counters().cancelled.load(), 1u);
+}
+
+TEST_F(ServiceTest, DeadlineInsideARunCancelsAndNeverDegrades) {
+    // The deadline is a quarter of the fastest full answer, so it passes
+    // while the request's levels run. The stop is a cancellation, not a
+    // failure to retry on the serial engine, and the worker's next answer
+    // is exact.
+    const CsrGraph g = rmat_test_graph(16, 1 << 20, 7);
+    ServiceOptions options = base_options();
+    options.batching = false;
+    GraphService svc(g, options);
+    const std::vector<level_t> expected = serial_levels(g, 0);
+
+    double fastest = 1e9;
+    for (int i = 0; i < 3; ++i) {
+        const QueryResult r = svc.submit(0).result.get();
+        ASSERT_EQ(r.outcome, Outcome::kCompleted);
+        fastest = std::min(fastest, r.run_seconds);
+    }
+    const QueryResult late = svc.submit(0, fastest / 4).result.get();
+    EXPECT_EQ(late.outcome, Outcome::kCancelled);
+    EXPECT_TRUE(late.level.empty());
+
+    const QueryResult next = svc.submit(0).result.get();
+    EXPECT_EQ(next.outcome, Outcome::kCompleted);
+    EXPECT_EQ(next.level, expected);
+    svc.stop();
+    EXPECT_EQ(svc.counters().degraded.load(), 0u);
     EXPECT_EQ(svc.counters().cancelled.load(), 1u);
 }
 

@@ -4,10 +4,12 @@
 #include <chrono>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "concurrency/spin_barrier.hpp"
 #include "concurrency/thread_team.hpp"
+#include "runtime/stats.hpp"
 
 namespace sge {
 namespace {
@@ -79,6 +81,76 @@ TEST(ThreadTeam, WorkerExceptionReleasesBarrierWaiters) {
     std::atomic<int> total{0};
     team.run([&](int) { total.fetch_add(1); });
     EXPECT_EQ(total.load(), 4);
+}
+
+TEST(ThreadTeam, DeadlineAbortsAStalledRegion) {
+    // Worker 0 stalls until the barrier is aborted; its siblings wait
+    // for it at the barrier. Only the deadline can end the region (a
+    // run() that never aborts lets worker 0 arrive after 10 s, so the
+    // test fails instead of hanging).
+    ThreadTeam team(4, Topology::emulate(1, 4, 1));
+    SpinBarrier barrier(4);
+    std::atomic<int> released{0};
+    const std::uint64_t aborts_before =
+        runtime_warnings().barrier_aborts.load();
+    const auto start = std::chrono::steady_clock::now();
+    const auto deadline = start + std::chrono::milliseconds(20);
+    team.run(
+        [&](int tid) {
+            if (tid == 0) {
+                while (!barrier.aborted() &&
+                       std::chrono::steady_clock::now() <
+                           start + std::chrono::seconds(10))
+                    std::this_thread::yield();
+                if (!barrier.aborted()) barrier.arrive_and_wait();
+                return;
+            }
+            if (!barrier.arrive_and_wait()) released.fetch_add(1);
+        },
+        &barrier, deadline);
+    EXPECT_GE(std::chrono::steady_clock::now(), deadline);
+    EXPECT_TRUE(barrier.aborted());
+    EXPECT_EQ(released.load(), 3);
+    EXPECT_EQ(runtime_warnings().barrier_aborts.load() - aborts_before, 1u);
+
+    // The team serves the next region.
+    std::atomic<int> total{0};
+    team.run([&](int) { total.fetch_add(1); });
+    EXPECT_EQ(total.load(), 4);
+}
+
+TEST(ThreadTeam, RegionFinishingBeforeItsDeadlineIsNotAborted) {
+    ThreadTeam team(4, Topology::emulate(1, 4, 1));
+    SpinBarrier barrier(4);
+    std::atomic<int> passed{0};
+    const auto start = std::chrono::steady_clock::now();
+    team.run(
+        [&](int) {
+            for (int i = 0; i < 3; ++i)
+                if (barrier.arrive_and_wait()) passed.fetch_add(1);
+        },
+        &barrier, start + std::chrono::seconds(60));
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(30));
+    EXPECT_FALSE(barrier.aborted());
+    EXPECT_EQ(passed.load(), 12);
+}
+
+TEST(ThreadTeam, RunWithoutDeadlineNeverAborts) {
+    // No deadline (the default, time_point::max()): run() waits for a
+    // slow worker however long it takes, and never aborts the barrier.
+    ThreadTeam team(4, Topology::emulate(1, 4, 1));
+    SpinBarrier barrier(4);
+    std::atomic<int> passed{0};
+    team.run(
+        [&](int tid) {
+            if (tid == 0)
+                std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            if (barrier.arrive_and_wait()) passed.fetch_add(1);
+        },
+        &barrier);
+    EXPECT_FALSE(barrier.aborted());
+    EXPECT_EQ(passed.load(), 4);
 }
 
 TEST(ThreadTeam, ZeroThreadsClampsToOne) {
