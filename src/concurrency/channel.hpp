@@ -89,10 +89,11 @@ class Channel {
         return n;
     }
 
-    /// Total items ever pushed/popped. Exact while quiescent (the BFS
-    /// uses these after barriers for termination accounting, and in the
-    /// diagnostics of a run stopped mid-level); safe to read
-    /// concurrently, where they are merely a momentary snapshot.
+    /// Items pushed/popped since the last reset() (or construction).
+    /// Exact while quiescent (the BFS uses these after barriers for
+    /// termination accounting, and in the diagnostics of a run stopped
+    /// mid-level); safe to read concurrently, where they are merely a
+    /// momentary snapshot.
     [[nodiscard]] std::size_t pushed() const noexcept {
         return pushed_.load(std::memory_order_relaxed);
     }
@@ -109,6 +110,21 @@ class Channel {
 
     [[nodiscard]] std::size_t ring_capacity() const noexcept {
         return ring_.capacity();
+    }
+
+    /// Drops every undelivered item (ring, spill and pending buffer) and
+    /// zeroes both counters. Quiescent only: no push_batch or pop_batch
+    /// may run concurrently. No fault site: it costs O(items left)
+    /// whatever `channel_pop` is armed with.
+    void reset() {
+        std::lock_guard cguard(consumer_lock_);
+        std::lock_guard pguard(producer_lock_);
+        ring_.reset();
+        spill_.clear();
+        pending_.clear();
+        pending_cursor_ = 0;
+        pushed_.store(0, std::memory_order_relaxed);
+        popped_.store(0, std::memory_order_relaxed);
     }
 
   private:

@@ -90,6 +90,15 @@ class SpscRing {
 
     [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
 
+    /// Empties the ring and rewinds both cursors, in O(items left).
+    /// Quiescent only: no producer or consumer may be inside the ring.
+    void reset() noexcept {
+        for (; tail_.value != head_.value; ++tail_.value)
+            slots_[tail_.value & mask_].store(Empty, std::memory_order_relaxed);
+        head_.value = 0;
+        tail_.value = 0;
+    }
+
   private:
     std::size_t mask_;
     AlignedBuffer<std::atomic<T>> slots_;

@@ -279,12 +279,10 @@ void BfsWorkspace::reset_for_query(BfsEngine engine) {
             for (FrontierQueue& q : socket_queues[0]) q.reset();
             for (FrontierQueue& q : socket_queues[1]) q.reset();
             // An aborted run (a deadline mid-level, fault injection) can
-            // leave undrained tuples behind; flush them so they cannot
-            // leak into the next query as phantom visits.
-            std::uint64_t sink[64];
-            for (auto& ch : channels)
-                while (ch->pop_batch(sink, 64) != 0) {
-                }
+            // leave undrained tuples behind; drop them so they cannot
+            // leak into the next query as phantom visits, and rewind the
+            // counters so diagnostics report this query's traffic only.
+            for (auto& ch : channels) ch->reset();
             break;
         }
         case BfsEngine::kBitmap:

@@ -49,9 +49,10 @@ class BfsWorkspace {
     /// Readies the workspace for one query of `engine` over `g` on
     /// `team`: (re)allocates + first-touches when the graph size,
     /// engine or team changed (stats.prepares), otherwise performs the
-    /// cheap epoch-bump reset (stats.workspace_reuses). Also drains any
-    /// residue an aborted previous run (deadline, fault injection) left
-    /// in queues or channels, so a failed query never poisons the next.
+    /// cheap epoch-bump reset (stats.workspace_reuses). Also discards
+    /// any residue an aborted previous run (deadline, fault injection)
+    /// left in queues or channels, so a failed query never poisons the
+    /// next.
     void prepare(const CsrGraph& g, BfsEngine engine, const BfsOptions& options,
                  ThreadTeam& team);
     void prepare(const CompressedCsrGraph& g, BfsEngine engine,

@@ -190,9 +190,7 @@ class CompressedCsrGraph {
         prefetch_read(&degrees_[v]);
     }
 
-    /// Byte offsets into blob(), n+1 entries (the workspace uses the
-    /// array's address as this graph's identity tag, like plain CSR
-    /// offsets).
+    /// Byte offsets into blob(), n+1 entries.
     [[nodiscard]] std::span<const edge_offset_t> offsets() const noexcept {
         return byte_offsets_.span();
     }

@@ -167,9 +167,7 @@ class PagedGraph {
         prefetch_read(&degrees_[v]);
     }
 
-    /// Byte offsets into the mapped payload, n+1 entries. The address
-    /// of this resident array is the graph's workspace identity tag,
-    /// like the other two backends' offsets().
+    /// Byte offsets into the mapped payload, n+1 entries (resident).
     [[nodiscard]] std::span<const edge_offset_t> offsets() const noexcept {
         return byte_offsets_.span();
     }

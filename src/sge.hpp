@@ -55,8 +55,8 @@
 #include "service/request.hpp"
 
 // streaming extensions
-#include "stream/dynamic_graph.hpp"
 #include "stream/incremental_bfs.hpp"
+#include "stream/versioned_store.hpp"
 
 // probes (Figures 2-3)
 #include "memprobe/atomic_probe.hpp"

@@ -4,68 +4,33 @@
 
 namespace sge {
 
-IncrementalBfs::IncrementalBfs(const DynamicGraph& graph, vertex_t root)
-    : graph_(graph), root_(root) {
-    if (root >= graph.num_vertices())
+IncrementalBfs::IncrementalBfs(const CsrGraph& g, vertex_t root) : root_(root) {
+    rebuild(g);
+}
+
+void IncrementalBfs::rebuild(const CsrGraph& g) {
+    if (root_ >= g.num_vertices())
         throw std::out_of_range("IncrementalBfs: root out of range");
-    rebuild();
-}
-
-void IncrementalBfs::check_sync() const {
-    if (observed_version_ != graph_.version())
-        throw std::logic_error(
-            "IncrementalBfs: graph mutated without notification (levels "
-            "would be stale) — call on_edge_added/on_vertex_added for "
-            "insertions, rebuild() after removals");
-}
-
-void IncrementalBfs::rebuild() {
-    const vertex_t n = graph_.num_vertices();
-    level_.assign(n, kInvalidLevel);
-    parent_.assign(n, kInvalidVertex);
+    level_.assign(g.num_vertices(), kInvalidLevel);
     reached_ = 0;
+    arcs_ = g.num_edges();
+    // A wave seeded with the root alone is a plain BFS.
+    relax(root_, 0);
+    bfs_wave(g);
     stats_ = RepairStats{};
-    observed_version_ = graph_.version();
-
-    std::vector<vertex_t> queue{root_};
-    level_[root_] = 0;
-    parent_[root_] = root_;
-    reached_ = 1;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-        const vertex_t u = queue[head];
-        for (const vertex_t v : graph_.neighbors(u)) {
-            if (level_[v] != kInvalidLevel) continue;
-            level_[v] = level_[u] + 1;
-            parent_[v] = u;
-            ++reached_;
-            queue.push_back(v);
-        }
-    }
 }
 
-void IncrementalBfs::on_vertex_added() {
-    while (level_.size() < graph_.num_vertices()) {
-        level_.push_back(kInvalidLevel);
-        parent_.push_back(kInvalidVertex);
-        ++observed_version_;  // one add_vertex mutation per appended slot
-    }
-}
-
-/// Tries to lower `to` through the (new or re-examined) arc from ->
-/// to; enqueues `to` with its new level on success.
-bool IncrementalBfs::seed(vertex_t from, vertex_t to) {
-    if (level_[from] == kInvalidLevel) return false;
-    const level_t candidate = level_[from] + 1;
+/// Lowers `to` to `candidate` and enqueues it there, if that is lower.
+bool IncrementalBfs::relax(vertex_t to, level_t candidate) {
     if (level_[to] != kInvalidLevel && level_[to] <= candidate) return false;
     if (level_[to] == kInvalidLevel) ++reached_;
     level_[to] = candidate;
-    parent_[to] = from;
     queue_.push_back({to, candidate});
     ++stats_.enqueued;
     return true;
 }
 
-void IncrementalBfs::bfs_wave(std::size_t& changed) {
+std::size_t IncrementalBfs::bfs_wave(const CsrGraph& g) {
     // Decrease-only relaxation wave: a vertex enters the queue when its
     // level just dropped; its neighbours re-check. An entry whose
     // vertex improved again after enqueue is stale — the better entry
@@ -74,55 +39,50 @@ void IncrementalBfs::bfs_wave(std::size_t& changed) {
     // insertions) this is what keeps cascading repairs linear in edges
     // actually re-examined instead of quadratic in the repair region.
     ++stats_.waves;
+    std::size_t changed = 0;
     for (std::size_t head = 0; head < queue_.size(); ++head) {
         const WaveEntry e = queue_[head];
         if (level_[e.v] != e.enqueue_level) {
             ++stats_.stale_skips;
             continue;
         }
-        const auto neighbors = graph_.neighbors(e.v);
+        const auto neighbors = g.neighbors(e.v);
         stats_.edges_scanned += neighbors.size();
-        const level_t candidate = e.enqueue_level + 1;
-        for (const vertex_t w : neighbors) {
-            if (level_[w] != kInvalidLevel && level_[w] <= candidate) continue;
-            if (level_[w] == kInvalidLevel) ++reached_;
-            level_[w] = candidate;
-            parent_[w] = e.v;
-            ++changed;
-            queue_.push_back({w, candidate});
-            ++stats_.enqueued;
-        }
+        for (const vertex_t w : neighbors)
+            if (relax(w, e.enqueue_level + 1)) ++changed;
     }
     queue_.clear();
-}
-
-std::size_t IncrementalBfs::on_edge_added(vertex_t u, vertex_t v) {
-    const std::pair<vertex_t, vertex_t> edge[] = {{u, v}};
-    return on_edges_added(edge);
+    return changed;
 }
 
 std::size_t IncrementalBfs::on_edges_added(
+    const CsrGraph& next,
     std::span<const std::pair<vertex_t, vertex_t>> edges) {
-    for (const auto& [u, v] : edges)
-        if (u >= level_.size() || v >= level_.size())
-            throw std::out_of_range(
-                "IncrementalBfs: endpoint out of range "
-                "(did you call on_vertex_added?)");
-    observed_version_ += edges.size();
-    if (observed_version_ > graph_.version())
+    if (next.num_vertices() != level_.size())
         throw std::logic_error(
-            "IncrementalBfs: notified of more insertions than the graph "
-            "has mutations");
+            "IncrementalBfs: next graph has a different vertex count");
+    edge_offset_t arcs = arcs_;
+    for (const auto& [u, v] : edges) {
+        if (u >= level_.size() || v >= level_.size())
+            throw std::out_of_range("IncrementalBfs: endpoint out of range");
+        arcs += (u == v) ? 1 : 2;
+    }
+    if (next.num_edges() != arcs)
+        throw std::logic_error(
+            "IncrementalBfs: next graph is not the last one plus the "
+            "notified edges (a missed insertion or an unannounced "
+            "removal) — pass graphs with removals to rebuild()");
+    arcs_ = arcs;
 
     // Seed every improvable endpoint, then run ONE wave over all of
     // them: overlapping repair regions coalesce, and the stale-entry
     // skip drops whichever seeds a better seed already superseded.
     std::size_t changed = 0;
     for (const auto& [u, v] : edges) {
-        if (seed(u, v)) ++changed;
-        if (seed(v, u)) ++changed;
+        if (level_[u] != kInvalidLevel && relax(v, level_[u] + 1)) ++changed;
+        if (level_[v] != kInvalidLevel && relax(u, level_[v] + 1)) ++changed;
     }
-    if (!queue_.empty()) bfs_wave(changed);
+    if (!queue_.empty()) changed += bfs_wave(next);
     return changed;
 }
 

@@ -5,7 +5,8 @@
 #include <utility>
 #include <vector>
 
-#include "stream/dynamic_graph.hpp"
+#include "graph/csr_graph.hpp"
+#include "graph/types.hpp"
 
 namespace sge {
 
@@ -23,9 +24,9 @@ struct RepairStats {
 
 /// Incrementally-maintained BFS levels from a fixed root under edge
 /// insertions — the streaming companion to the batch engines: after
-/// each insertion the levels are repaired locally instead of recomputed
-/// from scratch, so a stream of m edges costs O(total repair) rather
-/// than O(m * (n + m)).
+/// each insertion batch the levels are repaired locally instead of
+/// recomputed from scratch, so a stream of m edges costs O(total
+/// repair) rather than O(m * (n + m)).
 ///
 /// Repair rule for a new edge {u, v}: if one endpoint's level can drop
 /// (level[u] + 1 < level[v] or vice versa), lower it and propagate the
@@ -35,68 +36,42 @@ struct RepairStats {
 /// record the level at enqueue time; an entry whose vertex has since
 /// improved further is skipped without rescanning its adjacency.
 ///
-/// Deletions are out of scope (level *increases* need the full
-/// decremental machinery): call rebuild() after removals. This is
-/// enforced, not advisory — the object records DynamicGraph::version()
-/// as it observes mutations, and any query across an unobserved
-/// mutation throws std::logic_error instead of silently answering from
-/// stale levels. (Throwing was chosen over auto-rebuild: the mismatch
-/// is a caller bug, and a silent rebuild would hide the missing
-/// notification while turning an O(1) accessor into an O(n + m) walk.)
+/// One snapshot per call: the object keeps no reference to a graph.
+/// Levels are for the last graph passed in, and each call names the
+/// graph it moves to. Deletions are out of scope (level *increases*
+/// need the full decremental machinery): pass the graph after removals
+/// to rebuild(). on_edges_added checks that `next` is the last graph
+/// plus exactly the notified edges — same vertex count, and an arc
+/// count grown by 2 per edge (1 per self-loop) — and throws
+/// std::logic_error otherwise, so a missed insertion or an unannounced
+/// removal is an attributable error rather than silently stale levels.
 class IncrementalBfs {
   public:
-    /// Captures the current state of `graph` and computes initial
-    /// levels from `root`. The graph must outlive this object.
-    IncrementalBfs(const DynamicGraph& graph, vertex_t root);
+    /// Computes levels from `root` on `g`. Throws std::out_of_range for
+    /// a root outside `g`.
+    IncrementalBfs(const CsrGraph& g, vertex_t root);
 
-    /// Notify that {u, v} has been inserted into the graph (call after
-    /// DynamicGraph::add_edge). Returns the number of vertices whose
-    /// level changed.
-    std::size_t on_edge_added(vertex_t u, vertex_t v);
-
-    /// Batched form: notify that every edge in `edges` has been
-    /// inserted (call after the add_edge calls). All improved endpoints
-    /// seed one repair wave, so a batch of shortcuts into the same
-    /// region is repaired in one cascade instead of `edges.size()`
-    /// overlapping ones. Returns the number of vertices whose level
-    /// changed.
+    /// Moves to `next`, which must be the last graph plus every edge in
+    /// `edges`. All improved endpoints seed one repair wave, so a batch
+    /// of shortcuts into the same region is repaired in one cascade
+    /// instead of `edges.size()` overlapping ones. Returns the number of
+    /// vertices whose level changed.
     std::size_t on_edges_added(
+        const CsrGraph& next,
         std::span<const std::pair<vertex_t, vertex_t>> edges);
 
-    /// Notify that a vertex was appended (add_vertex); it starts
-    /// unreached. Covers every vertex appended since the last
-    /// notification.
-    void on_vertex_added();
-
-    /// Recomputes from scratch (after deletions or bulk edits) and
-    /// re-syncs with the graph's current mutation version.
-    void rebuild();
-
-    /// True when every graph mutation has been observed (via the
-    /// on_* hooks or rebuild()); queries throw when this is false.
-    [[nodiscard]] bool in_sync() const noexcept {
-        return observed_version_ == graph_.version();
-    }
+    /// Recomputes from scratch on `g` (after deletions or bulk edits).
+    void rebuild(const CsrGraph& g);
 
     [[nodiscard]] vertex_t root() const noexcept { return root_; }
-    [[nodiscard]] level_t level(vertex_t v) const {
-        check_sync();
-        return level_.at(v);
-    }
-    [[nodiscard]] vertex_t parent(vertex_t v) const {
-        check_sync();
-        return parent_.at(v);
-    }
+    [[nodiscard]] level_t level(vertex_t v) const { return level_.at(v); }
     [[nodiscard]] bool reached(vertex_t v) const {
-        check_sync();
         return level_.at(v) != kInvalidLevel;
     }
-    [[nodiscard]] std::uint64_t reached_count() const {
-        check_sync();
+    [[nodiscard]] std::uint64_t reached_count() const noexcept {
         return reached_;
     }
-    [[nodiscard]] const std::vector<level_t>& levels() const {
-        check_sync();
+    [[nodiscard]] const std::vector<level_t>& levels() const noexcept {
         return level_;
     }
 
@@ -114,17 +89,17 @@ class IncrementalBfs {
         level_t enqueue_level;
     };
 
-    void check_sync() const;
-    bool seed(vertex_t from, vertex_t to);  // try lower `to` via `from`
-    void bfs_wave(std::size_t& changed);
+    bool relax(vertex_t to, level_t candidate);
+    /// Runs the queued entries to completion; returns the level changes.
+    std::size_t bfs_wave(const CsrGraph& g);
 
-    const DynamicGraph& graph_;
     vertex_t root_;
     std::vector<level_t> level_;
-    std::vector<vertex_t> parent_;
     std::vector<WaveEntry> queue_;  // reused across waves
     std::uint64_t reached_ = 0;
-    std::uint64_t observed_version_ = 0;
+    /// Arc count of the last graph passed: the base of the next call's
+    /// check.
+    edge_offset_t arcs_ = 0;
     RepairStats stats_;
 };
 

@@ -1,38 +1,119 @@
 #include "stream/versioned_store.hpp"
 
 #include <algorithm>
+#include <compare>
+#include <span>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 namespace sge {
 
 namespace {
 
-/// Normalized undirected-edge key for batch compaction.
+/// Normalized undirected-edge key: orders edges by lower endpoint.
 [[nodiscard]] std::uint64_t edge_key(vertex_t u, vertex_t v) noexcept {
     const vertex_t lo = u < v ? u : v;
     const vertex_t hi = u < v ? v : u;
     return (static_cast<std::uint64_t>(lo) << 32) | hi;
 }
 
+/// A batch's net effect on one arc: `net` copies of (row, w) added, or
+/// -net copies removed. Sorts by row, then by w.
+struct ArcDelta {
+    vertex_t row;
+    vertex_t w;
+    std::int64_t net;
+    auto operator<=>(const ArcDelta&) const = default;
+};
+
+/// Writes the ascending `row` with `deltas` (that row's, ascending by w,
+/// never removing more copies than the row holds) applied to `out`;
+/// returns the end of what it wrote.
+vertex_t* merge_row(std::span<const vertex_t> row,
+                    std::span<const ArcDelta> deltas, vertex_t* out) {
+    auto it = row.begin();
+    for (const ArcDelta& d : deltas) {
+        const auto [lo, hi] = std::equal_range(it, row.end(), d.w);
+        out = std::copy(it, lo, out);
+        out = std::fill_n(out, (hi - lo) + d.net, d.w);
+        it = hi;
+    }
+    return std::copy(it, row.end(), out);
+}
+
+/// `g` with `deltas` (ascending by row, then w) applied. Each run of
+/// untouched rows is one block copy whose offsets shift by the arc
+/// delta of the rows before it; only touched rows are merged. The two
+/// buffers are the only allocations, made before anything is written.
+CsrGraph build_next(const CsrGraph& g, std::span<const ArcDelta> deltas) {
+    const vertex_t n = g.num_vertices();
+    const auto src_offsets = g.offsets();
+    const vertex_t* src = g.targets().data();
+    edge_offset_t arcs = g.num_edges();
+    for (const ArcDelta& d : deltas) arcs += static_cast<edge_offset_t>(d.net);
+    AlignedBuffer<edge_offset_t> offsets(static_cast<std::size_t>(n) + 1);
+    AlignedBuffer<vertex_t> targets(arcs);
+
+    // Arcs the rows written so far gained. Unsigned on purpose: a net
+    // loss wraps, and every offset + shift comes out exact mod 2^64.
+    edge_offset_t shift = 0;
+    vertex_t first = 0;  // first row not yet written
+    const auto copy_rows = [&](vertex_t end) {
+        std::copy(src + src_offsets[first], src + src_offsets[end],
+                  targets.data() + (src_offsets[first] + shift));
+        for (vertex_t v = first; v < end; ++v)
+            offsets[v] = src_offsets[v] + shift;
+    };
+    for (std::size_t i = 0; i < deltas.size();) {
+        const vertex_t row = deltas[i].row;
+        std::size_t end = i;
+        while (end < deltas.size() && deltas[end].row == row) ++end;
+        copy_rows(row);
+        offsets[row] = src_offsets[row] + shift;
+        const vertex_t* row_end = merge_row(g.neighbors(row),
+                                            deltas.subspan(i, end - i),
+                                            targets.data() + offsets[row]);
+        shift = static_cast<edge_offset_t>(row_end - targets.data()) -
+                src_offsets[row + 1];
+        first = row + 1;
+        i = end;
+    }
+    copy_rows(n);
+    offsets[n] = targets.size();
+    return CsrGraph(std::move(offsets), std::move(targets), g.symmetric());
+}
+
 }  // namespace
 
-VersionedGraphStore::VersionedGraphStore(const CsrGraph& initial,
-                                         StoreOptions options)
-    : num_vertices_(initial.num_vertices()),
-      options_(options),
-      working_(initial) {
+VersionedGraphStore::VersionedGraphStore(const CsrGraph& initial)
+    : num_vertices_(initial.num_vertices()) {
+    const auto src_offsets = initial.offsets();
+    AlignedBuffer<edge_offset_t> offsets(
+        static_cast<std::size_t>(num_vertices_) + 1);
+    AlignedBuffer<vertex_t> targets(initial.num_edges());
+    offsets[0] = 0;  // also the whole array of a default-constructed graph
+    std::copy(src_offsets.begin(), src_offsets.end(), offsets.data());
+    std::copy(initial.targets().begin(), initial.targets().end(),
+              targets.data());
+    // Snapshot rows are ascending; a source built without sorting (or
+    // read from a file) has its unsorted rows sorted, and only those.
+    for (vertex_t v = 0; v < num_vertices_; ++v) {
+        vertex_t* lo = targets.data() + offsets[v];
+        vertex_t* hi = targets.data() + offsets[v + 1];
+        if (!std::is_sorted(lo, hi)) std::sort(lo, hi);
+    }
+    auto first = std::make_unique<detail::GraphSnapshot>();
+    first->graph = CsrGraph(std::move(offsets), std::move(targets),
+                            initial.symmetric());
     std::lock_guard guard(writer_mutex_);
-    publish_locked();
+    publish_locked(std::move(first));
 }
 
-VersionedGraphStore::VersionedGraphStore(vertex_t num_vertices,
-                                         StoreOptions options)
-    : num_vertices_(num_vertices), options_(options), working_(num_vertices) {
-    std::lock_guard guard(writer_mutex_);
-    publish_locked();
-}
+VersionedGraphStore::VersionedGraphStore(vertex_t num_vertices)
+    : VersionedGraphStore(CsrGraph(
+          AlignedBuffer<edge_offset_t>(
+              static_cast<std::size_t>(num_vertices) + 1, /*zeroed=*/true),
+          AlignedBuffer<vertex_t>(), /*symmetric=*/true)) {}
 
 SnapshotRef VersionedGraphStore::acquire() const {
     std::lock_guard guard(pin_mutex_);
@@ -67,11 +148,9 @@ std::size_t VersionedGraphStore::reclaim_pins_locked() {
     return freed;
 }
 
-void VersionedGraphStore::publish_locked() {
-    auto snap = std::make_unique<detail::GraphSnapshot>();
-    snap->graph = working_.snapshot();
-    snap->version = published_version_.load(std::memory_order_relaxed) + 1;
-
+void VersionedGraphStore::publish_locked(
+    std::unique_ptr<detail::GraphSnapshot> next) noexcept {
+    next->version = published_version_.load(std::memory_order_relaxed) + 1;
     {
         std::lock_guard guard(pin_mutex_);
         if (current_ != nullptr) {
@@ -79,7 +158,7 @@ void VersionedGraphStore::publish_locked() {
             counters_.snapshots_retired.fetch_add(1,
                                                   std::memory_order_relaxed);
         }
-        current_ = std::move(snap);
+        current_ = std::move(next);
         // Version becomes visible before the pin lock drops, so a
         // reader can never acquire() a snapshot newer than version().
         published_version_.store(current_->version,
@@ -91,146 +170,154 @@ void VersionedGraphStore::publish_locked() {
 
 std::uint64_t VersionedGraphStore::apply(const MutationBatch& batch) {
     std::lock_guard guard(writer_mutex_);
-    return apply_locked(batch);
-}
-
-std::uint64_t VersionedGraphStore::apply_locked(const MutationBatch& batch) {
-    // Validate everything up front: a bad id must not leave the batch
-    // half-applied (readers would never see it — publish is atomic —
-    // but the writer's working state would diverge from the ops log).
-    for (const EdgeOp& op : batch.ops)
-        if (op.u >= num_vertices_ || op.v >= num_vertices_)
+    // The rules only ever relate ops on one undirected edge, so the
+    // batch runs edge by edge, each edge's ops in batch order: `order`
+    // sorts (edge key, op index) pairs.
+    const auto& ops = batch.ops;
+    std::vector<std::pair<std::uint64_t, std::size_t>> order;
+    order.reserve(ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        if (ops[i].u >= num_vertices_ || ops[i].v >= num_vertices_)
             throw std::out_of_range(
                 "VersionedGraphStore: edge op vertex out of range");
-
-    // Compact: a remove cancels a pending in-batch insert of the same
-    // edge (exact under multiset semantics — net copies are equal —
-    // and it keeps cancelled churn out of the repair waves). A remove
-    // with no pending insert stays: it targets a pre-existing copy.
-    std::vector<char> cancelled(batch.ops.size(), 0);
-    std::unordered_map<std::uint64_t, std::vector<std::size_t>> pending;
-    for (std::size_t i = 0; i < batch.ops.size(); ++i) {
-        const EdgeOp& op = batch.ops[i];
-        const std::uint64_t key = edge_key(op.u, op.v);
-        if (op.kind == EdgeOp::Kind::kInsert) {
-            pending[key].push_back(i);
-        } else if (auto it = pending.find(key);
-                   it != pending.end() && !it->second.empty()) {
-            cancelled[it->second.back()] = 1;
-            cancelled[i] = 1;
-            it->second.pop_back();
-            counters_.noop_ops.fetch_add(2, std::memory_order_relaxed);
-        }
+        order.emplace_back(edge_key(ops[i].u, ops[i].v), i);
     }
+    std::sort(order.begin(), order.end());
 
-    std::vector<std::pair<vertex_t, vertex_t>> inserted;
+    // current_ is replaced only under both mutexes and this thread holds
+    // writer_mutex_, so reading it here races with nothing.
+    const CsrGraph& g = current_->graph;
+    const auto copies = [&](vertex_t u, vertex_t v) -> std::int64_t {
+        const auto row = g.neighbors(u);
+        const auto [lo, hi] = std::equal_range(row.begin(), row.end(), v);
+        return hi - lo;
+    };
+    std::uint64_t noops = 0;
     std::uint64_t removed = 0;
-    for (std::size_t i = 0; i < batch.ops.size(); ++i) {
-        if (cancelled[i]) continue;
-        const EdgeOp& op = batch.ops[i];
-        if (op.kind == EdgeOp::Kind::kInsert) {
-            working_.add_edge(op.u, op.v);
-            inserted.emplace_back(op.u, op.v);
-        } else if (working_.remove_edge(op.u, op.v)) {
+    std::vector<char> cancelled(ops.size(), 0);
+    std::vector<std::size_t> pending;
+    std::vector<ArcDelta> deltas;
+    for (std::size_t first = 0, last = 0; first < order.size(); first = last) {
+        const std::uint64_t key = order[first].first;
+        while (last < order.size() && order[last].first == key) ++last;
+        const std::span edge_ops(&order[first], last - first);
+
+        // Compact: a remove cancels the latest pending insert of its
+        // edge (exact under multiset semantics — net copies are equal —
+        // and it keeps cancelled churn out of the repair waves). A
+        // remove with no pending insert stays: it targets a copy that
+        // predates the batch.
+        pending.clear();
+        for (const auto& [k, i] : edge_ops) {
+            if (ops[i].kind == EdgeOp::Kind::kInsert) {
+                pending.push_back(i);
+            } else if (!pending.empty()) {
+                cancelled[pending.back()] = 1;
+                cancelled[i] = 1;
+                pending.pop_back();
+                noops += 2;
+            }
+        }
+
+        // The survivors in order, on the edge's two arcs (one for a
+        // self-loop): an insert adds both; a remove of (u, v) succeeds
+        // when row u holds v, and then also drops one (v, u) if row v
+        // holds one.
+        const auto a = static_cast<vertex_t>(key >> 32);
+        const auto b = static_cast<vertex_t>(key);
+        const std::int64_t ab0 = copies(a, b);
+        const std::int64_t ba0 = a == b ? 0 : copies(b, a);
+        std::int64_t ab = ab0;
+        std::int64_t ba = ba0;
+        for (const auto& [k, i] : edge_ops) {
+            if (cancelled[i]) continue;
+            if (ops[i].kind == EdgeOp::Kind::kInsert) {
+                ++ab;
+                if (a != b) ++ba;
+                continue;
+            }
+            std::int64_t& held = ops[i].u == a ? ab : ba;
+            std::int64_t& reverse = ops[i].u == a ? ba : ab;
+            if (held == 0) {
+                ++noops;
+                continue;
+            }
+            --held;
+            if (a != b && reverse > 0) --reverse;
             ++removed;
-        } else {
-            counters_.noop_ops.fetch_add(1, std::memory_order_relaxed);
         }
+        if (ab != ab0) deltas.push_back({a, b, ab - ab0});
+        if (ba != ba0) deltas.push_back({b, a, ba - ba0});
     }
+    std::vector<std::pair<vertex_t, vertex_t>> inserted;
+    for (std::size_t i = 0; i < ops.size(); ++i)
+        if (!cancelled[i] && ops[i].kind == EdgeOp::Kind::kInsert)
+            inserted.emplace_back(ops[i].u, ops[i].v);
 
-    if (!batch.ops.empty())
-        counters_.batches_applied.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t delta = inserted.size() + removed;
-    if (delta == 0) return version();  // nothing changed: no new epoch
+    if (delta == 0) {  // nothing changed: no new epoch
+        if (!batch.ops.empty())
+            counters_.batches_applied.fetch_add(1, std::memory_order_relaxed);
+        counters_.noop_ops.fetch_add(noops, std::memory_order_relaxed);
+        return version();
+    }
+
+    // Everything that can throw happens before the swap below: the next
+    // version first, then the tracked roots, repaired (insert-only
+    // batches: one multi-seed wave per root) or rebuilt (anything with
+    // a delete: level increases are outside the decrease-only repair)
+    // on copies.
+    std::sort(deltas.begin(), deltas.end());
+    auto next = std::make_unique<detail::GraphSnapshot>();
+    next->graph = build_next(g, deltas);
+
+    std::vector<IncrementalBfs> tracked;
+    tracked.reserve(tracked_.size());
+    std::uint64_t touched = 0;
+    for (const IncrementalBfs& ibfs : tracked_) {
+        if (removed > 0) {
+            tracked.emplace_back(next->graph, ibfs.root());
+        } else {
+            tracked.push_back(ibfs);
+            touched += tracked.back().on_edges_added(next->graph, inserted);
+        }
+    }
+    {
+        std::lock_guard pins(pin_mutex_);
+        retired_.reserve(retired_.size() + 1);  // publish cannot throw
+    }
+
+    tracked_.swap(tracked);
+    publish_locked(std::move(next));
+    counters_.batches_applied.fetch_add(1, std::memory_order_relaxed);
     counters_.delta_edges.fetch_add(delta, std::memory_order_relaxed);
-
-    // Level maintenance before publish, so tracked levels and the new
-    // snapshot change together: insert-only batches repair through one
-    // multi-seed wave per root; anything with a delete rebuilds (level
-    // increases are outside the decrease-only repair).
-    if (removed > 0) {
-        for (auto& [root, ibfs] : tracked_) {
-            ibfs->rebuild();
-            counters_.rebuilds.fetch_add(1, std::memory_order_relaxed);
-        }
-    } else {
-        for (auto& [root, ibfs] : tracked_) {
-            const std::size_t touched = ibfs->on_edges_added(inserted);
-            counters_.repair_touched.fetch_add(touched,
-                                               std::memory_order_relaxed);
-        }
-    }
-
-    publish_locked();
+    counters_.noop_ops.fetch_add(noops, std::memory_order_relaxed);
+    if (removed > 0)
+        counters_.rebuilds.fetch_add(tracked_.size(),
+                                     std::memory_order_relaxed);
+    counters_.repair_touched.fetch_add(touched, std::memory_order_relaxed);
     return version();
-}
-
-void VersionedGraphStore::stage_insert(vertex_t u, vertex_t v) {
-    std::lock_guard guard(writer_mutex_);
-    if (u >= num_vertices_ || v >= num_vertices_)
-        throw std::out_of_range("VersionedGraphStore: vertex out of range");
-    if (staged_.empty()) first_staged_ = std::chrono::steady_clock::now();
-    staged_.insert(u, v);
-    maybe_flush_locked();
-}
-
-void VersionedGraphStore::stage_remove(vertex_t u, vertex_t v) {
-    std::lock_guard guard(writer_mutex_);
-    if (u >= num_vertices_ || v >= num_vertices_)
-        throw std::out_of_range("VersionedGraphStore: vertex out of range");
-    if (staged_.empty()) first_staged_ = std::chrono::steady_clock::now();
-    staged_.remove(u, v);
-    maybe_flush_locked();
-}
-
-void VersionedGraphStore::maybe_flush_locked() {
-    if (staged_.size() >= options_.batch_capacity) {
-        flush_locked();
-        return;
-    }
-    if (options_.flush_window_seconds > 0.0) {
-        const auto window = std::chrono::duration<double>(
-            options_.flush_window_seconds);
-        if (std::chrono::steady_clock::now() - first_staged_ >= window)
-            flush_locked();
-    }
-}
-
-std::uint64_t VersionedGraphStore::flush_locked() {
-    if (staged_.empty()) return version();
-    MutationBatch batch;
-    batch.ops.swap(staged_.ops);
-    return apply_locked(batch);
-}
-
-std::size_t VersionedGraphStore::staged() const {
-    std::lock_guard guard(writer_mutex_);
-    return staged_.size();
-}
-
-std::uint64_t VersionedGraphStore::flush() {
-    std::lock_guard guard(writer_mutex_);
-    return flush_locked();
 }
 
 void VersionedGraphStore::track(vertex_t root) {
     std::lock_guard guard(writer_mutex_);
-    for (const auto& [r, ibfs] : tracked_)
-        if (r == root) return;  // idempotent
-    tracked_.emplace_back(root,
-                          std::make_unique<IncrementalBfs>(working_, root));
+    for (const IncrementalBfs& ibfs : tracked_)
+        if (ibfs.root() == root) return;  // idempotent
+    // Holding writer_mutex_ makes reading current_ race-free (see apply).
+    tracked_.emplace_back(current_->graph, root);
 }
 
 void VersionedGraphStore::untrack(vertex_t root) {
     std::lock_guard guard(writer_mutex_);
-    std::erase_if(tracked_,
-                  [root](const auto& entry) { return entry.first == root; });
+    std::erase_if(tracked_, [root](const IncrementalBfs& ibfs) {
+        return ibfs.root() == root;
+    });
 }
 
 std::vector<level_t> VersionedGraphStore::tracked_levels(vertex_t root) const {
     std::lock_guard guard(writer_mutex_);
-    for (const auto& [r, ibfs] : tracked_)
-        if (r == root) return ibfs->levels();
+    for (const IncrementalBfs& ibfs : tracked_)
+        if (ibfs.root() == root) return ibfs.levels();
     throw std::invalid_argument(
         "VersionedGraphStore: root is not tracked (call track() first)");
 }

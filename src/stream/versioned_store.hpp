@@ -1,17 +1,24 @@
 #pragma once
 
 // VersionedGraphStore — epoch-snapshot graph versioning for live
-// graphs: one writer applies batched edge inserts/deletes to a
-// DynamicGraph and publishes immutable CsrGraph snapshots; any number
-// of concurrent readers pin a snapshot and traverse it while the next
-// version is being built. This extends the epoch idiom of
-// concurrency/versioned_bitmap.hpp from per-word visited state to
-// whole-graph versions: a published snapshot is immutable forever, its
-// version number is the epoch, and "reset" is publishing the next
-// epoch rather than touching the old one.
+// graphs: one writer applies batched edge inserts/deletes and publishes
+// immutable CsrGraph snapshots; any number of concurrent readers pin a
+// snapshot and traverse it while the next version is being built. This
+// extends the epoch idiom of concurrency/versioned_bitmap.hpp from
+// per-word visited state to whole-graph versions: a published snapshot
+// is immutable forever, its version number is the epoch, and "reset" is
+// publishing the next epoch rather than touching the old one.
+//
+// One copy of the graph: the current snapshot is the store's only copy
+// of it. apply() builds version v+1 from version v plus the batch —
+// untouched rows are block-copied, touched rows are merged in sorted
+// order — repairs the tracked roots against it, and only then swaps it
+// in. Everything that can throw runs before that swap, so a failed
+// apply() leaves the version, the snapshot, the counters and the
+// tracked levels exactly as they were.
 //
 // Concurrency contract:
-//   * writer side (stage_* / flush / apply / track) is serialized by an
+//   * writer side (apply / track / untrack) is serialized by an
 //     internal mutex — one logical writer, but calls may come from any
 //     thread (the service's workers all forward mutation requests
 //     here);
@@ -21,7 +28,7 @@
 //     never blocks a publish;
 //   * a retired snapshot (superseded by a newer version) is reclaimed
 //     only when its last reader drops — the writer sweeps on each
-//     publish, so memory is bounded by "snapshots still pinned + 1".
+//     publish, so memory is bounded by the snapshots still pinned.
 //
 // Consistency guarantee (the staleness contract, see
 // docs/ROBUSTNESS.md): a reader never observes a half-applied batch.
@@ -33,11 +40,10 @@
 // BFS levels alongside the graph. Insert-only batches repair them
 // through IncrementalBfs (one multi-seed wave per batch);
 // delete-containing batches fall back to a rebuild against the new
-// state — deletions need level increases, which the decrease-only
+// version — deletions need level increases, which the decrease-only
 // repair cannot produce.
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -45,13 +51,14 @@
 
 #include "graph/csr_graph.hpp"
 #include "graph/types.hpp"
-#include "stream/dynamic_graph.hpp"
 #include "stream/incremental_bfs.hpp"
 
 namespace sge {
 
-/// One edge mutation. Undirected, mirroring DynamicGraph: an insert
-/// adds the arc pair {u, v} / {v, u}, a remove erases one occurrence.
+/// One edge mutation on the edge multiset. An insert of {u, v} adds the
+/// arcs (u, v) and (v, u) (one arc for a self-loop); a remove succeeds
+/// when row u holds v, erases that arc and one (v, u) if row v holds
+/// one.
 struct EdgeOp {
     enum class Kind : std::uint8_t { kInsert, kRemove };
     Kind kind = Kind::kInsert;
@@ -72,19 +79,6 @@ struct MutationBatch {
     }
     [[nodiscard]] bool empty() const noexcept { return ops.empty(); }
     [[nodiscard]] std::size_t size() const noexcept { return ops.size(); }
-};
-
-struct StoreOptions {
-    /// Staged ops (stage_insert/stage_remove) auto-flush when this many
-    /// are buffered — the capacity half of the capacity-or-window
-    /// aggregation discipline (the Grappa idiom, as in the service's
-    /// wave batching).
-    std::size_t batch_capacity = 256;
-
-    /// ... and when this much time has passed since the first staged op
-    /// of the current batch (checked at the next stage_* call; 0 = no
-    /// window, flush on capacity or explicitly).
-    double flush_window_seconds = 0.0;
 };
 
 /// Always-on monotonic counters (the ServiceCounters pattern): ticked
@@ -179,13 +173,14 @@ class SnapshotRef {
 class VersionedGraphStore {
   public:
     /// Seeds the store from a static graph (version 1 is its snapshot).
-    explicit VersionedGraphStore(const CsrGraph& initial,
-                                 StoreOptions options = {});
+    /// Its rows are copied as they are, except that unsorted rows are
+    /// sorted; the snapshots inherit `initial`'s symmetry stamp.
+    explicit VersionedGraphStore(const CsrGraph& initial);
 
     /// Starts from `num_vertices` isolated vertices. The vertex set is
-    /// fixed for the store's lifetime; mutations are edge ops.
-    explicit VersionedGraphStore(vertex_t num_vertices,
-                                 StoreOptions options = {});
+    /// fixed for the store's lifetime; mutations are edge ops. The
+    /// snapshots are stamped symmetric.
+    explicit VersionedGraphStore(vertex_t num_vertices);
 
     VersionedGraphStore(const VersionedGraphStore&) = delete;
     VersionedGraphStore& operator=(const VersionedGraphStore&) = delete;
@@ -222,22 +217,10 @@ class VersionedGraphStore {
     /// Applies `batch` (compacted: in-batch insert/remove pairs cancel)
     /// and publishes the resulting snapshot. Returns the new version.
     /// An empty or fully-cancelled batch publishes nothing and returns
-    /// the current version. Throws std::out_of_range on bad vertex ids
-    /// (the graph and tracked levels are untouched in that case).
+    /// the current version. Throws std::out_of_range on bad vertex ids,
+    /// or whatever building the next version throws (std::bad_alloc);
+    /// a throwing apply() changes nothing.
     std::uint64_t apply(const MutationBatch& batch);
-
-    /// Single-op staging: buffered until batch_capacity ops are staged
-    /// or flush_window_seconds has passed since the first (checked on
-    /// the next stage), then flushed as one batch.
-    void stage_insert(vertex_t u, vertex_t v);
-    void stage_remove(vertex_t u, vertex_t v);
-
-    /// Ops currently staged and not yet published.
-    [[nodiscard]] std::size_t staged() const;
-
-    /// Publishes staged ops now; returns the (possibly unchanged)
-    /// current version.
-    std::uint64_t flush();
 
     /// Frees retired snapshots whose last reader has dropped (also done
     /// automatically on every publish). Returns the number freed.
@@ -256,27 +239,23 @@ class VersionedGraphStore {
     [[nodiscard]] std::vector<level_t> tracked_levels(vertex_t root) const;
 
   private:
-    // *_locked helpers assume writer_mutex_ is held (except
-    // reclaim_pins_locked, which needs pin_mutex_).
-    std::uint64_t apply_locked(const MutationBatch& batch);
-    void maybe_flush_locked();
-    std::uint64_t flush_locked();
-    void publish_locked();
+    /// Swaps `next` in as the current snapshot; needs writer_mutex_,
+    /// takes pin_mutex_, and cannot throw once `retired_` has room for
+    /// one more entry.
+    void publish_locked(std::unique_ptr<detail::GraphSnapshot> next) noexcept;
     std::size_t reclaim_pins_locked();
 
     const vertex_t num_vertices_;
-    const StoreOptions options_;
 
-    /// Serializes all writer-side state: the working graph, staging
-    /// buffer and tracked levels.
+    /// Serializes the writer side: builds, publishes and the tracked
+    /// levels.
     mutable std::mutex writer_mutex_;
-    DynamicGraph working_;
-    MutationBatch staged_;
-    std::chrono::steady_clock::time_point first_staged_{};
-    std::vector<std::pair<vertex_t, std::unique_ptr<IncrementalBfs>>> tracked_;
+    std::vector<IncrementalBfs> tracked_;
 
-    /// Guards current_/retired_ and pin acquisition (short critical
-    /// sections only: pointer swap, refcount bump, sweep).
+    /// Guards retired_ and pin acquisition (short critical sections
+    /// only: pointer swap, refcount bump, sweep). current_ is replaced
+    /// only under both mutexes, so holding either one makes reading it
+    /// race-free.
     mutable std::mutex pin_mutex_;
     std::unique_ptr<detail::GraphSnapshot> current_;
     std::vector<std::unique_ptr<detail::GraphSnapshot>> retired_;

@@ -49,18 +49,21 @@ TEST(Api, PartitionerFeedsMultiSocket) {
 }
 
 TEST(Api, StreamSnapshotRunsFullAnalyticsStack) {
-    // Ingest a stream, snapshot, and push the snapshot through several
-    // analytics in sequence — the intended "query the current state"
-    // path.
+    // Ingest a stream through the store, pin its snapshot, and push it
+    // through several analytics in sequence — the intended "query the
+    // current state" path.
     RmatParams params;
     params.scale = 11;
     params.num_edges = 1 << 14;
     const EdgeList stream = generate_rmat(params);
 
-    DynamicGraph dynamic(1u << 11);
+    VersionedGraphStore store(1u << 11);
+    MutationBatch batch;
     for (const Edge& e : stream)
-        if (e.src != e.dst) dynamic.add_edge(e.src, e.dst);
-    const CsrGraph snapshot = dynamic.snapshot();
+        if (e.src != e.dst) batch.insert(e.src, e.dst);
+    store.apply(batch);
+    const SnapshotRef pin = store.acquire();
+    const CsrGraph& snapshot = pin.graph();
 
     const ComponentsResult cc = connected_components(snapshot);
     EXPECT_GT(cc.largest_size(), 0u);

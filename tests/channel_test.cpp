@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -50,6 +51,40 @@ TEST(Channel, CountersTrackTraffic) {
     std::uint64_t out[4];
     EXPECT_EQ(chan.pop_batch(out, 4), 3u);
     EXPECT_EQ(chan.popped(), 3u);
+}
+
+TEST(Channel, ResetEmptiesRingSpillAndCounters) {
+    constexpr std::size_t kCapacity = 8;
+    Chan chan(kCapacity);
+    // Past the ring's capacity, so the spill engages; popping past the
+    // ring moves the spill into the pending buffer, and a second push
+    // refills ring and spill: all three hold items at the reset.
+    std::vector<std::uint64_t> first(3 * kCapacity);
+    std::iota(first.begin(), first.end(), 0);
+    chan.push_batch(first.data(), first.size());
+    std::uint64_t buf[64];
+    std::size_t popped = 0;
+    while (popped < kCapacity + 3)
+        popped += chan.pop_batch(buf, kCapacity + 3 - popped);
+    chan.push_batch(first.data(), 2 * kCapacity);
+
+    chan.reset();
+    EXPECT_EQ(chan.pushed(), 0u);
+    EXPECT_EQ(chan.popped(), 0u);
+    EXPECT_EQ(chan.pop_batch(buf, 64), 0u);
+
+    // A round trip through ring and spill afterwards delivers each item
+    // exactly once: nothing from before the reset comes back.
+    std::vector<std::uint64_t> second(kCapacity + 5);
+    std::iota(second.begin(), second.end(), 1000);
+    chan.push_batch(second.data(), second.size());
+    std::vector<std::uint64_t> got;
+    for (std::size_t k; (k = chan.pop_batch(buf, 64)) != 0;)
+        got.insert(got.end(), buf, buf + k);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, second);
+    EXPECT_EQ(chan.pushed(), second.size());
+    EXPECT_EQ(chan.popped(), second.size());
 }
 
 TEST(Channel, InterleavedPushPopPhases) {

@@ -9,6 +9,7 @@
 
 #include "concurrency/cancel_token.hpp"
 #include "core/bfs.hpp"
+#include "core/bfs_workspace.hpp"
 #include "core/validate.hpp"
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
@@ -179,6 +180,55 @@ TEST_F(FaultBfsTest, TokenDeadlineEndsStalledLevel) {
         EXPECT_NE(what.find("channel pushed="), std::string::npos) << what;
     }
     EXPECT_LT(fastest, poll_stop / 2);
+}
+
+TEST_F(FaultBfsTest, ReusedRunnerReportsAndDropsOnlyThisRunsTraffic) {
+    // The hub of TokenDeadlineEndsStalledLevel, on a runner that already
+    // answered one query through the same channels. A run stopped at
+    // level 0's scan barrier reports this run's shipments only, and the
+    // next prepare() drops what it left behind without popping it, so a
+    // throttled channel_pop never sees those tuples.
+    using clock = std::chrono::steady_clock;
+    constexpr vertex_t kN = 1 << 20;
+    EdgeList edges(kN);
+    for (vertex_t v = kN / 2; v < kN; ++v) edges.add(0, v);
+    const CsrGraph g = csr_from_edges(edges);
+    BfsOptions serial;
+    serial.engine = BfsEngine::kSerial;
+    const std::vector<level_t> expected = bfs(g, 0, serial).level;
+    CancelToken token;
+    BfsOptions options = multisocket_options();
+    options.threads = 4;
+    options.topology = Topology::emulate(2, 2, 1);
+    options.cancel = &token;
+    BfsRunner runner(options);
+    ASSERT_EQ(runner.run(g, 0).level, expected);
+
+    fault::arm(Site::kChannelPop, Trigger{.probability = 1.0, .nth = 0});
+    token.set_deadline(clock::now() - std::chrono::milliseconds(1));
+    std::string what;
+    try {
+        runner.run(g, 0);
+        ADD_FAILURE() << "expected BfsDeadlineError";
+    } catch (const BfsDeadlineError& e) {
+        what = e.what();
+    }
+    EXPECT_NE(what.find("mid-level; level=0 "), std::string::npos) << what;
+    const std::size_t socket1 = what.find("socket 1: ");
+    ASSERT_NE(socket1, std::string::npos) << what;
+    EXPECT_NE(what.find(" channel pushed=" + std::to_string(kN / 2) + " ",
+                        socket1),
+              std::string::npos)
+        << what;
+
+    // arm() rewinds the site's hit count.
+    fault::arm(Site::kChannelPop, Trigger{.probability = 1.0, .nth = 0});
+    runner.workspace()->prepare(g, BfsEngine::kMultiSocket, options,
+                                *runner.team());
+    EXPECT_EQ(fault::hits(Site::kChannelPop), 0u);
+    fault::disarm_all();
+    token.reset();
+    EXPECT_EQ(runner.run(g, 0).level, expected);
 }
 
 }  // namespace

@@ -808,6 +808,44 @@ TEST(LiveServiceTest, MutationRejectsOutOfRangeVertex) {
     EXPECT_EQ(store.version(), 1u) << "nothing was applied";
 }
 
+TEST(LiveServiceTest, FailedMutationLeavesNoTrace) {
+    if (!fault::compiled_in())
+        GTEST_SKIP() << "built with SGE_FAULT_INJECTION=OFF";
+    VersionedGraphStore store(64);
+    GraphService svc(store, live_options());
+    ASSERT_TRUE(svc.submit(0).result.get().answered());  // workers warm
+
+    // The site is armed only while this mutation is the sole request in
+    // flight, so its apply() takes the first alloc-site hit.
+    MutationBatch doomed;
+    doomed.insert(0, 1);
+    doomed.insert(1, 2);
+    fault::arm(Site::kAlloc, Trigger{.probability = 0.0, .nth = 1});
+    const QueryResult failed = svc.submit_mutation(std::move(doomed)).result.get();
+    fault::disarm_all();
+    EXPECT_EQ(failed.outcome, Outcome::kFailed);
+    EXPECT_EQ(store.version(), 1u);
+
+    MutationBatch next;
+    next.insert(0, 3);
+    const QueryResult m = svc.submit_mutation(std::move(next)).result.get();
+    ASSERT_EQ(m.outcome, Outcome::kCompleted);
+    EXPECT_EQ(m.snapshot_version, 2u);
+    const SnapshotRef snap = store.acquire();
+    EXPECT_EQ(snap.graph().num_edges(), 2u) << "only the later batch's arcs";
+    EXPECT_FALSE(snap.graph().has_edge(0, 1));
+
+    const QueryResult q = svc.submit(0).result.get();
+    ASSERT_TRUE(q.answered());
+    EXPECT_EQ(q.snapshot_version, 2u);
+    EXPECT_EQ(q.level[1], kInvalidLevel);
+    EXPECT_EQ(q.level, serial_levels(snap.graph(), 0));
+    svc.stop();
+    EXPECT_EQ(svc.counters().failed.load(), 1u);
+    EXPECT_EQ(svc.counters().mutations.load(), 1u);
+    EXPECT_EQ(store.counters().batches_applied.load(), 1u);
+}
+
 // Chaos soak over a live graph: concurrent mutations and queries under
 // probabilistic faults at every service site. Invariants: no hang
 // (every future resolves), no lost request, nothing resolves kFailed,

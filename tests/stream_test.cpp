@@ -1,13 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <iterator>
+#include <memory>
+#include <new>
+#include <set>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/bfs.hpp"
+#include "gen/rmat.hpp"
 #include "gen/uniform.hpp"
 #include "graph/builder.hpp"
+#include "runtime/fault.hpp"
 #include "runtime/prng.hpp"
-#include "stream/dynamic_graph.hpp"
 #include "stream/incremental_bfs.hpp"
 #include "stream/versioned_store.hpp"
 #include "test_util.hpp"
@@ -15,52 +24,78 @@
 namespace sge {
 namespace {
 
-// ---------- DynamicGraph ----------
+using Edges = std::vector<std::pair<vertex_t, vertex_t>>;
 
-TEST(DynamicGraph, InsertQueryRemove) {
-    DynamicGraph g(4);
-    EXPECT_EQ(g.num_vertices(), 4u);
-    EXPECT_EQ(g.num_arcs(), 0u);
-
-    g.add_edge(0, 1);
-    g.add_edge(1, 2);
-    EXPECT_EQ(g.num_arcs(), 4u);
-    EXPECT_TRUE(g.has_edge(0, 1));
-    EXPECT_TRUE(g.has_edge(1, 0));
-    EXPECT_FALSE(g.has_edge(0, 2));
-    EXPECT_EQ(g.degree(1), 2u);
-
-    EXPECT_TRUE(g.remove_edge(0, 1));
-    EXPECT_FALSE(g.has_edge(0, 1));
-    EXPECT_FALSE(g.remove_edge(0, 1));  // already gone
-    EXPECT_EQ(g.num_arcs(), 2u);
+/// Applies `edges` to `store` as one insert batch; returns a pin on the
+/// version it published.
+SnapshotRef insert_all(VersionedGraphStore& store, const Edges& edges) {
+    MutationBatch batch;
+    for (const auto& [u, v] : edges) batch.insert(u, v);
+    store.apply(batch);
+    return store.acquire();
 }
 
-TEST(DynamicGraph, SelfLoopCountsOneArc) {
-    DynamicGraph g(2);
-    g.add_edge(1, 1);
-    EXPECT_EQ(g.num_arcs(), 1u);
-    EXPECT_TRUE(g.has_edge(1, 1));
-    EXPECT_TRUE(g.remove_edge(1, 1));
-    EXPECT_EQ(g.num_arcs(), 0u);
+/// The edges of the path 0 - 1 - ... - (n-1).
+Edges path_edges(vertex_t n) {
+    Edges edges;
+    for (vertex_t v = 0; v + 1 < n; ++v) edges.emplace_back(v, v + 1);
+    return edges;
 }
 
-TEST(DynamicGraph, AddVertexGrows) {
-    DynamicGraph g(2);
-    const vertex_t v = g.add_vertex();
-    EXPECT_EQ(v, 2u);
-    EXPECT_EQ(g.num_vertices(), 3u);
-    g.add_edge(0, v);
-    EXPECT_TRUE(g.has_edge(v, 0));
+BfsResult serial_bfs(const CsrGraph& g, vertex_t root) {
+    BfsOptions opts;
+    opts.engine = BfsEngine::kSerial;
+    return bfs(g, root, opts);
 }
 
-TEST(DynamicGraph, OutOfRangeThrows) {
-    DynamicGraph g(3);
-    EXPECT_THROW(g.add_edge(0, 3), std::out_of_range);
-    EXPECT_THROW((void)g.degree(3), std::out_of_range);
+std::vector<level_t> serial_levels(const CsrGraph& g, vertex_t root) {
+    return serial_bfs(g, root).level;
 }
 
-TEST(DynamicGraph, SnapshotMatchesBuilder) {
+// ---------- edge multiset semantics of the store ----------
+
+TEST(VersionedStore, MultisetInsertAndRemove) {
+    VersionedGraphStore store(4);
+    MutationBatch grow;
+    grow.insert(0, 1);
+    grow.insert(1, 2);
+    grow.insert(1, 0);  // a second copy of {0, 1}
+    store.apply(grow);
+    {
+        const SnapshotRef s = store.acquire();
+        EXPECT_EQ(s.graph().num_edges(), 6u);
+        EXPECT_TRUE(s.graph().has_edge(0, 1));
+        EXPECT_TRUE(s.graph().has_edge(1, 0));
+        EXPECT_FALSE(s.graph().has_edge(0, 2));
+        EXPECT_EQ(s.graph().degree(1), 3u);
+    }
+
+    MutationBatch cut;
+    cut.remove(0, 1);  // one copy goes, the other stays
+    store.apply(cut);
+    EXPECT_TRUE(store.acquire().graph().has_edge(0, 1));
+    store.apply(cut);
+    EXPECT_FALSE(store.acquire().graph().has_edge(0, 1));
+    EXPECT_EQ(store.apply(cut), 4u) << "an absent edge's remove is a no-op";
+    EXPECT_EQ(store.acquire().graph().num_edges(), 2u);
+    EXPECT_EQ(store.counters().noop_ops.load(), 1u);
+}
+
+TEST(VersionedStore, SelfLoopCountsOneArc) {
+    VersionedGraphStore store(2);
+    MutationBatch loop;
+    loop.insert(1, 1);
+    store.apply(loop);
+    EXPECT_EQ(store.acquire().graph().num_edges(), 1u);
+    EXPECT_TRUE(store.acquire().graph().has_edge(1, 1));
+    MutationBatch cut;
+    cut.remove(1, 1);
+    store.apply(cut);
+    EXPECT_EQ(store.acquire().graph().num_edges(), 0u);
+    EXPECT_EQ(store.counters().delta_edges.load(), 2u);
+}
+
+TEST(VersionedStore, SnapshotMatchesBuilder) {
     // Same edges through both paths must yield identical CSR structure.
     UniformParams params;
     params.num_vertices = 500;
@@ -68,46 +103,95 @@ TEST(DynamicGraph, SnapshotMatchesBuilder) {
     const EdgeList edges = generate_uniform(params);
 
     BuildOptions opts;
-    opts.deduplicate = false;  // DynamicGraph keeps multiplicity
+    opts.deduplicate = false;  // the store keeps multiplicity
     opts.remove_self_loops = false;
     const CsrGraph built = csr_from_edges(edges, opts);
 
-    DynamicGraph dynamic(params.num_vertices);
-    for (const Edge& e : edges) dynamic.add_edge(e.src, e.dst);
-    EXPECT_TRUE(built == dynamic.snapshot());
+    VersionedGraphStore store(params.num_vertices);
+    MutationBatch batch;
+    for (const Edge& e : edges) batch.insert(e.src, e.dst);
+    store.apply(batch);
+    EXPECT_TRUE(built == store.acquire().graph());
 }
 
-TEST(DynamicGraph, RoundTripFromStatic) {
+TEST(VersionedStore, ZeroVertices) {
+    VersionedGraphStore store(0);
+    EXPECT_EQ(store.acquire().graph().num_vertices(), 0u);
+    EXPECT_EQ(store.acquire().graph().num_edges(), 0u);
+    VersionedGraphStore copy((CsrGraph()));
+    EXPECT_EQ(copy.acquire().graph().num_vertices(), 0u);
+    EXPECT_EQ(store.apply(MutationBatch{}), 1u);
+}
+
+TEST(VersionedStore, AllSelfLoops) {
+    VersionedGraphStore store(3);
+    MutationBatch loops;
+    for (vertex_t v = 0; v < 3; ++v) loops.insert(v, v);
+    store.apply(loops);
+    const SnapshotRef s = store.acquire();
+    EXPECT_EQ(s.graph().num_edges(), 3u);  // one arc per self-loop
+    for (vertex_t v = 0; v < 3; ++v) {
+        ASSERT_EQ(s.graph().degree(v), 1u);
+        EXPECT_EQ(s.graph().neighbors(v)[0], v);
+    }
+}
+
+TEST(VersionedStore, OutOfRangeThrows) {
+    // The vertex count comes from the source graph; id n is the first
+    // bad one, at either endpoint of an insert or a remove.
+    VersionedGraphStore store(test::two_cliques(5));
+    const vertex_t n = store.num_vertices();
+    ASSERT_EQ(n, 10u);
+    for (const auto& [u, v] : Edges{{0, n}, {n, 0}}) {
+        MutationBatch add;
+        add.insert(u, v);
+        EXPECT_THROW(store.apply(add), std::out_of_range) << u << "-" << v;
+        MutationBatch cut;
+        cut.remove(u, v);
+        EXPECT_THROW(store.apply(cut), std::out_of_range) << u << "-" << v;
+    }
+    MutationBatch last;
+    last.insert(0, n - 1);
+    EXPECT_EQ(store.apply(last), 2u);
+    EXPECT_TRUE(store.acquire().graph().has_edge(n - 1, 0));
+}
+
+TEST(VersionedStore, RoundTripFromStatic) {
     const CsrGraph g = test::two_cliques(5);
-    const DynamicGraph dynamic(g);
-    EXPECT_TRUE(g == dynamic.snapshot());
-    EXPECT_EQ(dynamic.num_arcs(), g.num_edges());
+    VersionedGraphStore store(g);
+    EXPECT_TRUE(g == store.acquire().graph());
+    EXPECT_EQ(store.acquire().graph().num_edges(), g.num_edges());
+
+    // Inserting a bridge and removing it again restores the source CSR.
+    MutationBatch bridge;
+    bridge.insert(0, 9);
+    store.apply(bridge);
+    EXPECT_FALSE(g == store.acquire().graph());
+    MutationBatch cut;
+    cut.remove(9, 0);
+    store.apply(cut);
+    EXPECT_TRUE(g == store.acquire().graph());
+    EXPECT_EQ(store.acquire().graph().num_edges(), g.num_edges());
 }
 
-// ---------- IncrementalBfs ----------
+// ---------- IncrementalBfs over snapshots ----------
 
 TEST(IncrementalBfs, InitialLevelsMatchBatchBfs) {
     const CsrGraph g = test::cycle_graph(20);
-    const DynamicGraph dynamic(g);
-    const IncrementalBfs inc(dynamic, 0);
-
-    BfsOptions opts;
-    opts.engine = BfsEngine::kSerial;
-    const BfsResult batch = bfs(g, 0, opts);
-    for (vertex_t v = 0; v < 20; ++v)
-        EXPECT_EQ(inc.level(v), batch.level[v]) << v;
+    const IncrementalBfs inc(g, 0);
+    EXPECT_EQ(inc.levels(), serial_levels(g, 0));
     EXPECT_EQ(inc.reached_count(), 20u);
 }
 
 TEST(IncrementalBfs, ShortcutEdgeLowersLevels) {
     // Path 0..9; adding edge {0, 9} folds the far end to level 1.
-    DynamicGraph g(10);
-    for (vertex_t v = 0; v + 1 < 10; ++v) g.add_edge(v, v + 1);
-    IncrementalBfs inc(g, 0);
+    VersionedGraphStore store(10);
+    IncrementalBfs inc(insert_all(store, path_edges(10)).graph(), 0);
     EXPECT_EQ(inc.level(9), 9u);
 
-    g.add_edge(0, 9);
-    const std::size_t changed = inc.on_edge_added(0, 9);
+    const Edges shortcut = {{0, 9}};
+    const std::size_t changed =
+        inc.on_edges_added(insert_all(store, shortcut).graph(), shortcut);
     EXPECT_GT(changed, 0u);
     EXPECT_EQ(inc.level(9), 1u);
     EXPECT_EQ(inc.level(8), 2u);
@@ -115,16 +199,13 @@ TEST(IncrementalBfs, ShortcutEdgeLowersLevels) {
 }
 
 TEST(IncrementalBfs, ConnectsNewComponent) {
-    DynamicGraph g(6);
-    g.add_edge(0, 1);
-    g.add_edge(3, 4);
-    g.add_edge(4, 5);
-    IncrementalBfs inc(g, 0);
+    VersionedGraphStore store(6);
+    IncrementalBfs inc(insert_all(store, {{0, 1}, {3, 4}, {4, 5}}).graph(), 0);
     EXPECT_EQ(inc.reached_count(), 2u);
     EXPECT_FALSE(inc.reached(4));
 
-    g.add_edge(1, 3);
-    inc.on_edge_added(1, 3);
+    const Edges bridge = {{1, 3}};
+    inc.on_edges_added(insert_all(store, bridge).graph(), bridge);
     EXPECT_EQ(inc.reached_count(), 5u);
     EXPECT_EQ(inc.level(3), 2u);
     EXPECT_EQ(inc.level(5), 4u);
@@ -132,31 +213,19 @@ TEST(IncrementalBfs, ConnectsNewComponent) {
 }
 
 TEST(IncrementalBfs, EdgeBetweenUnreachedIsDeferred) {
-    DynamicGraph g(5);
-    g.add_edge(0, 1);
-    IncrementalBfs inc(g, 0);
+    VersionedGraphStore store(5);
+    IncrementalBfs inc(insert_all(store, {{0, 1}}).graph(), 0);
 
-    g.add_edge(3, 4);  // island edge
-    EXPECT_EQ(inc.on_edge_added(3, 4), 0u);
+    const Edges island = {{3, 4}};
+    EXPECT_EQ(inc.on_edges_added(insert_all(store, island).graph(), island),
+              0u);
     EXPECT_FALSE(inc.reached(3));
 
     // Later the island connects; the earlier edge must now count.
-    g.add_edge(1, 3);
-    inc.on_edge_added(1, 3);
+    const Edges bridge = {{1, 3}};
+    inc.on_edges_added(insert_all(store, bridge).graph(), bridge);
     EXPECT_TRUE(inc.reached(4));
     EXPECT_EQ(inc.level(4), 3u);
-}
-
-TEST(IncrementalBfs, VertexGrowth) {
-    DynamicGraph g(2);
-    g.add_edge(0, 1);
-    IncrementalBfs inc(g, 0);
-    const vertex_t v = g.add_vertex();
-    inc.on_vertex_added();
-    EXPECT_FALSE(inc.reached(v));
-    g.add_edge(1, v);
-    inc.on_edge_added(1, v);
-    EXPECT_EQ(inc.level(v), 2u);
 }
 
 TEST(IncrementalBfs, RandomStreamMatchesBatchRecompute) {
@@ -164,103 +233,96 @@ TEST(IncrementalBfs, RandomStreamMatchesBatchRecompute) {
     // equal a from-scratch BFS on the snapshot.
     Xoshiro256 rng(2024);
     constexpr vertex_t kN = 300;
-    DynamicGraph g(kN);
-    IncrementalBfs inc(g, 0);
+    VersionedGraphStore store(kN);
+    IncrementalBfs inc(store.acquire().graph(), 0);
 
-    BfsOptions opts;
-    opts.engine = BfsEngine::kSerial;
     for (int step = 0; step < 400; ++step) {
         const auto u = static_cast<vertex_t>(rng.next_below(kN));
         auto v = static_cast<vertex_t>(rng.next_below(kN - 1));
         if (v >= u) ++v;
-        g.add_edge(u, v);
-        inc.on_edge_added(u, v);
+        const Edges edge = {{u, v}};
+        const SnapshotRef snap = insert_all(store, edge);
+        inc.on_edges_added(snap.graph(), edge);
 
         if (step % 20 != 0) continue;  // full audit every 20 insertions
-        const BfsResult batch = bfs(g.snapshot(), 0, opts);
-        for (vertex_t w = 0; w < kN; ++w)
-            ASSERT_EQ(inc.level(w), batch.level[w])
-                << "step " << step << " vertex " << w;
+        const BfsResult batch = serial_bfs(snap.graph(), 0);
+        ASSERT_EQ(inc.levels(), batch.level) << "step " << step;
         ASSERT_EQ(inc.reached_count(), batch.vertices_visited);
     }
 }
 
 TEST(IncrementalBfs, RebuildAfterRemoval) {
-    DynamicGraph g(4);
-    g.add_edge(0, 1);
-    g.add_edge(1, 2);
-    g.add_edge(2, 3);
-    IncrementalBfs inc(g, 0);
+    VersionedGraphStore store(4);
+    IncrementalBfs inc(insert_all(store, path_edges(4)).graph(), 0);
     EXPECT_EQ(inc.level(3), 3u);
 
-    g.remove_edge(1, 2);
-    inc.rebuild();
+    MutationBatch cut;
+    cut.remove(1, 2);
+    store.apply(cut);
+    inc.rebuild(store.acquire().graph());
     EXPECT_FALSE(inc.reached(2));
     EXPECT_EQ(inc.reached_count(), 2u);
 }
 
 TEST(IncrementalBfs, InvalidRootThrows) {
-    DynamicGraph g(3);
+    const CsrGraph g = test::path_graph(3);
     EXPECT_THROW(IncrementalBfs(g, 3), std::out_of_range);
 }
 
-// ---------- mutation-version guard ----------
-
-TEST(DynamicGraph, VersionCountsMutations) {
-    DynamicGraph g(3);
-    EXPECT_EQ(g.version(), 0u);
-    g.add_edge(0, 1);
-    EXPECT_EQ(g.version(), 1u);
-    g.add_vertex();
-    EXPECT_EQ(g.version(), 2u);
-    EXPECT_TRUE(g.remove_edge(0, 1));
-    EXPECT_EQ(g.version(), 3u);
-    // A no-op removal is not a mutation: nothing changed.
-    EXPECT_FALSE(g.remove_edge(0, 1));
-    EXPECT_EQ(g.version(), 3u);
-}
+// ---------- the one-snapshot-per-call check ----------
 
 TEST(IncrementalBfs, UnobservedInsertionThrowsOnQuery) {
-    DynamicGraph g(4);
-    g.add_edge(0, 1);
-    IncrementalBfs inc(g, 0);
-    EXPECT_TRUE(inc.in_sync());
+    VersionedGraphStore store(4);
+    IncrementalBfs inc(insert_all(store, {{0, 1}}).graph(), 0);
     EXPECT_EQ(inc.level(1), 1u);
 
-    g.add_edge(1, 2);  // mutation without on_edge_added
-    EXPECT_FALSE(inc.in_sync());
-    EXPECT_THROW((void)inc.level(1), std::logic_error);
-    EXPECT_THROW((void)inc.reached_count(), std::logic_error);
+    // Two edges landed, one was announced: the arc count gives it away,
+    // and the levels stay those of the last graph passed.
+    insert_all(store, {{1, 2}});
+    const Edges announced = {{2, 3}};
+    const SnapshotRef both = insert_all(store, announced);
+    EXPECT_THROW(inc.on_edges_added(both.graph(), announced), std::logic_error);
+    EXPECT_FALSE(inc.reached(2));
 
-    inc.rebuild();  // re-syncs
-    EXPECT_TRUE(inc.in_sync());
-    EXPECT_EQ(inc.level(2), 2u);
+    inc.rebuild(both.graph());
+    EXPECT_EQ(inc.level(3), 3u);
 }
 
 TEST(IncrementalBfs, UnobservedRemovalThrowsOnQuery) {
-    DynamicGraph g(3);
-    g.add_edge(0, 1);
-    g.add_edge(1, 2);
-    IncrementalBfs inc(g, 0);
+    VersionedGraphStore store(4);
+    IncrementalBfs inc(insert_all(store, path_edges(3)).graph(), 0);
     EXPECT_EQ(inc.level(2), 2u);
 
-    // This is the bug the guard exists for: silently answering level(2)
-    // == 2 after the removal would be wrong, and there is no
-    // notification hook for removals (decrease-only repair can't raise
-    // levels) — only rebuild() re-syncs.
-    g.remove_edge(1, 2);
-    EXPECT_THROW((void)inc.level(2), std::logic_error);
-    inc.rebuild();
+    // This is the bug the check exists for: repairing onto a graph that
+    // also lost {1, 2} would keep level(2) == 2 — decrease-only repair
+    // can't raise levels — so only rebuild() accepts a removal.
+    MutationBatch churn;
+    churn.remove(1, 2);
+    churn.insert(0, 3);
+    store.apply(churn);
+    const SnapshotRef next = store.acquire();
+    const Edges announced = {{0, 3}};
+    EXPECT_THROW(inc.on_edges_added(next.graph(), announced), std::logic_error);
+    inc.rebuild(next.graph());
     EXPECT_FALSE(inc.reached(2));
+    EXPECT_EQ(inc.level(3), 1u);
 }
 
 TEST(IncrementalBfs, OverNotificationThrows) {
-    DynamicGraph g(3);
-    g.add_edge(0, 1);
-    IncrementalBfs inc(g, 0);
+    VersionedGraphStore store(3);
+    IncrementalBfs inc(insert_all(store, {{0, 1}}).graph(), 0);
     // Claiming two insertions when the graph saw none is a caller bug.
-    const std::pair<vertex_t, vertex_t> edges[] = {{0, 2}, {1, 2}};
-    EXPECT_THROW((void)inc.on_edges_added(edges), std::logic_error);
+    const Edges edges = {{0, 2}, {1, 2}};
+    EXPECT_THROW(inc.on_edges_added(store.acquire().graph(), edges),
+                 std::logic_error);
+    EXPECT_FALSE(inc.reached(2));
+}
+
+TEST(IncrementalBfs, OtherVertexCountThrows) {
+    const IncrementalBfs base(test::path_graph(3), 0);
+    IncrementalBfs inc = base;
+    EXPECT_THROW(inc.on_edges_added(test::path_graph(4), {}), std::logic_error);
+    EXPECT_EQ(inc.levels(), base.levels());
 }
 
 // ---------- batched repair + stale-entry skip ----------
@@ -272,25 +334,20 @@ TEST(IncrementalBfs, BatchedCascadeSkipsStaleEntries) {
     // level-51 entry is stale; without the skip it would rescan and
     // re-propagate an entire obsolete cascade (the quadratic repair).
     constexpr vertex_t kN = 100;
-    DynamicGraph g(kN);
-    for (vertex_t v = 0; v + 1 < kN; ++v) g.add_edge(v, v + 1);
-    IncrementalBfs inc(g, 0);
+    VersionedGraphStore store(kN);
+    IncrementalBfs inc(insert_all(store, path_edges(kN)).graph(), 0);
     EXPECT_EQ(inc.level(99), 99u);
 
-    std::vector<std::pair<vertex_t, vertex_t>> batch = {{50, 99}, {0, 99}};
-    for (const auto& [u, v] : batch) g.add_edge(u, v);
-    const std::size_t changed = inc.on_edges_added(batch);
+    const Edges batch = {{50, 99}, {0, 99}};
+    const SnapshotRef next = insert_all(store, batch);
+    const std::size_t changed = inc.on_edges_added(next.graph(), batch);
     EXPECT_GT(changed, 0u);
     EXPECT_GT(inc.repair_stats().stale_skips, 0u)
         << "the superseded level-51 entry must be dropped, not rescanned";
     EXPECT_EQ(inc.repair_stats().waves, 1u) << "one wave per batch";
 
     // Exactness: identical to a from-scratch BFS on the new graph.
-    BfsOptions opts;
-    opts.engine = BfsEngine::kSerial;
-    const BfsResult batch_bfs = bfs(g.snapshot(), 0, opts);
-    for (vertex_t w = 0; w < kN; ++w)
-        ASSERT_EQ(inc.level(w), batch_bfs.level[w]) << "vertex " << w;
+    EXPECT_EQ(inc.levels(), serial_levels(next.graph(), 0));
 }
 
 TEST(IncrementalBfs, BatchedRepairBoundsWorkOnCascade) {
@@ -298,119 +355,62 @@ TEST(IncrementalBfs, BatchedRepairBoundsWorkOnCascade) {
     // edges than the sequential per-edge repairs did (the coalesced
     // wave should strictly beat replaying obsolete intermediate states).
     constexpr vertex_t kN = 200;
-    const auto shortcuts = std::vector<std::pair<vertex_t, vertex_t>>{
-        {150, 199}, {100, 199}, {50, 199}, {0, 199}};
+    const Edges shortcuts = {{150, 199}, {100, 199}, {50, 199}, {0, 199}};
 
-    DynamicGraph seq(kN);
-    for (vertex_t v = 0; v + 1 < kN; ++v) seq.add_edge(v, v + 1);
-    IncrementalBfs inc_seq(seq, 0);
-    std::uint64_t seq_scanned = 0;
-    for (const auto& [u, v] : shortcuts) {
-        seq.add_edge(u, v);
-        inc_seq.on_edge_added(u, v);
+    VersionedGraphStore seq(kN);
+    IncrementalBfs inc_seq(insert_all(seq, path_edges(kN)).graph(), 0);
+    for (const auto& edge : shortcuts) {
+        const Edges one = {edge};
+        inc_seq.on_edges_added(insert_all(seq, one).graph(), one);
     }
-    seq_scanned = inc_seq.repair_stats().edges_scanned;
+    const std::uint64_t seq_scanned = inc_seq.repair_stats().edges_scanned;
 
-    DynamicGraph bat(kN);
-    for (vertex_t v = 0; v + 1 < kN; ++v) bat.add_edge(v, v + 1);
-    IncrementalBfs inc_bat(bat, 0);
-    for (const auto& [u, v] : shortcuts) bat.add_edge(u, v);
-    inc_bat.on_edges_added(shortcuts);
+    VersionedGraphStore bat(kN);
+    IncrementalBfs inc_bat(insert_all(bat, path_edges(kN)).graph(), 0);
+    inc_bat.on_edges_added(insert_all(bat, shortcuts).graph(), shortcuts);
 
     EXPECT_LE(inc_bat.repair_stats().edges_scanned, seq_scanned);
-    for (vertex_t w = 0; w < kN; ++w)
-        ASSERT_EQ(inc_bat.level(w), inc_seq.level(w)) << "vertex " << w;
-}
-
-// ---------- snapshot edge cases + dirty-set amortisation ----------
-
-TEST(DynamicGraph, SnapshotZeroVertices) {
-    const DynamicGraph g(0);
-    const CsrGraph s = g.snapshot();  // zero-count AlignedBuffer path
-    EXPECT_EQ(s.num_vertices(), 0u);
-    EXPECT_EQ(s.num_edges(), 0u);
-}
-
-TEST(DynamicGraph, SnapshotAllSelfLoops) {
-    DynamicGraph g(3);
-    for (vertex_t v = 0; v < 3; ++v) g.add_edge(v, v);
-    const CsrGraph s = g.snapshot();
-    EXPECT_EQ(s.num_edges(), 3u);  // one arc per self-loop
-    for (vertex_t v = 0; v < 3; ++v) {
-        ASSERT_EQ(s.degree(v), 1u);
-        EXPECT_EQ(s.neighbors(v)[0], v);
-    }
-}
-
-TEST(DynamicGraph, SnapshotSortsOnlyDirtyLists) {
-    DynamicGraph g(4);
-    g.add_edge(0, 1);
-    g.add_edge(0, 2);
-    g.add_edge(0, 3);  // ascending inserts: list stays known-sorted
-    EXPECT_EQ(g.dirty_vertices(), 0u);
-
-    g.add_edge(2, 1);  // 2's list becomes [0, 1] — appended 1 after 0:
-                       // still ascending; 1's list gains 2 after 0: sorted
-    EXPECT_EQ(g.dirty_vertices(), 0u);
-
-    g.add_edge(3, 1);  // 3's list: [0, 1] fine; 1's list: [0, 2, 3] fine
-    g.add_edge(1, 0);  // both endpoint lists get an out-of-order append
-    EXPECT_EQ(g.dirty_vertices(), 2u);
-
-    const CsrGraph s1 = g.snapshot();
-    EXPECT_EQ(g.dirty_vertices(), 0u);  // snapshot cleaned it
-    EXPECT_TRUE(std::is_sorted(s1.neighbors(1).begin(),
-                               s1.neighbors(1).end()));
-
-    // Removal of a non-tail element swap-erases => dirty again.
-    EXPECT_TRUE(g.remove_edge(1, 0));
-    EXPECT_GT(g.dirty_vertices(), 0u);
-    const CsrGraph s2 = g.snapshot();
-    EXPECT_EQ(g.dirty_vertices(), 0u);
-    for (vertex_t v = 0; v < 4; ++v)
-        EXPECT_TRUE(std::is_sorted(s2.neighbors(v).begin(),
-                                   s2.neighbors(v).end()))
-            << "vertex " << v;
+    EXPECT_EQ(inc_bat.levels(), inc_seq.levels());
 }
 
 // ---------- randomized differential: mixed stream vs batch BFS ----------
 
 TEST(StreamDifferential, MixedStreamMatchesBatchBfs) {
     // Inserts, removals and queries interleave; after EVERY step the
-    // incremental answer must equal a from-scratch serial BFS on
-    // snapshot(). Removals rebuild (the documented contract); inserts
-    // repair incrementally.
+    // incremental answer must equal a from-scratch serial BFS on the
+    // published snapshot. Removals rebuild (the documented contract);
+    // inserts repair incrementally.
     Xoshiro256 rng(91);
     constexpr vertex_t kN = 120;
-    DynamicGraph g(kN);
-    IncrementalBfs inc(g, 0);
-    std::vector<std::pair<vertex_t, vertex_t>> live;
+    VersionedGraphStore store(kN);
+    IncrementalBfs inc(store.acquire().graph(), 0);
+    Edges live;
 
-    BfsOptions opts;
-    opts.engine = BfsEngine::kSerial;
     for (int step = 0; step < 250; ++step) {
+        SnapshotRef snap;
         if (!live.empty() && rng.next_below(4) == 0) {
             const std::size_t i = rng.next_below(live.size());
-            const auto [u, v] = live[i];
-            ASSERT_TRUE(g.remove_edge(u, v));
+            MutationBatch cut;
+            cut.remove(live[i].first, live[i].second);
             live[i] = live.back();
             live.pop_back();
-            inc.rebuild();
+            store.apply(cut);
+            snap = store.acquire();
+            inc.rebuild(snap.graph());
         } else {
             const auto u = static_cast<vertex_t>(rng.next_below(kN));
             auto v = static_cast<vertex_t>(rng.next_below(kN - 1));
             if (v >= u) ++v;
-            g.add_edge(u, v);
-            live.emplace_back(u, v);
-            inc.on_edge_added(u, v);
+            const Edges edge = {{u, v}};
+            live.push_back(edge[0]);
+            snap = insert_all(store, edge);
+            inc.on_edges_added(snap.graph(), edge);
         }
 
-        const BfsResult batch = bfs(g.snapshot(), 0, opts);
+        const BfsResult batch = serial_bfs(snap.graph(), 0);
         ASSERT_EQ(inc.reached_count(), batch.vertices_visited)
             << "step " << step;
-        for (vertex_t w = 0; w < kN; ++w)
-            ASSERT_EQ(inc.level(w), batch.level[w])
-                << "step " << step << " vertex " << w;
+        ASSERT_EQ(inc.levels(), batch.level) << "step " << step;
     }
 }
 
@@ -425,7 +425,7 @@ TEST(VersionedStore, PublishesInitialSnapshot) {
     const SnapshotRef ref = store.acquire();
     ASSERT_TRUE(ref);
     EXPECT_EQ(ref.version(), 1u);
-    EXPECT_EQ(ref.graph().num_edges(), g.num_edges());
+    EXPECT_TRUE(ref.graph() == g);
     EXPECT_EQ(store.live_snapshots(), 1u);
 }
 
@@ -506,9 +506,14 @@ TEST(VersionedStore, OutOfRangeOpLeavesStoreUntouched) {
     b.insert(0, 1);
     b.insert(0, 7);  // bad id after a good op
     EXPECT_THROW(store.apply(b), std::out_of_range);
+    MutationBatch cut;
+    cut.remove(3, 0);
+    EXPECT_THROW(store.apply(cut), std::out_of_range);
+    EXPECT_THROW(store.track(3), std::out_of_range);
     EXPECT_EQ(store.version(), 1u);
     EXPECT_EQ(store.acquire().graph().num_edges(), 0u)
         << "validation precedes application: nothing was half-applied";
+    EXPECT_EQ(store.counters().batches_applied.load(), 0u);
 }
 
 TEST(VersionedStore, InsertOnlyRepairBitIdenticalToRecompute) {
@@ -561,22 +566,264 @@ TEST(VersionedStore, DeleteBatchRebuildsTrackedLevels) {
     EXPECT_THROW((void)store.tracked_levels(2), std::invalid_argument);
 }
 
-TEST(VersionedStore, StagingFlushesOnCapacity) {
-    StoreOptions opts;
-    opts.batch_capacity = 3;
-    VersionedGraphStore store(6, opts);
-    store.stage_insert(0, 1);
-    store.stage_insert(1, 2);
-    EXPECT_EQ(store.staged(), 2u);
-    EXPECT_EQ(store.version(), 1u) << "below capacity: nothing published";
+// ---------- differential: the store against a multiset model ----------
 
-    store.stage_insert(2, 3);  // hits capacity => auto-flush
-    EXPECT_EQ(store.staged(), 0u);
-    EXPECT_EQ(store.version(), 2u);
+/// The store's batch rules restated on one multiset per row: a remove
+/// cancels the latest uncancelled insert of the same edge before it in
+/// the batch, then the surviving ops run in order.
+struct MultisetModel {
+    std::vector<std::multiset<vertex_t>> rows;
+    bool symmetric = true;
+    std::uint64_t version = 1;
+    std::uint64_t batches_applied = 0;
+    std::uint64_t delta_edges = 0;
+    std::uint64_t noop_ops = 0;
+    std::uint64_t snapshots_published = 1;
 
-    store.stage_remove(0, 1);
-    EXPECT_EQ(store.flush(), 3u) << "explicit flush publishes the remainder";
-    EXPECT_EQ(store.flush(), 3u) << "empty flush is a no-op";
+    explicit MultisetModel(const CsrGraph& g)
+        : rows(g.num_vertices()), symmetric(g.symmetric()) {
+        for (vertex_t v = 0; v < g.num_vertices(); ++v)
+            rows[v].insert(g.neighbors(v).begin(), g.neighbors(v).end());
+    }
+
+    void apply(const MutationBatch& batch) {
+        const auto& ops = batch.ops;
+        const auto same_edge = [](const EdgeOp& a, const EdgeOp& b) {
+            return std::minmax(a.u, a.v) == std::minmax(b.u, b.v);
+        };
+        std::vector<bool> cancelled(ops.size(), false);
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+            if (ops[i].kind != EdgeOp::Kind::kRemove) continue;
+            for (std::size_t j = i; j-- > 0;) {
+                if (cancelled[j] || ops[j].kind != EdgeOp::Kind::kInsert ||
+                    !same_edge(ops[i], ops[j]))
+                    continue;
+                cancelled[i] = cancelled[j] = true;
+                noop_ops += 2;
+                break;
+            }
+        }
+        std::uint64_t delta = 0;
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+            if (cancelled[i]) continue;
+            const auto [kind, u, v] = ops[i];
+            if (kind == EdgeOp::Kind::kInsert) {
+                rows[u].insert(v);
+                if (u != v) rows[v].insert(u);
+                ++delta;
+            } else if (const auto it = rows[u].find(v); it != rows[u].end()) {
+                rows[u].erase(it);
+                if (const auto back = rows[v].find(u);
+                    u != v && back != rows[v].end())
+                    rows[v].erase(back);
+                ++delta;
+            } else {
+                ++noop_ops;
+            }
+        }
+        if (!ops.empty()) ++batches_applied;
+        delta_edges += delta;
+        if (delta > 0) {
+            ++version;
+            ++snapshots_published;
+        }
+    }
+
+    [[nodiscard]] CsrGraph csr() const {
+        AlignedBuffer<edge_offset_t> offsets(rows.size() + 1);
+        offsets[0] = 0;
+        for (std::size_t v = 0; v < rows.size(); ++v)
+            offsets[v + 1] = offsets[v] + rows[v].size();
+        AlignedBuffer<vertex_t> targets(offsets[rows.size()]);
+        for (std::size_t v = 0; v < rows.size(); ++v)
+            std::copy(rows[v].begin(), rows[v].end(),
+                      targets.data() + offsets[v]);
+        return CsrGraph(std::move(offsets), std::move(targets), symmetric);
+    }
+};
+
+/// A small batch over the model's vertices that mixes every case the
+/// rules distinguish: plain and duplicate inserts, removes of present
+/// and absent edges, self-loops, remove-then-insert and
+/// insert-then-remove (in either orientation).
+MutationBatch random_batch(Xoshiro256& rng, const MultisetModel& model) {
+    const auto n = static_cast<vertex_t>(model.rows.size());
+    MutationBatch b;
+    const std::uint64_t ops = 1 + rng.next_below(6);
+    for (std::uint64_t k = 0; k < ops; ++k) {
+        const auto u = static_cast<vertex_t>(rng.next_below(n));
+        const auto v = static_cast<vertex_t>(rng.next_below(n));
+        switch (rng.next_below(9)) {
+            case 0:
+            case 1: b.insert(u, v); break;
+            case 2: {  // a present edge, as of the batch's start
+                const auto& row = model.rows[u];
+                if (row.empty()) {
+                    b.remove(u, v);
+                } else {
+                    auto it = row.begin();
+                    std::advance(it, rng.next_below(row.size()));
+                    b.remove(u, *it);
+                }
+                break;
+            }
+            case 3: b.remove(u, v); break;  // mostly absent
+            case 4: b.insert(u, u); break;
+            case 5: b.remove(u, u); break;
+            case 6:
+                b.insert(u, v);
+                b.insert(u, v);
+                break;
+            case 7:
+                b.remove(u, v);
+                b.insert(u, v);
+                break;
+            default:
+                b.insert(u, v);
+                if (rng.next_below(2) == 0)
+                    b.remove(u, v);
+                else
+                    b.remove(v, u);
+                break;
+        }
+    }
+    return b;
+}
+
+TEST(VersionedStore, MatchesMultisetModel) {
+    // Three kinds of initial graph on 16 vertices, so batches collide
+    // often: empty, a stamped R-MAT graph (sorted, deduplicated) and an
+    // unstamped one whose rows are unsorted and hold parallel arcs,
+    // self-loops and arcs without their reverse.
+    constexpr vertex_t kN = 16;
+    const auto unstamped = [](std::uint64_t seed) {
+        Xoshiro256 rng(seed);
+        EdgeList edges(kN);
+        for (int i = 0; i < 48; ++i)
+            edges.add(static_cast<vertex_t>(rng.next_below(kN)),
+                      static_cast<vertex_t>(rng.next_below(kN)));
+        return csr_from_edges(edges, {.make_undirected = false,
+                                      .remove_self_loops = false,
+                                      .deduplicate = false,
+                                      .sort_neighbors = false});
+    };
+    const auto stamped = [](std::uint64_t seed) {
+        RmatParams params;
+        params.scale = 4;
+        params.num_edges = 40;
+        params.seed = seed;
+        return csr_from_edges(generate_rmat(params));
+    };
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        for (int kind = 0; kind < 3; ++kind) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " kind " +
+                         std::to_string(kind));
+            const CsrGraph initial =
+                kind == 0 ? CsrGraph(AlignedBuffer<edge_offset_t>(kN + 1, true),
+                                     AlignedBuffer<vertex_t>(), true)
+                : kind == 1 ? stamped(seed)
+                            : unstamped(seed);
+            const auto store =
+                kind == 0 ? std::make_unique<VersionedGraphStore>(kN)
+                          : std::make_unique<VersionedGraphStore>(initial);
+            MultisetModel model(initial);
+            store->track(0);
+            store->track(kN - 1);
+
+            Xoshiro256 rng(seed * 3 + static_cast<std::uint64_t>(kind));
+            for (int round = 0; round <= 30; ++round) {
+                if (round > 0) {
+                    const MutationBatch batch = random_batch(rng, model);
+                    model.apply(batch);
+                    EXPECT_EQ(store->apply(batch), model.version);
+                }
+                const SnapshotRef snap = store->acquire();
+                ASSERT_TRUE(snap.graph() == model.csr()) << "round " << round;
+                EXPECT_EQ(snap.graph().symmetric(), model.symmetric);
+                EXPECT_EQ(store->version(), model.version);
+                const StoreCounters& c = store->counters();
+                EXPECT_EQ(c.batches_applied.load(), model.batches_applied);
+                EXPECT_EQ(c.delta_edges.load(), model.delta_edges);
+                EXPECT_EQ(c.noop_ops.load(), model.noop_ops);
+                EXPECT_EQ(c.snapshots_published.load(),
+                          model.snapshots_published);
+                for (const vertex_t root : {vertex_t{0}, kN - 1})
+                    ASSERT_EQ(store->tracked_levels(root),
+                              serial_levels(snap.graph(), root))
+                        << "round " << round << " root " << root;
+            }
+        }
+    }
+}
+
+// ---------- failure atomicity ----------
+
+/// Everything a failed apply() must leave as it was.
+struct StoreState {
+    std::uint64_t version = 0;
+    std::vector<edge_offset_t> offsets;
+    std::vector<vertex_t> targets;
+    std::vector<std::uint64_t> counters;
+    std::vector<level_t> levels;
+    bool operator==(const StoreState&) const = default;
+};
+
+StoreState state_of(const VersionedGraphStore& store, vertex_t root) {
+    const SnapshotRef snap = store.acquire();
+    const auto offsets = snap.graph().offsets();
+    const auto targets = snap.graph().targets();
+    const StoreCounters& c = store.counters();
+    return {store.version(),
+            {offsets.begin(), offsets.end()},
+            {targets.begin(), targets.end()},
+            {c.batches_applied.load(), c.snapshots_published.load(),
+             c.delta_edges.load(), c.noop_ops.load(), c.repair_touched.load(),
+             c.rebuilds.load(), c.snapshots_retired.load(),
+             c.snapshots_reclaimed.load()},
+            store.tracked_levels(root)};
+}
+
+TEST(VersionedStore, FailedApplyLeavesNoTrace) {
+    if (!fault::compiled_in())
+        GTEST_SKIP() << "built with SGE_FAULT_INJECTION=OFF";
+    // `store` meets an allocation failure at each alloc-site hit of
+    // every apply() in turn until one succeeds; `clean` applies the same
+    // batches without faults. A failure leaves nothing behind, and the
+    // batch that finally lands publishes only its own edges: after each
+    // batch the two stores agree on everything.
+    VersionedGraphStore store(8);
+    VersionedGraphStore clean(8);
+    store.track(0);
+    clean.track(0);
+    std::vector<MutationBatch> batches(3);
+    batches[0].insert(0, 1);  // insert-only: the repair path
+    batches[0].insert(1, 2);
+    batches[1].insert(2, 3);  // with a delete: the rebuild path
+    batches[1].remove(0, 1);
+    batches[2].insert(0, 1);
+    batches[2].insert(4, 4);
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+        int failures = 0;
+        for (std::uint64_t nth = 1;; ++nth) {
+            const StoreState before = state_of(store, 0);
+            fault::arm(fault::Site::kAlloc,
+                       fault::Trigger{.probability = 0.0, .nth = nth});
+            try {
+                store.apply(batches[b]);
+                fault::disarm_all();
+                break;
+            } catch (const std::bad_alloc&) {
+                fault::disarm_all();
+                ++failures;
+            }
+            EXPECT_TRUE(state_of(store, 0) == before)
+                << "batch " << b << " failed at alloc hit " << nth;
+        }
+        EXPECT_GE(failures, 1) << "the next version's buffers are alloc sites";
+        clean.apply(batches[b]);
+        EXPECT_TRUE(state_of(store, 0) == state_of(clean, 0)) << "batch " << b;
+    }
+    EXPECT_EQ(store.version(), 4u);
 }
 
 // ---------- readers-vs-writer soak (TSan coverage) ----------
