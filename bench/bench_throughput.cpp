@@ -10,8 +10,8 @@
 //              allocate the visited/queue/channel arenas, first-touch
 //              them, O(n)-initialise the parent array;
 //   reused   — one BfsRunner serves all queries: the team persists and
-//              the NUMA-placed BfsWorkspace is reset per query by an
-//              epoch bump (O(touched), not O(n)).
+//              the NUMA-placed BfsWorkspace is reset per query by
+//              zeroing its one-bit-per-vertex bitmaps (O(n/64) words).
 //
 // The gap between the two rows is the amortization the workspace buys;
 // see docs/PERF_MODEL.md "Query throughput & amortization". CI guards
@@ -71,7 +71,7 @@ CellResult run_oneshot(const CsrGraph& g, const BfsOptions& opts,
     return cell;
 }
 
-/// Reused regime: one runner, one result buffer, epoch-bump resets.
+/// Reused regime: one runner, one result buffer, bitmap-zeroing resets.
 CellResult run_reused(const CsrGraph& g, const std::vector<vertex_t>& roots,
                       BfsRunner& runner) {
     BfsResult r;
@@ -168,9 +168,7 @@ int main() {
                      {"edges_per_second", cell.eps()},
                      {"seconds_total", cell.seconds},
                      {"workspace_reuses",
-                      reuse ? static_cast<double>(ws.workspace_reuses) : 0.0},
-                     {"reset_words_touched",
-                      reuse ? static_cast<double>(ws.reset_words_touched)
+                      reuse ? static_cast<double>(ws.workspace_reuses)
                             : 0.0}});
             }
         }
@@ -179,7 +177,7 @@ int main() {
     table.print();
     std::printf("\n%d queries per cell; 'reused' amortizes team spawn, arena "
                 "allocation,\nfirst-touch placement and O(n) init across the "
-                "stream (epoch-versioned resets).\n",
+                "stream.\n",
                 kQueries);
     report.write();
     return 0;

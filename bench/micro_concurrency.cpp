@@ -11,7 +11,7 @@
 #include "concurrency/spin_barrier.hpp"
 #include "concurrency/spsc_ring.hpp"
 #include "concurrency/ticket_lock.hpp"
-#include "concurrency/versioned_bitmap.hpp"
+#include "concurrency/atomic_bitmap.hpp"
 
 namespace {
 
@@ -69,7 +69,7 @@ void BM_ChannelBatchedRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_ChannelBatchedRoundTrip)->Arg(1)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_BitmapTest(benchmark::State& state) {
-    sge::VersionedBitmap bitmap(1 << 20);
+    sge::AtomicBitmap bitmap(1 << 20);
     for (std::size_t i = 0; i < (1u << 20); i += 2) bitmap.test_and_set(i);
     std::size_t i = 0;
     for (auto _ : state) {
@@ -81,7 +81,7 @@ void BM_BitmapTest(benchmark::State& state) {
 BENCHMARK(BM_BitmapTest);
 
 void BM_BitmapTestAndSet(benchmark::State& state) {
-    sge::VersionedBitmap bitmap(1 << 20);
+    sge::AtomicBitmap bitmap(1 << 20);
     std::size_t i = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(bitmap.test_and_set(i));
@@ -94,7 +94,7 @@ BENCHMARK(BM_BitmapTestAndSet);
 void BM_BitmapDoubleCheckedVisited(benchmark::State& state) {
     // The hot path of Algorithm 2 on an already-visited vertex: the
     // double check makes this a plain load.
-    sge::VersionedBitmap bitmap(1 << 16);
+    sge::AtomicBitmap bitmap(1 << 16);
     for (std::size_t i = 0; i < (1u << 16); ++i) bitmap.test_and_set(i);
     std::size_t i = 0;
     for (auto _ : state) {

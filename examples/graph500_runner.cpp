@@ -70,8 +70,7 @@ int main(int argc, char** argv) {
         const BfsResult r = runner.run(graph, root);
         teps.push_back(r.edges_per_second());
 
-        const ValidationReport report =
-            validate_bfs_tree(graph, root, r, /*check_edge_levels=*/i < 4);
+        const ValidationReport report = validate_bfs_tree(graph, root, r);
         if (!report.ok) {
             std::printf("VALIDATION FAILED at search %d: %s\n", i,
                         report.error.c_str());

@@ -400,7 +400,7 @@ int main(int argc, char** argv) {
     Xoshiro256 rng(cli.seed + 1000);
     double best = 0.0;
     // One result buffer + the runner's workspace serve every run: after
-    // run 0 each traversal is an epoch-bump reset, no reallocation (the
+    // run 0 each traversal only zeroes its bitmaps, no reallocation (the
     // query-throughput mode; docs/PERF_MODEL.md).
     BfsResult result;
     BfsResult last;  // instrumented runs keep the final traversal

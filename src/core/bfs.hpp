@@ -313,11 +313,9 @@ struct BfsWorkspaceStats {
     /// Full (re)allocations + first-touch passes: 1 for a runner used on
     /// one graph size, +1 per graph-size/engine change.
     std::uint64_t prepares = 0;
-    /// Queries that reused the prepared arena (epoch-bump reset only).
+    /// Queries that reused the prepared arena: no allocation or
+    /// first touch, only the O(n/64) bitmap zeroing (O(n) for kNaive).
     std::uint64_t workspace_reuses = 0;
-    /// Bitmap/claim words physically rewritten by resets — 0 on the
-    /// epoch fast path, the full word count on a wraparound sweep.
-    std::uint64_t reset_words_touched = 0;
 };
 
 /// Reusable BFS executor: owns the worker team so repeated traversals

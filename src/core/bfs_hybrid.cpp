@@ -35,13 +35,12 @@ template <class Graph>
 /// Algorithm 2.
 ///
 /// Top-down levels are Algorithm 2: the visited set lives in a bitmap,
-/// shrinking the randomly-accessed working set versus the parent array
-/// (Figure 2 shows this buys >=4x in raw random-read rate; the
-/// workspace's epoch-versioned bitmap packs 32 payload bits per word,
-/// still well inside the cache levels the parent array overflows), and
-/// every claim is double-checked (double_checked_claim). Frontier
-/// chunks are claimed from the scheduler, so its cursors are touched
-/// once per chunk instead of once per vertex.
+/// one bit per vertex, shrinking the randomly-accessed working set
+/// versus the parent array (Figure 2 shows this buys >=4x in raw
+/// random-read rate), and every claim is double-checked
+/// (double_checked_claim). Frontier chunks are claimed from the
+/// scheduler, so its cursors are touched once per chunk instead of once
+/// per vertex.
 ///
 /// With flips on, when the frontier's pending out-arcs exceed 1/alpha
 /// of the still-unexplored arcs and 1/beta of all arcs, the traversal
@@ -64,11 +63,11 @@ template <class Graph>
 /// engines; BfsLevelStats::edges_scanned records the work actually
 /// done, which is the point of the optimization.
 ///
-/// Workspace reuse: the visited set and both frontier bitmaps are
-/// epoch-versioned, so the per-level `clear_all` of the old frontier
-/// bits is an O(1) epoch bump, and back-to-back queries skip every O(n)
-/// re-initialisation. The [0, n) range plan, shared with MS-BFS,
-/// survives across queries on the same graph — only its cursors rewind.
+/// Workspace reuse: prepare() zeroes the visited set and both frontier
+/// bitmaps, and within a query end_level() zeroes a frontier bitmap once
+/// a level has read it, so a flip always finds its target clear. The
+/// [0, n) range plan, shared with MS-BFS, survives across queries on the
+/// same graph — only its cursors rewind.
 template <class Graph>
 class HybridStep {
   public:
@@ -142,12 +141,13 @@ class HybridStep {
                            options_.hybrid_beta) {
                 next = Direction::kTopDown;
             }
-            // O(1) "clear": stale-epoch words read as unset. The
-            // physically cleared word count (wraparound only) feeds the
-            // same counter as the per-query resets.
-            ws_.stats.reset_words_touched +=
-                ws_.frontier_bits[cur].advance_epoch();
         }
+        // The level just run read frontier_bits[cur] if it went
+        // bottom-up or began with the harvest. Zero it now: it is the
+        // next level's write target, or a later flip's. Top-down levels
+        // never touch the bits, so they skip this.
+        if (direction_ == Direction::kBottomUp || convert_to_queue_)
+            ws_.frontier_bits[cur].clear();
         convert_to_bits_ =
             next == Direction::kBottomUp && direction_ == Direction::kTopDown;
         convert_to_queue_ =
@@ -177,7 +177,7 @@ class HybridStep {
     /// itself shows up as the inter-span gap in the trace.
     bool convert(LevelCtx& lv) {
         FrontierQueue& cq = ws_.queues[current_];
-        VersionedBitmap& fb = ws_.frontier_bits[current_];
+        AtomicBitmap& fb = ws_.frontier_bits[current_];
         if (convert_to_bits_) {
             // Mirror the new current queue into the current frontier
             // bitmap, one fixed slice of the queue per worker.
@@ -193,25 +193,28 @@ class HybridStep {
         // the barrier orders the counts, so pass 2 can write vertex ids
         // straight into a disjoint queue segment — the queue comes out in
         // ascending vertex order with zero atomics, deterministically.
-        constexpr std::size_t W = VersionedBitmap::kSlotsPerWord;
+        constexpr std::size_t W = AtomicBitmap::kBitsPerWord;
         FrontierCompactor& fc = ws_.compactor;
-        const std::uint32_t epoch = fb.epoch();
-        const std::atomic<std::uint64_t>* const words = fb.words();
+        // Plain reads of the atomic words: the bottom-up level's writes
+        // finished behind a barrier, and nothing writes them until the
+        // next level's.
+        const auto* const words =
+            reinterpret_cast<const std::uint64_t*>(fb.words());
         const auto [wlo, whi] = split_range(fb.num_words(), threads_, lv.tid);
         std::uint64_t words_scanned = 0;
         std::size_t found = 0;
-        simd::for_each_set_word(words, wlo, whi, epoch, isa_, words_scanned,
-                                [&](std::size_t, std::uint32_t mask) {
-                                    found += static_cast<unsigned>(
-                                        std::popcount(mask));
-                                });
+        simd::for_each_nonzero_u64(words, wlo, whi, isa_, words_scanned,
+                                   [&](std::size_t, std::uint64_t mask) {
+                                       found += static_cast<unsigned>(
+                                           std::popcount(mask));
+                                   });
         fc.publish(lv.tid, found);
         if (!lv.wait()) return false;
         WallTimer harvest_timer;
         vertex_t* out = cq.slots_mut() + fc.offset_of(lv.tid);
-        simd::for_each_set_word(
-            words, wlo, whi, epoch, isa_, words_scanned,
-            [&](std::size_t wi, std::uint32_t mask) {
+        simd::for_each_nonzero_u64(
+            words, wlo, whi, isa_, words_scanned,
+            [&](std::size_t wi, std::uint64_t mask) {
                 simd::for_each_bit(mask, [&](unsigned b) {
                     *out++ = static_cast<vertex_t>(wi * W + b);
                 });
@@ -250,7 +253,7 @@ class HybridStep {
         const Graph& g = g_;
         ThreadCounters& counters = lv.counters;
         const FrontierQueue& cq = ws_.queues[current_];
-        VersionedBitmap& visited = ws_.visited;
+        AtomicBitmap& visited = ws_.visited;
         const bool double_check = options_.bitmap_double_check;
         for_each_claim(*ws_.wq, lv.tid, counters, [&](std::size_t begin,
                                                       std::size_t end) {
@@ -274,18 +277,18 @@ class HybridStep {
 
     /// Claims vertex ranges; each unvisited vertex hunts for a frontier
     /// parent in its own adjacency and stops at the first hit. The sweep
-    /// tests 32 visited slots per word (whole stale/full words cost one
+    /// tests 64 visited slots per word (whole full words cost one
     /// compare — or a quarter of one under AVX2) and ctz-iterates only
     /// the surviving unvisited bits. Visited vertices skipped wholesale
     /// are accounted in simd_words_scanned, not bitmap_skips; each
     /// emitted vertex counts one bitmap_check.
     void scan_bottom_up(LevelCtx& lv, BfsWorkspace::LevelTally& tally) {
-        constexpr std::size_t W = VersionedBitmap::kSlotsPerWord;
+        constexpr std::size_t W = AtomicBitmap::kBitsPerWord;
         const Graph& g = g_;
         ThreadCounters& counters = lv.counters;
-        VersionedBitmap& visited = ws_.visited;
-        const VersionedBitmap& fb_cur = ws_.frontier_bits[current_];
-        VersionedBitmap& fb_next = ws_.frontier_bits[1 - current_];
+        AtomicBitmap& visited = ws_.visited;
+        const AtomicBitmap& fb_cur = ws_.frontier_bits[current_];
+        AtomicBitmap& fb_next = ws_.frontier_bits[1 - current_];
         std::uint64_t discovered = 0;
         std::uint64_t discovered_degree = 0;
         // The early-exit probe: scan_adjacency_until accounts
@@ -308,7 +311,6 @@ class HybridStep {
                 return false;
             });
         };
-        const std::uint32_t epoch = visited.epoch();
         const std::atomic<std::uint64_t>* const words = visited.words();
         std::uint64_t words_scanned = 0;
         for_each_claim(*ws_.range_wq, lv.tid, counters, [&](std::size_t base,
@@ -316,14 +318,14 @@ class HybridStep {
             const std::size_t wlo = base / W;
             const std::size_t whi = (stop + W - 1) / W;
             simd::for_each_unvisited_word(
-                words, wlo, whi, epoch, isa_, words_scanned,
-                [&](std::size_t wi, std::uint32_t mask) {
+                words, wlo, whi, isa_, words_scanned,
+                [&](std::size_t wi, std::uint64_t mask) {
                     // Clip boundary words to [base, stop): they may
                     // straddle a neighbouring claim.
                     if (wi == wlo && base % W != 0)
-                        mask &= ~std::uint32_t{0} << (base % W);
+                        mask &= ~std::uint64_t{0} << (base % W);
                     if (wi + 1 == whi && stop % W != 0)
-                        mask &= (std::uint32_t{1} << (stop % W)) - 1;
+                        mask &= (std::uint64_t{1} << (stop % W)) - 1;
                     simd::for_each_bit(mask, [&](unsigned b) {
                         counters.add<LevelCounter::bitmap_checks>(1);
                         hunt(static_cast<vertex_t>(wi * W + b));

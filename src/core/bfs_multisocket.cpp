@@ -62,7 +62,7 @@ class MultiSocketStep {
         BfsWorkspace::ThreadScratch& scratch =
             ws_.scratch[static_cast<std::size_t>(lv.tid)];
         std::vector<LocalBatch<std::uint64_t>>& remote = scratch.remote;
-        VersionedBitmap& visited = ws_.visited;
+        AtomicBitmap& visited = ws_.visited;
         const bool double_check = options_.bitmap_double_check;
         // Visit `v` (owned by this socket) with parent `u`; stage it for
         // the socket's NQ on first visit. Shared by both phases.

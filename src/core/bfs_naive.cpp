@@ -15,21 +15,16 @@ namespace {
 /// "must be executed atomically"). This is the baseline curve of
 /// Figure 5.
 ///
-/// Workspace reuse: the claim array packs `epoch | parent` per vertex
-/// (stale stamp == unclaimed), so back-to-back queries skip the O(n)
-/// parent/level re-initialisation.
+/// The claim array is the listing's P[]: the workspace fills it with
+/// kInvalidVertex before each query, and one CAS per neighbour claims.
 template <class Graph>
 class NaiveStep {
   public:
     NaiveStep(const Graph& g, BfsWorkspace& ws)
-        : g_(g),
-          ws_(ws),
-          claim_(ws.claim.data()),
-          epoch_(ws.claim_epoch),
-          stamp_(static_cast<std::uint64_t>(ws.claim_epoch) << 32) {}
+        : g_(g), ws_(ws), claim_(ws.claim.data()) {}
 
     void seed(vertex_t root) {
-        claim_[root].store(stamp_ | root, std::memory_order_relaxed);
+        claim_[root].store(root, std::memory_order_relaxed);
         ws_.queues[0].push_one(root);
         plan_frontier(*ws_.wq, ws_.queues[0].data(), 1, g_);
     }
@@ -40,9 +35,7 @@ class NaiveStep {
         // Locals, not members: the hot lambdas capture them directly.
         const Graph& g = g_;
         ThreadCounters& counters = lv.counters;
-        std::atomic<std::uint64_t>* const claim = claim_;
-        const std::uint32_t epoch = epoch_;
-        const std::uint64_t stamp = stamp_;
+        std::atomic<vertex_t>* const claim = claim_;
         const FrontierQueue& cq = ws_.queues[current_];
         for_each_claim(*ws_.wq, lv.tid, counters, [&](std::size_t begin,
                                                       std::size_t end) {
@@ -56,20 +49,15 @@ class NaiveStep {
                     g, u, counters,
                     [&](vertex_t w) { prefetch_read(&claim[w]); },
                     [&](vertex_t v) {
-                        // Unconditional atomic claim on the epoch-stamped
-                        // word (Algorithm 1's atomic P[v] == INF -> u).
+                        // Unconditional atomic claim (Algorithm 1's
+                        // atomic P[v] == INF -> u).
                         counters.add<LevelCounter::bitmap_checks>(1);
                         counters.add<LevelCounter::atomic_ops>(1);
-                        std::atomic<std::uint64_t>& cw = claim[v];
-                        std::uint64_t seen = cw.load(std::memory_order_relaxed);
-                        while ((seen >> 32) != epoch) {
-                            if (cw.compare_exchange_weak(
-                                    seen, stamp | u, std::memory_order_acq_rel,
-                                    std::memory_order_relaxed)) {
-                                lv.discover(v, u);
-                                return;
-                            }
-                        }
+                        vertex_t unclaimed = kInvalidVertex;
+                        if (claim[v].compare_exchange_strong(
+                                unclaimed, u, std::memory_order_acq_rel,
+                                std::memory_order_relaxed))
+                            lv.discover(v, u);
                     });
             }
         });
@@ -96,7 +84,7 @@ class NaiveStep {
     bool convert(LevelCtx&) noexcept { return true; }
 
     bool visited(std::size_t v) const noexcept {
-        return (claim_[v].load(std::memory_order_relaxed) >> 32) == epoch_;
+        return claim_[v].load(std::memory_order_relaxed) != kInvalidVertex;
     }
 
     std::uint64_t edges_traversed(std::uint64_t scanned) const noexcept {
@@ -111,9 +99,7 @@ class NaiveStep {
   private:
     const Graph& g_;
     BfsWorkspace& ws_;
-    std::atomic<std::uint64_t>* const claim_;
-    const std::uint32_t epoch_;
-    const std::uint64_t stamp_;
+    std::atomic<vertex_t>* const claim_;
     int current_ = 0;  // CQ index; written by thread 0 between barriers
 };
 

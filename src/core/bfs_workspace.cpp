@@ -16,7 +16,7 @@ namespace {
 /// are idempotent, so the overlap is harmless.
 std::pair<std::size_t, std::size_t> word_range(std::size_t vlo,
                                                std::size_t vhi) noexcept {
-    constexpr std::size_t w = VersionedBitmap::kSlotsPerWord;
+    constexpr std::size_t w = AtomicBitmap::kBitsPerWord;
     return {vlo / w, (vhi + w - 1) / w};
 }
 
@@ -87,11 +87,10 @@ void BfsWorkspace::allocate(vertex_t n, BfsEngine engine,
     // Release every engine-specific arena, then build the selected
     // engine's. A runner only dispatches one engine, so the workspace
     // only ever pays for one.
-    visited = VersionedBitmap();
-    frontier_bits[0] = VersionedBitmap();
-    frontier_bits[1] = VersionedBitmap();
-    claim = AlignedBuffer<std::atomic<std::uint64_t>>();
-    claim_epoch = 0;
+    visited = AtomicBitmap();
+    frontier_bits[0] = AtomicBitmap();
+    frontier_bits[1] = AtomicBitmap();
+    claim = AlignedBuffer<std::atomic<vertex_t>>();
     queues[0] = FrontierQueue();
     queues[1] = FrontierQueue();
     socket_queues[0].clear();
@@ -106,7 +105,7 @@ void BfsWorkspace::allocate(vertex_t n, BfsEngine engine,
 
     switch (engine) {
         case BfsEngine::kNaive:
-            claim = AlignedBuffer<std::atomic<std::uint64_t>>(n);
+            claim = AlignedBuffer<std::atomic<vertex_t>>(n);
             queues[0] = FrontierQueue(n);
             queues[1] = FrontierQueue(n);
             wq = std::make_unique<WorkQueue>(threads,
@@ -114,7 +113,7 @@ void BfsWorkspace::allocate(vertex_t n, BfsEngine engine,
             break;
         case BfsEngine::kMultiSocket: {
             const SocketPartition partition(n, sockets);
-            visited = VersionedBitmap(n, /*zeroed=*/false);
+            visited = AtomicBitmap(n, /*zeroed=*/false);
             for (int s = 0; s < sockets; ++s) {
                 socket_queues[0].emplace_back(partition.size(s));
                 socket_queues[1].emplace_back(partition.size(s));
@@ -138,15 +137,15 @@ void BfsWorkspace::allocate(vertex_t n, BfsEngine engine,
         }
         case BfsEngine::kBitmap:  // the hybrid step with flips off
         case BfsEngine::kHybrid:
-            visited = VersionedBitmap(n, /*zeroed=*/false);
+            visited = AtomicBitmap(n, /*zeroed=*/false);
             queues[0] = FrontierQueue(n);
             queues[1] = FrontierQueue(n);
             wq = std::make_unique<WorkQueue>(threads,
                                              detail::team_socket_map(team));
             scratch.resize(static_cast<std::size_t>(threads));
             if (engine == BfsEngine::kHybrid) {
-                frontier_bits[0] = VersionedBitmap(n, /*zeroed=*/false);
-                frontier_bits[1] = VersionedBitmap(n, /*zeroed=*/false);
+                frontier_bits[0] = AtomicBitmap(n, /*zeroed=*/false);
+                frontier_bits[1] = AtomicBitmap(n, /*zeroed=*/false);
             }
             break;
         case BfsEngine::kSerial:
@@ -226,7 +225,7 @@ void BfsWorkspace::first_touch(BfsEngine engine, ThreadTeam& team) {
         switch (engine) {
             case BfsEngine::kNaive:
                 for (std::size_t v = vlo; v < vhi; ++v)
-                    claim[v].store(0, std::memory_order_relaxed);
+                    claim[v].store(kInvalidVertex, std::memory_order_relaxed);
                 for (FrontierQueue& q : queues)
                     std::memset(q.slots_mut() + vlo, 0,
                                 (vhi - vlo) * sizeof(vertex_t));
@@ -259,23 +258,18 @@ void BfsWorkspace::first_touch(BfsEngine engine, ThreadTeam& team) {
 }
 
 void BfsWorkspace::reset_for_query(BfsEngine engine) {
+    // Zero the claim state the query will write, on the calling thread:
+    // a run stopped mid-level leaves bits behind, and the pages already
+    // sit where first_touch placed them.
     switch (engine) {
         case BfsEngine::kNaive:
-            if (claim_epoch == VersionedBitmap::kMaxEpoch) {
-                // Once per ~4 billion queries: physically rewind the
-                // claim stamps and restart the epoch sequence.
-                for (std::size_t v = 0; v < claim.size(); ++v)
-                    claim[v].store(0, std::memory_order_relaxed);
-                claim_epoch = 1;
-                stats.reset_words_touched += claim.size();
-            } else {
-                ++claim_epoch;
-            }
+            for (std::size_t v = 0; v < claim.size(); ++v)
+                claim[v].store(kInvalidVertex, std::memory_order_relaxed);
             queues[0].reset();
             queues[1].reset();
             break;
         case BfsEngine::kMultiSocket: {
-            stats.reset_words_touched += visited.advance_epoch();
+            visited.clear();
             for (FrontierQueue& q : socket_queues[0]) q.reset();
             for (FrontierQueue& q : socket_queues[1]) q.reset();
             // An aborted run (a deadline mid-level, fault injection) can
@@ -287,10 +281,10 @@ void BfsWorkspace::reset_for_query(BfsEngine engine) {
         }
         case BfsEngine::kBitmap:
         case BfsEngine::kHybrid:
-            stats.reset_words_touched += visited.advance_epoch();
+            visited.clear();
             if (engine == BfsEngine::kHybrid) {
-                stats.reset_words_touched += frontier_bits[0].advance_epoch();
-                stats.reset_words_touched += frontier_bits[1].advance_epoch();
+                frontier_bits[0].clear();
+                frontier_bits[1].clear();
             }
             queues[0].reset();
             queues[1].reset();

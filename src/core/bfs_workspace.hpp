@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "concurrency/channel.hpp"
-#include "concurrency/versioned_bitmap.hpp"
+#include "concurrency/atomic_bitmap.hpp"
 #include "concurrency/work_queue.hpp"
 #include "core/bfs.hpp"
 #include "core/engine_common.hpp"
@@ -32,9 +32,9 @@ class ThreadTeam;
 /// once, with first-touch initialisation performed by each owning
 /// socket's pinned workers (the paper's placement rule: "if graph node
 /// v ∈ socket s then both P[v] and Bitmap[v] ∈ socket s"). Back-to-back
-/// queries then reset in O(touched): the visited/claim state is
-/// epoch-versioned (VersionedBitmap), so a reset is an epoch bump, not
-/// an O(n) memset.
+/// queries then skip allocation and placement: each query zeroes only
+/// the state it will write, one bit per vertex for the bitmaps (O(n/64)
+/// words) and Algorithm 1's 4-byte P[] for the naive engine.
 ///
 /// All members are public engine-facing state, not a stable API: the
 /// engine steps (bfs_naive/multisocket/hybrid, multi_source_bfs) are the
@@ -48,11 +48,12 @@ class BfsWorkspace {
 
     /// Readies the workspace for one query of `engine` over `g` on
     /// `team`: (re)allocates + first-touches when the graph size,
-    /// engine or team changed (stats.prepares), otherwise performs the
-    /// cheap epoch-bump reset (stats.workspace_reuses). Also discards
-    /// any residue an aborted previous run (deadline, fault injection)
-    /// left in queues or channels, so a failed query never poisons the
-    /// next.
+    /// engine or team changed (stats.prepares), otherwise reuses the
+    /// arena (stats.workspace_reuses). Either way it then zeroes the
+    /// state the query will write (`visited`, for kHybrid both
+    /// `frontier_bits`, for kNaive the `claim` fill) and discards the
+    /// queue and channel residue, so a run stopped by its token, a
+    /// deadline or a fault never poisons the next.
     void prepare(const CsrGraph& g, BfsEngine engine, const BfsOptions& options,
                  ThreadTeam& team);
     void prepare(const CompressedCsrGraph& g, BfsEngine engine,
@@ -70,17 +71,14 @@ class BfsWorkspace {
     // ---- engine-facing state ------------------------------------------
 
     /// Visited set (bitmap/multisocket/hybrid engines).
-    VersionedBitmap visited;
+    AtomicBitmap visited;
 
     /// Frontier-as-bitmap pair (kHybrid only; kBitmap never flips).
-    VersionedBitmap frontier_bits[2];
+    AtomicBitmap frontier_bits[2];
 
-    /// Naive engine's claim array: word v packs `epoch (high 32) |
-    /// parent (low 32)`; a stale stamp means unclaimed. Mirrors the
-    /// bitmap's epoch trick at per-vertex granularity so Algorithm 1
-    /// keeps its one-atomic-per-edge character without an O(n) reset.
-    AlignedBuffer<std::atomic<std::uint64_t>> claim;
-    std::uint32_t claim_epoch = 0;
+    /// Naive engine's claim array, Algorithm 1's P[]: kInvalidVertex
+    /// until one CAS writes the winning parent.
+    AlignedBuffer<std::atomic<vertex_t>> claim;
 
     /// Global CQ/NQ pair (naive/bitmap/hybrid engines).
     FrontierQueue queues[2];
@@ -152,7 +150,7 @@ class BfsWorkspace {
     AlignedBuffer<std::uint64_t> ms_frontier;
     AlignedBuffer<std::atomic<std::uint64_t>> ms_next;
 
-    /// Lifetime counters (prepares / reuses / reset words).
+    /// Lifetime counters (prepares / reuses).
     BfsWorkspaceStats stats;
 
   private:

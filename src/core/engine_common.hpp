@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "concurrency/versioned_bitmap.hpp"
 #include "concurrency/work_queue.hpp"
 #include "core/bfs.hpp"
 #include "core/frontier.hpp"

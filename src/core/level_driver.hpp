@@ -12,7 +12,7 @@
 
 #include "concurrency/spin_barrier.hpp"
 #include "concurrency/thread_team.hpp"
-#include "concurrency/versioned_bitmap.hpp"
+#include "concurrency/atomic_bitmap.hpp"
 #include "core/bfs_workspace.hpp"
 #include "core/engine_common.hpp"
 #include "graph/partition.hpp"
@@ -68,7 +68,7 @@ struct LevelCtx {
 /// levels nearly all checks are filtered). The bit may flip between test
 /// and test_and_set, so the atomic still arbitrates the winner;
 /// correctness never depends on the plain load. True when this worker won.
-inline bool double_checked_claim(VersionedBitmap& visited, vertex_t v,
+inline bool double_checked_claim(AtomicBitmap& visited, vertex_t v,
                                  bool double_check,
                                  ThreadCounters& counters) noexcept {
     counters.add<LevelCounter::bitmap_checks>(1);
@@ -264,7 +264,7 @@ void run_single_source(const Graph& g, vertex_t root, const char* name,
     vertex_t* const parent = result.parent.data();
     level_t* const level = options.compute_levels ? result.level.data() : nullptr;
 
-    // No init pass: the workspace's epoch bumps already cleared the
+    // No init pass: the workspace's prepare() already zeroed the
     // visited state, and unreached parent/level slots are filled after
     // the traversal. team.run publishes the seed to every worker.
     step.seed(root);

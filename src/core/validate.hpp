@@ -30,13 +30,11 @@ struct ValidationReport {
 ///      symmetric graphs);
 ///   5. the reached count matches BfsResult::vertices_visited.
 ///
-/// `check_edge_levels` (rule 4) costs a full O(n + m) sweep; disable it
-/// for very large instances. Rule 4's reachability half assumes the
-/// graph is symmetric (the library's builder default); pass
-/// `symmetric=false` to skip just that half for directed graphs.
+/// One O(n + m) pass: a sweep of the rows finds every tree edge and
+/// rule 4's first violation, and the per-vertex checks follow. Rule 4
+/// needs levels, and its reachability half runs only on graphs stamped
+/// symmetric (CsrGraph::symmetric()).
 ValidationReport validate_bfs_tree(const CsrGraph& g, vertex_t root,
-                                   const BfsResult& result,
-                                   bool check_edge_levels = true,
-                                   bool symmetric = true);
+                                   const BfsResult& result);
 
 }  // namespace sge

@@ -2,7 +2,7 @@
 
 // Word-at-a-time scans for frontier generation (docs/ALGORITHMS.md
 // "Frontier generation"). The portable baseline tests one 64-bit word
-// per step — a whole-word compare filters 32 vertices (VersionedBitmap)
+// per step — a whole-word compare filters 64 vertices (AtomicBitmap)
 // or one 64-lane mask (MS-BFS) with a single load — and iterates the
 // survivors with ctz. The optional AVX2 path, selected once per process
 // by runtime CPUID dispatch, vector-skips runs of four uninteresting
@@ -56,24 +56,9 @@ enum class IsaLevel { kScalar, kAvx2 };
     return level;
 }
 
-/// Mask of *unvisited* slots in an epoch-versioned bitmap word
-/// (`epoch (high 32) | payload (low 32)`): a stale stamp means the
-/// whole word is logically clear, i.e. all 32 slots unvisited.
-[[nodiscard]] constexpr std::uint32_t unvisited_mask(
-    std::uint64_t word, std::uint32_t epoch) noexcept {
-    return (word >> 32) == epoch ? ~static_cast<std::uint32_t>(word)
-                                 : 0xFFFFFFFFu;
-}
-
-/// Mask of *set* slots: stale words contribute nothing.
-[[nodiscard]] constexpr std::uint32_t set_mask(std::uint64_t word,
-                                               std::uint32_t epoch) noexcept {
-    return (word >> 32) == epoch ? static_cast<std::uint32_t>(word) : 0u;
-}
-
 /// Iterates the set bits of `mask`, lowest first: fn(bit_index).
 template <typename Fn>
-inline void for_each_bit(std::uint32_t mask, Fn&& fn) {
+inline void for_each_bit(std::uint64_t mask, Fn&& fn) {
     while (mask != 0) {
         fn(static_cast<unsigned>(std::countr_zero(mask)));
         mask &= mask - 1;
@@ -111,28 +96,12 @@ __attribute__((target("avx2"))) inline std::size_t skip_zero_u64_avx2(
     return i;
 }
 
-/// Advances `i` past words whose high 32 bits differ from `epoch`
-/// (stale epoch-versioned words; 4 at a time).
-__attribute__((target("avx2"))) inline std::size_t skip_stale_u64_avx2(
-    const std::uint64_t* words, std::size_t i, std::size_t hi,
-    std::uint32_t epoch) noexcept {
-    const __m256i e = _mm256_set1_epi64x(
-        static_cast<long long>(static_cast<std::uint64_t>(epoch)));
-    for (; i + 4 <= hi; i += 4) {
-        const __m256i w = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(words + i));
-        const __m256i fresh = _mm256_cmpeq_epi64(_mm256_srli_epi64(w, 32), e);
-        if (!_mm256_testz_si256(fresh, fresh)) break;
-    }
-    return i;
-}
-
 }  // namespace detail
 #endif  // SGE_SIMD_X86
 
-/// Calls fn(word_index, unvisited_mask) for every word in [wlo, whi)
-/// with at least one unvisited slot. `words_scanned` accrues whi - wlo
-/// (vector-skipped words count — they were examined).
+/// Calls fn(word_index, ~word) for every AtomicBitmap word in
+/// [wlo, whi) with at least one clear slot. `words_scanned` accrues
+/// whi - wlo (vector-skipped words count — they were examined).
 ///
 /// Safe under the bottom-up sweep's concurrency: the first and last
 /// word of the range may straddle a neighbouring claim and are loaded
@@ -142,25 +111,22 @@ __attribute__((target("avx2"))) inline std::size_t skip_stale_u64_avx2(
 template <typename Fn>
 inline void for_each_unvisited_word(const std::atomic<std::uint64_t>* words,
                                     std::size_t wlo, std::size_t whi,
-                                    std::uint32_t epoch, IsaLevel level,
+                                    IsaLevel level,
                                     std::uint64_t& words_scanned, Fn&& fn) {
     if (wlo >= whi) return;
     words_scanned += whi - wlo;
     const auto scalar_word = [&](std::size_t i) {
-        const std::uint64_t w = words[i].load(std::memory_order_relaxed);
-        const std::uint32_t m = unvisited_mask(w, epoch);
+        const std::uint64_t m = ~words[i].load(std::memory_order_relaxed);
         if (m != 0) fn(i, m);
     };
 #if SGE_SIMD_X86
     if (level == IsaLevel::kAvx2 && whi - wlo > 2) {
-        const std::uint64_t full =
-            (static_cast<std::uint64_t>(epoch) << 32) | 0xFFFFFFFFu;
         scalar_word(wlo);  // possibly shared with the previous claim
         const std::size_t last = whi - 1;
         const auto* raw = reinterpret_cast<const std::uint64_t*>(words);
         std::size_t i = wlo + 1;
         while (i < last) {
-            i = detail::skip_equal_u64_avx2(raw, i, last, full);
+            i = detail::skip_equal_u64_avx2(raw, i, last, ~std::uint64_t{0});
             if (i >= last) break;
             scalar_word(i);
             ++i;
@@ -173,40 +139,9 @@ inline void for_each_unvisited_word(const std::atomic<std::uint64_t>* words,
     for (std::size_t i = wlo; i < whi; ++i) scalar_word(i);
 }
 
-/// Calls fn(word_index, set_mask) for every word in [wlo, whi) with at
-/// least one set slot. Quiescent-only (no concurrent writers): the
-/// bits->queue harvest and other post-barrier sweeps.
-template <typename Fn>
-inline void for_each_set_word(const std::atomic<std::uint64_t>* words,
-                              std::size_t wlo, std::size_t whi,
-                              std::uint32_t epoch, IsaLevel level,
-                              std::uint64_t& words_scanned, Fn&& fn) {
-    if (wlo >= whi) return;
-    words_scanned += whi - wlo;
-    const auto scalar_word = [&](std::size_t i) {
-        const std::uint64_t w = words[i].load(std::memory_order_relaxed);
-        const std::uint32_t m = set_mask(w, epoch);
-        if (m != 0) fn(i, m);
-    };
-#if SGE_SIMD_X86
-    if (level == IsaLevel::kAvx2) {
-        const auto* raw = reinterpret_cast<const std::uint64_t*>(words);
-        std::size_t i = wlo;
-        while (i < whi) {
-            i = detail::skip_stale_u64_avx2(raw, i, whi, epoch);
-            if (i >= whi) break;
-            scalar_word(i);
-            ++i;
-        }
-        return;
-    }
-#endif
-    (void)level;
-    for (std::size_t i = wlo; i < whi; ++i) scalar_word(i);
-}
-
-/// Calls fn(index, value) for every nonzero word in [lo, hi) — the
-/// MS-BFS lane-mask scan. Quiescent-only over the scanned array.
+/// Calls fn(index, value) for every nonzero word in [lo, hi): the
+/// MS-BFS lane-mask scan and the hybrid's bits->queue harvest.
+/// Quiescent-only over the scanned array.
 template <typename Fn>
 inline void for_each_nonzero_u64(const std::uint64_t* words, std::size_t lo,
                                  std::size_t hi, IsaLevel level,

@@ -212,7 +212,7 @@ void GraphService::resolve(const AdmissionQueue::Item& item,
 void GraphService::worker_loop(Worker& w) {
     // Prime the arena: one throwaway traversal prepares the workspace
     // (allocation + first-touch placement) before traffic arrives, so
-    // the first real query pays only the epoch-bump reset. Failures
+    // the first real query pays only the per-query reset. Failures
     // (injected faults during chaos runs) are harmless — the lazy
     // prepare inside run_into covers it.
     if (w.runner && graph_vertices() > 0) {

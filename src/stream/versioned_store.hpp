@@ -3,11 +3,10 @@
 // VersionedGraphStore — epoch-snapshot graph versioning for live
 // graphs: one writer applies batched edge inserts/deletes and publishes
 // immutable CsrGraph snapshots; any number of concurrent readers pin a
-// snapshot and traverse it while the next version is being built. This
-// extends the epoch idiom of concurrency/versioned_bitmap.hpp from
-// per-word visited state to whole-graph versions: a published snapshot
-// is immutable forever, its version number is the epoch, and "reset" is
-// publishing the next epoch rather than touching the old one.
+// snapshot and traverse it while the next version is being built. A
+// published snapshot is immutable forever, its version number is the
+// epoch, and "reset" is publishing the next epoch rather than touching
+// the old one.
 //
 // One copy of the graph: the current snapshot is the store's only copy
 // of it. apply() builds version v+1 from version v plus the batch —

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/bfs.hpp"
 #include "core/validate.hpp"
 #include "gen/rmat.hpp"
@@ -119,6 +121,99 @@ TEST(BfsHybrid, FewHubsNextToTheRootFlipOnTheirArcs) {
     serial.engine = BfsEngine::kSerial;
     test::expect_equivalent(bfs(g, 0, serial), hybrid);
     EXPECT_LT(total_scanned(hybrid), total_scanned(top_down) / 2);
+}
+
+/// The direction each level of `r` ran, read off its edges_scanned: 'T'
+/// when it scanned every arc of its frontier (top-down), 'B' when it
+/// scanned each still-unvisited vertex's arcs up to the first frontier
+/// neighbour (bottom-up), '?' for neither, as when a harvest put
+/// vertices of an earlier frontier back into the queue.
+std::string directions(const CsrGraph& g, const BfsResult& r) {
+    std::string dirs;
+    for (level_t d = 0; d < r.level_stats.size(); ++d) {
+        std::uint64_t top_down = 0;
+        std::uint64_t bottom_up = 0;
+        for (vertex_t v = 0; v < g.num_vertices(); ++v) {
+            if (r.level[v] == d) top_down += g.degree(v);
+            if (r.level[v] <= d) continue;  // unreached reads kInvalidLevel
+            for (const vertex_t w : g.neighbors(v)) {
+                ++bottom_up;
+                if (r.level[w] == d) break;
+            }
+        }
+        const std::uint64_t scanned = r.level_stats[d].edges_scanned;
+        dirs += scanned == top_down ? 'T' : scanned == bottom_up ? 'B' : '?';
+    }
+    return dirs;
+}
+
+/// Two 64-cliques strung on paths. The root sees all of the first
+/// clique and the last of three path vertices all of the second, so
+/// each clique is one frontier holding most arcs: it flips bottom-up for
+/// one level, which finds the next path vertex and flips back through
+/// the harvest. The second clique lands on level 5, so its bottom-up
+/// level writes the bitmap the first harvest (level 2) read.
+CsrGraph cliques_on_a_path() {
+    constexpr vertex_t kClique = 64;
+    constexpr vertex_t kPath = 3;
+    constexpr vertex_t kTail = 8;
+    EdgeList edges(1 + 2 * kClique + kPath + kTail);
+    vertex_t next = 1;
+    const auto clique = [&](vertex_t hub) {  // returns its first member
+        const vertex_t first = next;
+        next += kClique;
+        for (vertex_t a = first; a < next; ++a) {
+            edges.add(hub, a);
+            for (vertex_t b = a + 1; b < next; ++b) edges.add(a, b);
+        }
+        return first;
+    };
+    const auto path = [&](vertex_t from, vertex_t length) {  // returns its end
+        for (vertex_t i = 0; i < length; ++i, from = next++)
+            edges.add(from, next);
+        return from;
+    };
+    path(clique(path(clique(0), kPath)), kTail);
+    return csr_from_edges(edges);
+}
+
+TEST(BfsHybrid, ABitmapWrittenEarlierInTheQueryIsClearWhenReused) {
+    // Each frontier bitmap serves many levels of one query. A level that
+    // finds stale bits in it harvests an earlier frontier back into the
+    // queue and rescans it, which shows as a '?' level. Two ways to reuse
+    // a bitmap: two bottom-up levels in a row (the R-MAT's middle), and
+    // a return to bottom-up after a harvest (the second clique).
+    RmatParams params;
+    params.scale = 12;
+    params.num_edges = std::uint64_t{1} << 16;
+    params.seed = 3;
+    const CsrGraph rmat = csr_from_edges(generate_rmat(params));
+    const CsrGraph cliques = cliques_on_a_path();
+    BfsOptions serial;
+    serial.engine = BfsEngine::kSerial;
+    vertex_t hub = 0;
+    for (vertex_t v = 1; v < rmat.num_vertices(); ++v)
+        if (rmat.degree(v) > rmat.degree(hub)) hub = v;
+    struct Case {
+        const CsrGraph* g;
+        vertex_t root;
+        const char* pattern;
+    };
+    for (const auto& [g, root, pattern] :
+         {Case{&rmat, hub, "BBT"}, Case{&cliques, 0, "BT"}}) {
+        const BfsResult r = bfs(*g, root, hybrid_options());
+        const BfsResult expected = bfs(*g, root, serial);
+        EXPECT_EQ(r.level, expected.level);
+        test::expect_equivalent(expected, r);
+        const std::string dirs = directions(*g, r);
+        SCOPED_TRACE(dirs);
+        EXPECT_EQ(dirs.find('?'), std::string::npos);
+        const std::size_t first = dirs.find(pattern);
+        ASSERT_NE(first, std::string::npos);
+        if (g == &cliques) {  // bottom-up again after the first harvest
+            EXPECT_NE(dirs.find(pattern, first + 2), std::string::npos);
+        }
+    }
 }
 
 TEST(BfsHybrid, BitmapNeverGoesBottomUp) {

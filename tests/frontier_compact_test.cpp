@@ -114,42 +114,31 @@ TEST(FrontierCompactor, ResetZeroesCountsButKeepsShape) {
 // (word, mask) sequence on random bitmaps, including the tail words.
 // ---------------------------------------------------------------------
 
-using WordHits = std::vector<std::pair<std::size_t, std::uint32_t>>;
+using WordHits = std::vector<std::pair<std::size_t, std::uint64_t>>;
 
 WordHits scan_unvisited(const std::vector<std::atomic<std::uint64_t>>& words,
-                        std::size_t wlo, std::size_t whi, std::uint32_t epoch,
-                        simd::IsaLevel isa, std::uint64_t& scanned) {
+                        std::size_t wlo, std::size_t whi, simd::IsaLevel isa,
+                        std::uint64_t& scanned) {
     WordHits hits;
     simd::for_each_unvisited_word(
-        words.data(), wlo, whi, epoch, isa, scanned,
-        [&](std::size_t i, std::uint32_t m) { hits.emplace_back(i, m); });
+        words.data(), wlo, whi, isa, scanned,
+        [&](std::size_t i, std::uint64_t m) { hits.emplace_back(i, m); });
     return hits;
 }
 
-WordHits scan_set(const std::vector<std::atomic<std::uint64_t>>& words,
-                  std::size_t wlo, std::size_t whi, std::uint32_t epoch,
-                  simd::IsaLevel isa, std::uint64_t& scanned) {
-    WordHits hits;
-    simd::for_each_set_word(
-        words.data(), wlo, whi, epoch, isa, scanned,
-        [&](std::size_t i, std::uint32_t m) { hits.emplace_back(i, m); });
-    return hits;
-}
-
-std::vector<std::atomic<std::uint64_t>> random_epoch_words(std::size_t n,
-                                                           std::uint32_t epoch,
-                                                           std::uint64_t seed) {
-    // Mix of stale-epoch, current-but-empty, current-but-full, and
-    // current-partial words — every skip class the scanners special-case.
+std::vector<std::atomic<std::uint64_t>> random_bitmap_words(std::size_t n,
+                                                            std::uint64_t seed) {
+    // Mix of empty, full and partial words — every class the scanner
+    // treats differently. Full words come in runs, so the vector skip
+    // gets whole groups of four to jump.
     std::vector<std::atomic<std::uint64_t>> words(n);
     std::mt19937_64 rng(seed);
     for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t stamp = static_cast<std::uint64_t>(epoch) << 32;
-        switch (rng() % 5) {
-            case 0: words[i] = (stamp - (1ULL << 32)) | (rng() & 0xFFFFFFFF); break;
-            case 1: words[i] = stamp; break;
-            case 2: words[i] = stamp | 0xFFFFFFFF; break;
-            default: words[i] = stamp | (rng() & 0xFFFFFFFF); break;
+        switch (rng() % 4) {
+            case 0: words[i] = 0; break;
+            case 1:
+            case 2: words[i] = ~std::uint64_t{0}; break;
+            default: words[i] = rng(); break;
         }
     }
     return words;
@@ -161,45 +150,28 @@ TEST(SimdScan, UnvisitedWordsMatchScalarOnRandomBitmaps) {
                                 std::size_t{4}, std::size_t{5}, std::size_t{7},
                                 std::size_t{8}, std::size_t{64},
                                 std::size_t{65}, std::size_t{1000}}) {
-        const std::uint32_t epoch = 3;
-        const auto words = random_epoch_words(n, epoch, 17 * n);
+        const auto words = random_bitmap_words(n, 17 * n);
         // Whole range plus offset sub-ranges (odd boundaries exercise
         // the scalar head/tail around the vectorized interior).
-        const std::size_t starts[] = {0, n / 3};
-        for (const std::size_t wlo : starts) {
-            std::uint64_t scanned_scalar = 0;
-            std::uint64_t scanned_avx2 = 0;
-            const WordHits scalar =
-                scan_unvisited(words, wlo, n, epoch, simd::IsaLevel::kScalar,
-                               scanned_scalar);
-            const WordHits avx2 = scan_unvisited(
-                words, wlo, n, epoch, simd::IsaLevel::kAvx2, scanned_avx2);
-            SCOPED_TRACE("n=" + std::to_string(n) +
-                         " wlo=" + std::to_string(wlo));
-            EXPECT_EQ(scalar, avx2);
-            EXPECT_EQ(scanned_scalar, n - wlo);
-            EXPECT_EQ(scanned_avx2, n - wlo);
+        for (const std::size_t wlo : {std::size_t{0}, n / 3}) {
+            for (const std::size_t whi : {n, n - n / 4}) {
+                std::uint64_t scanned_scalar = 0;
+                std::uint64_t scanned_avx2 = 0;
+                const WordHits scalar =
+                    scan_unvisited(words, wlo, whi, simd::IsaLevel::kScalar,
+                                   scanned_scalar);
+                const WordHits avx2 = scan_unvisited(
+                    words, wlo, whi, simd::IsaLevel::kAvx2, scanned_avx2);
+                SCOPED_TRACE("n=" + std::to_string(n) +
+                             " wlo=" + std::to_string(wlo) +
+                             " whi=" + std::to_string(whi));
+                EXPECT_EQ(scalar, avx2);
+                EXPECT_EQ(scanned_scalar, whi > wlo ? whi - wlo : 0);
+                EXPECT_EQ(scanned_avx2, whi > wlo ? whi - wlo : 0);
+                // Every reported mask is the word's clear slots.
+                for (const auto& [i, m] : scalar) EXPECT_EQ(m, ~words[i].load());
+            }
         }
-    }
-}
-
-TEST(SimdScan, SetWordsMatchScalarOnRandomBitmaps) {
-    if (!simd::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host";
-    for (const std::size_t n :
-         {std::size_t{1}, std::size_t{6}, std::size_t{9}, std::size_t{129},
-          std::size_t{513}}) {
-        const std::uint32_t epoch = 41;
-        const auto words = random_epoch_words(n, epoch, 23 * n + 1);
-        std::uint64_t scanned_scalar = 0;
-        std::uint64_t scanned_avx2 = 0;
-        const WordHits scalar = scan_set(words, 0, n, epoch,
-                                         simd::IsaLevel::kScalar,
-                                         scanned_scalar);
-        const WordHits avx2 = scan_set(words, 0, n, epoch,
-                                       simd::IsaLevel::kAvx2, scanned_avx2);
-        SCOPED_TRACE("n=" + std::to_string(n));
-        EXPECT_EQ(scalar, avx2);
-        EXPECT_EQ(scanned_scalar, scanned_avx2);
     }
 }
 
@@ -224,18 +196,6 @@ TEST(SimdScan, NonzeroWordsMatchScalarIncludingTails) {
         SCOPED_TRACE("n=" + std::to_string(n));
         EXPECT_EQ(run(simd::IsaLevel::kScalar), run(simd::IsaLevel::kAvx2));
     }
-}
-
-TEST(SimdScan, MaskHelpersHonourEpochStamps) {
-    const std::uint32_t epoch = 9;
-    const std::uint64_t stamp = static_cast<std::uint64_t>(epoch) << 32;
-    // Stale word: every slot reads unvisited, none reads set.
-    EXPECT_EQ(simd::unvisited_mask(((stamp >> 32) - 1) << 32 | 0xFFFF, epoch),
-              0xFFFFFFFFu);
-    EXPECT_EQ(simd::set_mask(((stamp >> 32) - 1) << 32 | 0xFFFF, epoch), 0u);
-    // Current word: payload decides.
-    EXPECT_EQ(simd::unvisited_mask(stamp | 0x0000FF00u, epoch), ~0x0000FF00u);
-    EXPECT_EQ(simd::set_mask(stamp | 0x0000FF00u, epoch), 0x0000FF00u);
 }
 
 // ---------------------------------------------------------------------

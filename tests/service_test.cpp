@@ -181,6 +181,36 @@ TEST_F(EngineCancelTest, ParallelEnginesStopMidTraversalAndRunnerIsReusable) {
     }
 }
 
+TEST_F(EngineCancelTest, HybridStopAfterEveryLevelLeavesNothingBehind) {
+    // A run stopped after k levels leaves bits in `visited` and, once it
+    // has gone bottom-up, in a frontier bitmap. The same runner's next
+    // query, from another root, must start from zeros at every k.
+    const CsrGraph g = rmat_test_graph(12, std::uint64_t{1} << 16, 3);
+    ASSERT_TRUE(g.symmetric());
+    vertex_t hub = 0;
+    for (vertex_t v = 1; v < g.num_vertices(); ++v)
+        if (g.degree(v) > g.degree(hub)) hub = v;
+    const std::vector<level_t> from_hub = serial_levels(g, hub);
+    vertex_t other = 0;
+    while (other == hub || from_hub[other] == kInvalidLevel ||
+           g.degree(other) == 0)
+        ++other;
+    const std::vector<level_t> expected = serial_levels(g, other);
+
+    CancelToken token;
+    BfsOptions options = parallel_options(BfsEngine::kHybrid);
+    options.cancel = &token;
+    BfsRunner runner(options);
+    const std::uint32_t levels = runner.run(g, hub).num_levels;
+    ASSERT_GT(levels, 3u);
+    for (std::uint32_t k = 1; k < levels; ++k) {
+        token.fire_after_polls(k);
+        EXPECT_THROW(runner.run(g, hub), BfsDeadlineError) << "stop " << k;
+        token.reset();
+        EXPECT_EQ(runner.run(g, other).level, expected) << "stop " << k;
+    }
+}
+
 TEST_F(EngineCancelTest, MsBfsWaveStopsAllLanesTogether) {
     const CsrGraph g = path_graph(512);
     const std::vector<vertex_t> sources = {0, 100, 200};

@@ -16,7 +16,7 @@
 #include "analytics/connected_components.hpp"
 #include "analytics/diameter.hpp"
 #include "concurrency/thread_team.hpp"
-#include "concurrency/versioned_bitmap.hpp"
+#include "concurrency/atomic_bitmap.hpp"
 #include "core/bfs.hpp"
 #include "core/bfs_workspace.hpp"
 #include "core/msbfs.hpp"
@@ -52,48 +52,36 @@ CsrGraph rmat_test_graph(std::uint32_t scale, std::uint64_t edges,
 }
 
 // ---------------------------------------------------------------------
-// VersionedBitmap primitive.
+// AtomicBitmap primitive.
 // ---------------------------------------------------------------------
 
-TEST(WorkspaceBitmap, SetTestAndEpochReset) {
-    VersionedBitmap b(100);
+TEST(WorkspaceBitmap, SetTestAndClear) {
+    AtomicBitmap b(100);
+    EXPECT_EQ(b.num_words(), 2u);
     EXPECT_FALSE(b.test(0));
     EXPECT_FALSE(b.test_and_set(0));
     EXPECT_TRUE(b.test(0));
     EXPECT_TRUE(b.test_and_set(0));
     EXPECT_FALSE(b.test(1));  // same word, different slot
+    EXPECT_FALSE(b.test_and_set(99));
+    EXPECT_TRUE(b.test(99));
 
-    EXPECT_EQ(b.advance_epoch(), 0u);  // fast path: no words written
-    EXPECT_FALSE(b.test(0));           // stale stamp reads clear
-    EXPECT_FALSE(b.test_and_set(0));   // lazy reclamation wins again
+    b.clear();
+    EXPECT_FALSE(b.test(0));
+    EXPECT_FALSE(b.test(99));
+    EXPECT_FALSE(b.test_and_set(0));  // a cleared slot wins again
     EXPECT_TRUE(b.test(0));
-}
-
-TEST(WorkspaceBitmap, WraparoundPhysicallyClears) {
-    VersionedBitmap b(64);
-    b.test_and_set(63);
-    b.set_epoch(VersionedBitmap::kMaxEpoch);
-    EXPECT_FALSE(b.test(63));  // jumped past the stored stamp
-    b.test_and_set(63);
-    EXPECT_TRUE(b.test(63));
-    // At kMaxEpoch the advance must sweep and restart at epoch 1.
-    EXPECT_EQ(b.advance_epoch(), b.num_words());
-    EXPECT_EQ(b.epoch(), 1u);
-    EXPECT_FALSE(b.test(63));
-    EXPECT_FALSE(b.test_and_set(63));
-    EXPECT_TRUE(b.test(63));
 }
 
 TEST(WorkspaceBitmap, ExactlyOneWinnerPerBitUnderContention) {
     // The BFS correctness hinge: when many threads race test_and_set on
     // the same vertex, exactly one sees "previously clear". The second
-    // round races on words still stamped with the old epoch, so the lazy
-    // reclamations race too.
+    // round runs on the same words after a clear().
     constexpr std::size_t kBits = 4096;
     constexpr int kThreads = 8;
-    VersionedBitmap bm(kBits);
+    AtomicBitmap bm(kBits);
     for (int round = 0; round < 2; ++round) {
-        if (round == 1) bm.advance_epoch();  // every word is now stale
+        if (round == 1) bm.clear();
         std::atomic<std::uint64_t> wins{0};
         std::vector<std::thread> threads;
         for (int t = 0; t < kThreads; ++t) {
@@ -296,82 +284,6 @@ TEST(WorkspaceIdentity, RecycledAddressGetsFreshEncodingAndSpill) {
         ASSERT_GT(recycled, 0) << "no rebuild landed at the cached address in "
                                << kTries << " tries";
     }
-}
-
-// ---------------------------------------------------------------------
-// Epoch wraparound on the real query path.
-// ---------------------------------------------------------------------
-
-TEST(WorkspaceEpoch, BitmapWraparoundMidStream) {
-    BfsOptions opts;
-    opts.engine = BfsEngine::kBitmap;
-    opts.threads = 4;
-    opts.topology = Topology::emulate(1, 4, 1);
-    const CsrGraph g = uniform_test_graph(500, 6, 5);
-
-    BfsRunner runner(opts);
-    BfsResult result;
-    runner.run_into(result, g, 0);
-    // Force the next reset onto the wraparound sweep.
-    ASSERT_NE(runner.workspace(), nullptr);
-    runner.workspace()->visited.set_epoch(VersionedBitmap::kMaxEpoch);
-    const std::uint64_t touched_before =
-        runner.workspace_stats().reset_words_touched;
-
-    runner.run_into(result, g, 3);
-    EXPECT_GT(runner.workspace_stats().reset_words_touched, touched_before);
-    EXPECT_EQ(runner.workspace()->visited.epoch(), 1u);  // swept + restarted
-
-    BfsRunner fresh(opts);
-    expect_equivalent(fresh.run(g, 3), result);
-    const ValidationReport report = validate_bfs_tree(g, 3, result);
-    EXPECT_TRUE(report.ok) << report.error;
-}
-
-TEST(WorkspaceEpoch, NaiveClaimWraparoundMidStream) {
-    BfsOptions opts;
-    opts.engine = BfsEngine::kNaive;
-    opts.threads = 4;
-    opts.topology = Topology::emulate(1, 4, 1);
-    const CsrGraph g = uniform_test_graph(500, 6, 6);
-
-    BfsRunner runner(opts);
-    BfsResult result;
-    runner.run_into(result, g, 0);
-    ASSERT_NE(runner.workspace(), nullptr);
-    runner.workspace()->claim_epoch = VersionedBitmap::kMaxEpoch;
-    runner.run_into(result, g, 3);
-    EXPECT_EQ(runner.workspace()->claim_epoch, 1u);  // swept + restarted
-
-    BfsRunner fresh(opts);
-    expect_equivalent(fresh.run(g, 3), result);
-    const ValidationReport report = validate_bfs_tree(g, 3, result);
-    EXPECT_TRUE(report.ok) << report.error;
-
-    runner.run_into(result, g, 7);  // and the stream keeps going
-    expect_equivalent(fresh.run(g, 7), result);
-}
-
-TEST(WorkspaceEpoch, HybridFrontierBitsWraparound) {
-    BfsOptions opts;
-    opts.engine = BfsEngine::kHybrid;
-    opts.threads = 4;
-    opts.topology = Topology::emulate(1, 4, 1);
-    const CsrGraph g = rmat_test_graph(9, 8192, 23);
-
-    BfsRunner runner(opts);
-    BfsResult result;
-    runner.run_into(result, g, 0);
-    ASSERT_NE(runner.workspace(), nullptr);
-    runner.workspace()->visited.set_epoch(VersionedBitmap::kMaxEpoch);
-    runner.workspace()->frontier_bits[0].set_epoch(VersionedBitmap::kMaxEpoch);
-    runner.workspace()->frontier_bits[1].set_epoch(VersionedBitmap::kMaxEpoch);
-    runner.run_into(result, g, 5);
-
-    BfsRunner fresh(opts);
-    expect_equivalent(fresh.run(g, 5), result);
-    const ValidationReport report = validate_bfs_tree(g, 5, result);
-    EXPECT_TRUE(report.ok) << report.error;
 }
 
 // ---------------------------------------------------------------------
