@@ -13,10 +13,13 @@
 //              the NUMA-placed BfsWorkspace is reset per query by
 //              zeroing its one-bit-per-vertex bitmaps (O(n/64) words).
 //
-// The gap between the two rows is the amortization the workspace buys;
-// see docs/PERF_MODEL.md "Query throughput & amortization". CI guards
-// reused >= one-shot on the small cells via check_bench_json.py.
+// Each cell runs both regimes over the same roots in paired rounds that
+// alternate which regime goes first, and reports each regime's median
+// round. The gap between the two rows is the amortization the workspace
+// buys; see docs/PERF_MODEL.md "Query throughput & amortization". CI
+// guards reused >= one-shot on the small cells via check_bench_json.py.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -33,6 +36,9 @@ using namespace sge;
 using namespace sge::bench;
 
 constexpr int kQueries = 64;
+/// Paired rounds per cell: the regimes alternate which runs first, so
+/// host drift over a cell lands on both alike.
+constexpr int kRounds = 5;
 
 std::vector<vertex_t> pick_roots(const CsrGraph& g, std::uint64_t seed) {
     Xoshiro256 rng(seed);
@@ -48,6 +54,7 @@ std::vector<vertex_t> pick_roots(const CsrGraph& g, std::uint64_t seed) {
 struct CellResult {
     double seconds = 0.0;
     std::uint64_t edges = 0;
+    std::uint64_t reuses = 0;  ///< workspace reuses during the round
 
     [[nodiscard]] double qps() const {
         return seconds > 0 ? kQueries / seconds : 0.0;
@@ -57,33 +64,24 @@ struct CellResult {
     }
 };
 
-/// One-shot regime: a fresh runner (team + workspace) per query.
-CellResult run_oneshot(const CsrGraph& g, const BfsOptions& opts,
-                       const std::vector<vertex_t>& roots) {
-    (void)bfs(g, roots[0], opts);  // warmup: page in the graph
+/// One timed round of a regime over every root; `query(root)` answers
+/// one query and returns its traversed edges.
+template <class Query>
+CellResult time_round(const std::vector<vertex_t>& roots, const Query& query) {
     CellResult cell;
     WallTimer timer;
-    for (const vertex_t root : roots) {
-        const BfsResult r = bfs(g, root, opts);
-        cell.edges += r.edges_traversed;
-    }
+    for (const vertex_t root : roots) cell.edges += query(root);
     cell.seconds = timer.seconds();
     return cell;
 }
 
-/// Reused regime: one runner, one result buffer, bitmap-zeroing resets.
-CellResult run_reused(const CsrGraph& g, const std::vector<vertex_t>& roots,
-                      BfsRunner& runner) {
-    BfsResult r;
-    runner.run_into(r, g, roots[0]);  // warmup: allocate + first-touch
-    CellResult cell;
-    WallTimer timer;
-    for (const vertex_t root : roots) {
-        runner.run_into(r, g, root);
-        cell.edges += r.edges_traversed;
-    }
-    cell.seconds = timer.seconds();
-    return cell;
+/// The round with the median time.
+CellResult median_round(std::vector<CellResult> rounds) {
+    std::sort(rounds.begin(), rounds.end(),
+              [](const CellResult& a, const CellResult& b) {
+                  return a.seconds < b.seconds;
+              });
+    return rounds[rounds.size() / 2];
 }
 
 struct EngineConfig {
@@ -139,11 +137,40 @@ int main() {
             opts.threads = e.threads;
             opts.topology = e.topology;
 
-            const CellResult oneshot = run_oneshot(w.graph, opts, roots);
-
+            // One-shot: a fresh runner (team + workspace) per query.
+            // Reused: one runner, one result buffer, bitmap-zeroing resets.
             BfsRunner runner(opts);
-            const CellResult reused = run_reused(w.graph, roots, runner);
-            const BfsWorkspaceStats& ws = runner.workspace_stats();
+            BfsResult result;
+            const auto oneshot_query = [&](vertex_t root) {
+                return bfs(w.graph, root, opts).edges_traversed;
+            };
+            const auto reused_query = [&](vertex_t root) {
+                runner.run_into(result, w.graph, root);
+                return result.edges_traversed;
+            };
+            (void)oneshot_query(roots[0]);  // warmup: page in the graph
+            (void)reused_query(roots[0]);   // warmup: allocate + first-touch
+
+            std::vector<CellResult> oneshot_rounds;
+            std::vector<CellResult> reused_rounds;
+            const auto reused_round = [&] {
+                const std::uint64_t before =
+                    runner.workspace_stats().workspace_reuses;
+                CellResult cell = time_round(roots, reused_query);
+                cell.reuses = runner.workspace_stats().workspace_reuses - before;
+                reused_rounds.push_back(cell);
+            };
+            for (int round = 0; round < kRounds; ++round) {
+                if (round % 2 == 0) {
+                    oneshot_rounds.push_back(time_round(roots, oneshot_query));
+                    reused_round();
+                } else {
+                    reused_round();
+                    oneshot_rounds.push_back(time_round(roots, oneshot_query));
+                }
+            }
+            const CellResult oneshot = median_round(oneshot_rounds);
+            const CellResult reused = median_round(reused_rounds);
 
             table.add_row({w.name, e.name, "one-shot",
                            fmt("%.0f", oneshot.qps()),
@@ -167,18 +194,17 @@ int main() {
                     {{"queries_per_second", cell.qps()},
                      {"edges_per_second", cell.eps()},
                      {"seconds_total", cell.seconds},
-                     {"workspace_reuses",
-                      reuse ? static_cast<double>(ws.workspace_reuses)
-                            : 0.0}});
+                     {"workspace_reuses", static_cast<double>(cell.reuses)}});
             }
         }
     }
 
     table.print();
-    std::printf("\n%d queries per cell; 'reused' amortizes team spawn, arena "
+    std::printf("\n%d queries per round; each cell reports its median of %d "
+                "paired rounds.\n'reused' amortizes team spawn, arena "
                 "allocation,\nfirst-touch placement and O(n) init across the "
                 "stream.\n",
-                kQueries);
+                kQueries, kRounds);
     report.write();
     return 0;
 }

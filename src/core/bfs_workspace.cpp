@@ -1,5 +1,6 @@
 #include "core/bfs_workspace.hpp"
 
+#include <atomic>
 #include <cstring>
 
 #include "concurrency/thread_team.hpp"
@@ -18,6 +19,21 @@ std::pair<std::size_t, std::size_t> word_range(std::size_t vlo,
                                                std::size_t vhi) noexcept {
     constexpr std::size_t w = AtomicBitmap::kBitsPerWord;
     return {vlo / w, (vhi + w - 1) / w};
+}
+
+static_assert(sizeof(std::atomic<vertex_t>) == sizeof(vertex_t));
+static_assert(std::atomic<vertex_t>::is_always_lock_free);
+static_assert(kInvalidVertex == static_cast<vertex_t>(~vertex_t{0}));
+
+/// Sets the naive claim words [lo, hi) to kInvalidVertex in one bulk
+/// fill of all-ones bytes.
+void fill_unclaimed(AlignedBuffer<std::atomic<vertex_t>>& claim,
+                    std::size_t lo, std::size_t hi) noexcept {
+    // Plain stores to the atomic words: a lock-free atomic<vertex_t> is
+    // the bare 4-byte word (asserted above), and no traversal runs while
+    // they are filled; the team's next region start publishes them.
+    std::memset(static_cast<void*>(claim.data() + lo), 0xFF,
+                (hi - lo) * sizeof(vertex_t));
 }
 
 }  // namespace
@@ -224,8 +240,7 @@ void BfsWorkspace::first_touch(BfsEngine engine, ThreadTeam& team) {
 
         switch (engine) {
             case BfsEngine::kNaive:
-                for (std::size_t v = vlo; v < vhi; ++v)
-                    claim[v].store(kInvalidVertex, std::memory_order_relaxed);
+                fill_unclaimed(claim, vlo, vhi);
                 for (FrontierQueue& q : queues)
                     std::memset(q.slots_mut() + vlo, 0,
                                 (vhi - vlo) * sizeof(vertex_t));
@@ -263,8 +278,7 @@ void BfsWorkspace::reset_for_query(BfsEngine engine) {
     // sit where first_touch placed them.
     switch (engine) {
         case BfsEngine::kNaive:
-            for (std::size_t v = 0; v < claim.size(); ++v)
-                claim[v].store(kInvalidVertex, std::memory_order_relaxed);
+            fill_unclaimed(claim, 0, claim.size());
             queues[0].reset();
             queues[1].reset();
             break;
