@@ -1,4 +1,5 @@
-// Ablation bench: CSR backend (BfsOptions::backend).
+// Ablation bench: CSR backend, a CsrGraph against its csr_compress
+// encoding.
 //
 // The experiment behind docs/PERF_MODEL.md "Bytes vs ALU": on an
 // emulated 2-socket machine, sweep plain / compressed over the bitmap
@@ -40,10 +41,6 @@ using namespace sge::bench;
 
 constexpr int kThreads = 8;
 constexpr int kRuns = 3;
-
-int backend_code(GraphBackend b) {
-    return b == GraphBackend::kCompressed ? 1 : 0;
-}
 
 struct Cell {
     double rate = 0.0;            // best edges/second over timed runs
@@ -136,15 +133,13 @@ bool sweep(const char* workload, const CsrGraph& g,
              fmt("%.2f", comp.decode_ns / 1e6)});
 
         report.add(std::string(engine_name) + "_" + workload,
-                   {{"threads", kThreads},
-                    {"backend", backend_code(GraphBackend::kPlain)}},
+                   {{"threads", kThreads}, {"backend", 0}},
                    {{"edges_per_second", plain.rate},
                     {"bits_per_edge", plain_bpe},
                     {"bytes_decoded", plain.bytes_decoded},
                     {"decode_ns", plain.decode_ns}});
         report.add(std::string(engine_name) + "_" + workload,
-                   {{"threads", kThreads},
-                    {"backend", backend_code(GraphBackend::kCompressed)}},
+                   {{"threads", kThreads}, {"backend", 1}},
                    {{"edges_per_second", comp.rate},
                     {"bits_per_edge", zg.bits_per_edge()},
                     {"bytes_decoded", comp.bytes_decoded},

@@ -34,7 +34,6 @@
 #include "graph/io.hpp"
 #include "graph/paged_graph.hpp"
 #include "graph/reorder.hpp"
-#include "runtime/env.hpp"
 #include "runtime/prng.hpp"
 #include "runtime/timer.hpp"
 #include "service/graph_service.hpp"
@@ -99,12 +98,11 @@ struct Cli {
         "                    for DRAM bytes — wins when bandwidth-bound)\n"
         "  --paged           run on the semi-external paged backend: the\n"
         "                    adjacency payload is spilled to striped\n"
-        "                    files ($SGE_PAGED_DIR or the system temp\n"
-        "                    dir), mmap'd back, and prefetched one\n"
-        "                    frontier ahead — for graphs whose payload\n"
-        "                    exceeds RAM. Combine with --compress to\n"
-        "                    page the varint blob instead of plain\n"
-        "                    targets\n",
+        "                    files in the system temp dir ($TMPDIR),\n"
+        "                    mmap'd back, and prefetched one frontier\n"
+        "                    ahead — for graphs whose payload exceeds\n"
+        "                    RAM. Combine with --compress to page the\n"
+        "                    varint blob instead of plain targets\n",
         argv0);
     std::exit(2);
 }
@@ -149,6 +147,12 @@ Cli parse(int argc, char** argv) {
         else if (arg == "--serve-deadline")
             cli.serve_deadline_ms = std::atof(next());
         else usage(argv[0]);
+    }
+    if (cli.serve > 0 && (cli.compress || cli.paged)) {
+        std::fprintf(stderr,
+                     "--serve answers on the plain CSR: it takes neither "
+                     "--compress nor --paged\n");
+        usage(argv[0]);
     }
     return cli;
 }
@@ -286,17 +290,12 @@ int main(int argc, char** argv) {
         }
     }
 
-    // Spill + map the payload when the paged backend is requested. The
-    // explorer owns the PagedGraph directly (instead of letting the
-    // runner spill internally through GraphBackend::kPaged) so it can
-    // report the prefetcher's io counters after the runs.
+    // Spill + map the payload when the paged backend is requested; the
+    // same graph serves every timed run and the io counters after them.
     PagedGraph pgraph;
     if (cli.paged) {
-        const std::string dir = env_string("SGE_PAGED_DIR")
-                                    .value_or(std::filesystem::temp_directory_path()
-                                                  .string());
         const std::string path =
-            (std::filesystem::path(dir) /
+            (std::filesystem::temp_directory_path() /
              ("graph_explorer_paged_" +
               std::to_string(static_cast<long>(::getpid()))))
                 .string();
@@ -318,11 +317,6 @@ int main(int argc, char** argv) {
     options.threads = cli.threads;
     if (cli.alpha > 0) options.hybrid_alpha = cli.alpha;
     if (cli.beta > 0) options.hybrid_beta = cli.beta;
-    if (cli.paged)
-        options.backend = cli.compress ? GraphBackend::kPagedCompressed
-                                       : GraphBackend::kPaged;
-    else if (cli.compress)
-        options.backend = GraphBackend::kCompressed;
     // --stats/--trace honour the SGE_OBS=0 runtime master switch.
     const bool instrument =
         (cli.stats || !cli.trace.empty()) && obs::enabled();
@@ -395,7 +389,8 @@ int main(int argc, char** argv) {
                                       : " (graph unstamped: no bottom-up levels)",
                 runner.threads(),
                 runner.topology().describe().c_str(),
-                to_string(options.backend).c_str());
+                cli.paged ? (cli.compress ? "paged_compressed" : "paged")
+                          : (cli.compress ? "compressed" : "plain"));
 
     Xoshiro256 rng(cli.seed + 1000);
     double best = 0.0;

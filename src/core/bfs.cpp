@@ -1,13 +1,9 @@
 #include "core/bfs.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
 #include <stdexcept>
 #include <string>
 
@@ -16,7 +12,6 @@
 #include "core/level_driver.hpp"
 #include "graph/csr_compressed.hpp"
 #include "graph/paged_graph.hpp"
-#include "runtime/env.hpp"
 
 namespace sge {
 
@@ -28,16 +23,6 @@ std::string to_string(BfsEngine engine) {
         case BfsEngine::kMultiSocket: return "multisocket";
         case BfsEngine::kHybrid: return "hybrid";
         case BfsEngine::kAuto: return "auto";
-    }
-    return "unknown";
-}
-
-std::string to_string(GraphBackend backend) {
-    switch (backend) {
-        case GraphBackend::kPlain: return "plain";
-        case GraphBackend::kCompressed: return "compressed";
-        case GraphBackend::kPaged: return "paged";
-        case GraphBackend::kPagedCompressed: return "paged_compressed";
     }
     return "unknown";
 }
@@ -97,89 +82,15 @@ const BfsWorkspaceStats& BfsRunner::workspace_stats() const noexcept {
     return workspace_ ? workspace_->stats : kEmpty;
 }
 
-BfsResult BfsRunner::run(const CsrGraph& g, vertex_t root) {
+template <BackendGraph Graph>
+BfsResult BfsRunner::run(const Graph& g, vertex_t root) {
     BfsResult result;
     run_into(result, g, root);
     return result;
 }
 
-BfsResult BfsRunner::run(const CompressedCsrGraph& g, vertex_t root) {
-    BfsResult result;
-    run_into(result, g, root);
-    return result;
-}
-
-BfsResult BfsRunner::run(const PagedGraph& g, vertex_t root) {
-    BfsResult result;
-    run_into(result, g, root);
-    return result;
-}
-
-const CompressedCsrGraph& BfsRunner::compressed_for(const CsrGraph& g) {
-    if (!compressed_ || compressed_source_ != g.id()) {
-        compressed_ = std::make_unique<CompressedCsrGraph>(csr_compress(g));
-        compressed_source_ = g.id();
-    }
-    return *compressed_;
-}
-
-const PagedGraph& BfsRunner::paged_for(const CsrGraph& g, bool compressed) {
-    if (!paged_ || paged_source_ != g.id() || paged_compressed_ != compressed) {
-        // Unique spill basename: pid + a process-wide counter, under
-        // $SGE_PAGED_DIR or the system temp dir. owns_files unlinks the
-        // manifest and stripes when the cached graph is replaced or the
-        // runner dies; validate_payload is skipped because the payload
-        // was written a microsecond ago from a validated graph.
-        static std::atomic<std::uint64_t> counter{0};
-        std::string dir = env_string("SGE_PAGED_DIR").value_or("");
-        if (dir.empty()) dir = std::filesystem::temp_directory_path().string();
-        const std::string path =
-            dir + "/sge_paged_" + std::to_string(::getpid()) + "_" +
-            std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
-        PagedWriteOptions wopts;
-        wopts.payload = compressed ? PagedPayload::kVarintBlob
-                                   : PagedPayload::kPlainTargets;
-        PagedOpenOptions oopts;
-        oopts.validate_payload = false;
-        oopts.owns_files = true;
-        paged_ = std::make_unique<PagedGraph>(make_paged(g, path, wopts, oopts));
-        paged_source_ = g.id();
-        paged_compressed_ = compressed;
-    }
-    return *paged_;
-}
-
-void BfsRunner::run_into(BfsResult& result, const CsrGraph& g, vertex_t root) {
-    if (options_.backend == GraphBackend::kCompressed) {
-        detail::check_root(g, root);  // validate before paying the encode
-        run_into_impl(result, compressed_for(g), root);
-        return;
-    }
-    if (options_.backend == GraphBackend::kPaged ||
-        options_.backend == GraphBackend::kPagedCompressed) {
-        detail::check_root(g, root);  // validate before paying the spill
-        run_into_impl(
-            result,
-            paged_for(g, options_.backend == GraphBackend::kPagedCompressed),
-            root);
-        return;
-    }
-    run_into_impl(result, g, root);
-}
-
-void BfsRunner::run_into(BfsResult& result, const CompressedCsrGraph& g,
-                         vertex_t root) {
-    run_into_impl(result, g, root);
-}
-
-void BfsRunner::run_into(BfsResult& result, const PagedGraph& g,
-                         vertex_t root) {
-    run_into_impl(result, g, root);
-}
-
-template <class Graph>
-void BfsRunner::run_into_impl(BfsResult& result, const Graph& g,
-                              vertex_t root) {
+template <BackendGraph Graph>
+void BfsRunner::run_into(BfsResult& result, const Graph& g, vertex_t root) {
     detail::check_root(g, root);
     const BfsEngine engine = resolved_engine();
     if (engine == BfsEngine::kSerial) {
@@ -207,21 +118,22 @@ void BfsRunner::run_into_impl(BfsResult& result, const Graph& g,
     throw std::logic_error("BfsRunner: unresolved engine");
 }
 
-BfsResult bfs(const CsrGraph& g, vertex_t root, const BfsOptions& options) {
+template <BackendGraph Graph>
+BfsResult bfs(const Graph& g, vertex_t root, const BfsOptions& options) {
     BfsRunner runner(options);
     return runner.run(g, root);
 }
 
-BfsResult bfs(const CompressedCsrGraph& g, vertex_t root,
-              const BfsOptions& options) {
-    BfsRunner runner(options);
-    return runner.run(g, root);
-}
-
-BfsResult bfs(const PagedGraph& g, vertex_t root, const BfsOptions& options) {
-    BfsRunner runner(options);
-    return runner.run(g, root);
-}
+template void BfsRunner::run_into(BfsResult&, const CsrGraph&, vertex_t);
+template void BfsRunner::run_into(BfsResult&, const CompressedCsrGraph&,
+                                  vertex_t);
+template void BfsRunner::run_into(BfsResult&, const PagedGraph&, vertex_t);
+template BfsResult BfsRunner::run(const CsrGraph&, vertex_t);
+template BfsResult BfsRunner::run(const CompressedCsrGraph&, vertex_t);
+template BfsResult BfsRunner::run(const PagedGraph&, vertex_t);
+template BfsResult bfs(const CsrGraph&, vertex_t, const BfsOptions&);
+template BfsResult bfs(const CompressedCsrGraph&, vertex_t, const BfsOptions&);
+template BfsResult bfs(const PagedGraph&, vertex_t, const BfsOptions&);
 
 double level_value(const BfsLevelStats& s, const LevelCounterRow& row,
                    std::size_t element) {

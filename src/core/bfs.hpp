@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -40,27 +41,17 @@ enum class BfsEngine {
 
 [[nodiscard]] std::string to_string(BfsEngine engine);
 
-/// Which adjacency representation a run traverses; see
-/// docs/ALGORITHMS.md "Compressed adjacency".
-enum class GraphBackend {
-    /// The plain CSR targets[] array (4 B/edge, streamed raw).
-    kPlain,
-    /// Delta+varint CompressedCsrGraph, decoded on scan: 2-4x fewer
-    /// adjacency bytes on skewed graphs at the cost of decode ALU — a
-    /// net win when the scan is bandwidth-bound (docs/PERF_MODEL.md
-    /// "Bytes vs ALU").
-    kCompressed,
-    /// Semi-external PagedGraph over the plain targets[] payload: the
-    /// adjacency bytes live in striped memory-mapped spill files with a
-    /// frontier-ahead async prefetcher; only byte offsets + degrees
-    /// stay resident (docs/PERF_MODEL.md "Disk regime").
-    kPaged,
-    /// Semi-external PagedGraph over the delta+varint payload: the
-    /// compressed blob on disk — the fewest bytes faulted per scan.
-    kPagedCompressed,
-};
-
-[[nodiscard]] std::string to_string(GraphBackend backend);
+/// The graph types a traversal runs on, one backend each: the plain
+/// CSR, its delta+varint encoding (csr_compress) and a semi-external
+/// spill of either payload (make_paged). The type of the graph a caller
+/// passes is the only way a backend is chosen; see docs/ALGORITHMS.md
+/// "Compressed adjacency". Every traversal entry point is one template
+/// constrained by this concept and instantiated for the three types, so
+/// another type is a compile error.
+template <class G>
+concept BackendGraph = std::same_as<G, CsrGraph> ||
+                       std::same_as<G, CompressedCsrGraph> ||
+                       std::same_as<G, PagedGraph>;
 
 /// Tuning and instrumentation knobs. Defaults reproduce the paper's
 /// most-optimized configuration.
@@ -78,14 +69,6 @@ struct BfsOptions {
     /// Vertices per inter-socket channel batch (Algorithm 3's batching
     /// optimization: amortizes the ticket-lock acquisition).
     std::size_t batch_size = 64;
-
-    /// Adjacency representation for BfsRunner::run(const CsrGraph&) /
-    /// bfs(): kCompressed makes the runner delta+varint-encode the graph
-    /// once (cached by graph id, so back-to-back queries reuse the
-    /// encoding) and traverse decode-on-scan. The
-    /// run(const CompressedCsrGraph&) overloads ignore this — a graph
-    /// that is already compressed is always traversed compressed.
-    GraphBackend backend = GraphBackend::kPlain;
 
     /// FastForward ring capacity per inter-socket channel (entries).
     std::size_t channel_capacity = 1 << 15;
@@ -331,27 +314,19 @@ class BfsRunner {
     BfsRunner(BfsRunner&&) noexcept;
     BfsRunner& operator=(BfsRunner&&) noexcept;
 
-    /// Runs a BFS from `root`. Throws std::out_of_range for an invalid
-    /// root or std::invalid_argument for inconsistent options. With
-    /// BfsOptions::backend == kCompressed the graph is encoded once
-    /// (cached by the graph's id()) and traversed decode-on-scan.
-    BfsResult run(const CsrGraph& g, vertex_t root);
+    /// Runs a BFS from `root` over `g`, on the backend its type names:
+    /// a CsrGraph scans the plain targets[] spans, a CompressedCsrGraph
+    /// decodes each row on scan, a PagedGraph scans its memory-mapped
+    /// payload. Throws std::out_of_range for an invalid root or
+    /// std::invalid_argument for inconsistent options.
+    template <BackendGraph Graph>
+    BfsResult run(const Graph& g, vertex_t root);
 
-    /// Runs over an already-compressed graph (always decode-on-scan,
-    /// whatever BfsOptions::backend says).
-    BfsResult run(const CompressedCsrGraph& g, vertex_t root);
-
-    /// Runs over an already-opened paged graph (semi-external scan,
-    /// whatever BfsOptions::backend says).
-    BfsResult run(const PagedGraph& g, vertex_t root);
-
-    /// Runs a BFS from `root` into caller-owned `result`, reusing its
-    /// buffers (no allocation on back-to-back queries over one graph).
-    /// The previous contents of `result` are discarded.
-    void run_into(BfsResult& result, const CsrGraph& g, vertex_t root);
-    void run_into(BfsResult& result, const CompressedCsrGraph& g,
-                  vertex_t root);
-    void run_into(BfsResult& result, const PagedGraph& g, vertex_t root);
+    /// run() into caller-owned `result`, reusing its buffers (no
+    /// allocation on back-to-back queries over one graph). The previous
+    /// contents of `result` are discarded.
+    template <BackendGraph Graph>
+    void run_into(BfsResult& result, const Graph& g, vertex_t root);
 
     [[nodiscard]] const BfsOptions& options() const noexcept { return options_; }
 
@@ -376,43 +351,15 @@ class BfsRunner {
     [[nodiscard]] const BfsWorkspaceStats& workspace_stats() const noexcept;
 
   private:
-    template <class Graph>
-    void run_into_impl(BfsResult& result, const Graph& g, vertex_t root);
-
-    /// run(const CsrGraph&) with backend == kCompressed: returns the
-    /// cached encoding of `g`, re-encoding only when `g.id()` changed
-    /// since the last query.
-    const CompressedCsrGraph& compressed_for(const CsrGraph& g);
-
-    /// run(const CsrGraph&) with backend == kPaged / kPagedCompressed:
-    /// returns the cached spill of `g` — written once to
-    /// $SGE_PAGED_DIR (default: the system temp directory) and
-    /// re-spilled only when `g.id()` changed. The spill files
-    /// are owned by the cached graph and unlinked with it.
-    const PagedGraph& paged_for(const CsrGraph& g, bool compressed);
-
     BfsOptions options_;
     Topology topology_;
     std::unique_ptr<ThreadTeam> team_;  // null for serial-only runners
     std::unique_ptr<BfsWorkspace> workspace_;  // lazily built on first run
-
-    // Cached encoding for the backend == kCompressed plain-graph path,
-    // and the id() of the graph it encodes.
-    std::unique_ptr<CompressedCsrGraph> compressed_;
-    std::uint64_t compressed_source_ = 0;
-
-    // Cached spill for the backend == kPaged* plain-graph paths.
-    std::unique_ptr<PagedGraph> paged_;
-    std::uint64_t paged_source_ = 0;
-    bool paged_compressed_ = false;
 };
 
 /// One-shot convenience wrapper around BfsRunner.
-BfsResult bfs(const CsrGraph& g, vertex_t root, const BfsOptions& options = {});
-BfsResult bfs(const CompressedCsrGraph& g, vertex_t root,
-              const BfsOptions& options = {});
-BfsResult bfs(const PagedGraph& g, vertex_t root,
-              const BfsOptions& options = {});
+template <BackendGraph Graph>
+BfsResult bfs(const Graph& g, vertex_t root, const BfsOptions& options = {});
 
 /// Builds a Chrome trace-event timeline from an instrumented run (run
 /// with BfsOptions::collect_stats): one track per worker thread carrying
@@ -424,19 +371,5 @@ BfsResult bfs(const PagedGraph& g, vertex_t root,
 /// Perfetto; see docs/OBSERVABILITY.md.
 [[nodiscard]] obs::ChromeTrace make_bfs_trace(const BfsResult& result,
                                               const std::string& name = "bfs");
-
-namespace detail {
-
-// The serial reference engine (exposed for tests; use BfsRunner in user
-// code), one template body instantiated for each graph backend. The
-// parallel engines are internal (core/level_driver.hpp).
-void bfs_serial(const CsrGraph& g, vertex_t root, const BfsOptions& options,
-                BfsResult& result);
-void bfs_serial(const CompressedCsrGraph& g, vertex_t root,
-                const BfsOptions& options, BfsResult& result);
-void bfs_serial(const PagedGraph& g, vertex_t root,
-                const BfsOptions& options, BfsResult& result);
-
-}  // namespace detail
 
 }  // namespace sge

@@ -1,11 +1,9 @@
-#include "core/engine_common.hpp"
+#include "core/level_driver.hpp"
 #include "graph/csr_compressed.hpp"
 #include "graph/paged_graph.hpp"
 #include "runtime/timer.hpp"
 
 namespace sge::detail {
-
-namespace {
 
 /// Sequential reference BFS: two std::vector queues, no atomics. This is
 /// the "best sequential implementation" every parallel-BFS paper must
@@ -20,8 +18,8 @@ namespace {
 /// One body for every backend (scan_adjacency); the per-level
 /// ThreadCounters instance carries all of the level's tallies.
 template <class Graph>
-void bfs_serial_impl(const Graph& g, vertex_t root, const BfsOptions& options,
-                     BfsResult& result) {
+void bfs_serial(const Graph& g, vertex_t root, const BfsOptions& options,
+                BfsResult& result) {
     check_root(g, root);
     const vertex_t n = g.num_vertices();
 
@@ -84,21 +82,11 @@ void bfs_serial_impl(const Graph& g, vertex_t root, const BfsOptions& options,
     result.seconds = timer.seconds();
 }
 
-}  // namespace
-
-void bfs_serial(const CsrGraph& g, vertex_t root, const BfsOptions& options,
-                BfsResult& result) {
-    bfs_serial_impl(g, root, options, result);
-}
-
-void bfs_serial(const CompressedCsrGraph& g, vertex_t root,
-                const BfsOptions& options, BfsResult& result) {
-    bfs_serial_impl(g, root, options, result);
-}
-
-void bfs_serial(const PagedGraph& g, vertex_t root, const BfsOptions& options,
-                BfsResult& result) {
-    bfs_serial_impl(g, root, options, result);
-}
+template void bfs_serial(const CsrGraph&, vertex_t, const BfsOptions&,
+                         BfsResult&);
+template void bfs_serial(const CompressedCsrGraph&, vertex_t,
+                         const BfsOptions&, BfsResult&);
+template void bfs_serial(const PagedGraph&, vertex_t, const BfsOptions&,
+                         BfsResult&);
 
 }  // namespace sge::detail

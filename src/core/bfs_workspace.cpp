@@ -38,9 +38,9 @@ void fill_unclaimed(AlignedBuffer<std::atomic<vertex_t>>& claim,
 
 }  // namespace
 
-template <class Graph>
-void BfsWorkspace::prepare_impl(const Graph& g, BfsEngine engine,
-                                const BfsOptions& options, ThreadTeam& team) {
+template <BackendGraph Graph>
+void BfsWorkspace::prepare(const Graph& g, BfsEngine engine,
+                           const BfsOptions& options, ThreadTeam& team) {
     if (g.num_vertices() != prepared_n_ || engine != prepared_engine_ ||
         team.size() != prepared_threads_) {
         allocate(g.num_vertices(), engine, options, team);
@@ -53,20 +53,12 @@ void BfsWorkspace::prepare_impl(const Graph& g, BfsEngine engine,
     reset_for_query(engine);
 }
 
-void BfsWorkspace::prepare(const CsrGraph& g, BfsEngine engine,
-                           const BfsOptions& options, ThreadTeam& team) {
-    prepare_impl(g, engine, options, team);
-}
-
-void BfsWorkspace::prepare(const CompressedCsrGraph& g, BfsEngine engine,
-                           const BfsOptions& options, ThreadTeam& team) {
-    prepare_impl(g, engine, options, team);
-}
-
-void BfsWorkspace::prepare(const PagedGraph& g, BfsEngine engine,
-                           const BfsOptions& options, ThreadTeam& team) {
-    prepare_impl(g, engine, options, team);
-}
+template void BfsWorkspace::prepare(const CsrGraph&, BfsEngine,
+                                    const BfsOptions&, ThreadTeam&);
+template void BfsWorkspace::prepare(const CompressedCsrGraph&, BfsEngine,
+                                    const BfsOptions&, ThreadTeam&);
+template void BfsWorkspace::prepare(const PagedGraph&, BfsEngine,
+                                    const BfsOptions&, ThreadTeam&);
 
 void BfsWorkspace::note_graph(std::uint64_t graph_id) {
     if (graph_id == graph_id_) return;
@@ -311,8 +303,8 @@ void BfsWorkspace::reset_for_query(BfsEngine engine) {
     compactor.reset();
 }
 
-template <class Graph>
-void BfsWorkspace::prepare_ms_impl(const Graph& g, ThreadTeam& team) {
+template <BackendGraph Graph>
+void BfsWorkspace::prepare_ms(const Graph& g, ThreadTeam& team) {
     const vertex_t n = g.num_vertices();
     const int threads = team.size();
     if (n != ms_n_) {
@@ -344,16 +336,8 @@ void BfsWorkspace::prepare_ms_impl(const Graph& g, ThreadTeam& team) {
     });
 }
 
-void BfsWorkspace::prepare_ms(const CsrGraph& g, ThreadTeam& team) {
-    prepare_ms_impl(g, team);
-}
-
-void BfsWorkspace::prepare_ms(const CompressedCsrGraph& g, ThreadTeam& team) {
-    prepare_ms_impl(g, team);
-}
-
-void BfsWorkspace::prepare_ms(const PagedGraph& g, ThreadTeam& team) {
-    prepare_ms_impl(g, team);
-}
+template void BfsWorkspace::prepare_ms(const CsrGraph&, ThreadTeam&);
+template void BfsWorkspace::prepare_ms(const CompressedCsrGraph&, ThreadTeam&);
+template void BfsWorkspace::prepare_ms(const PagedGraph&, ThreadTeam&);
 
 }  // namespace sge

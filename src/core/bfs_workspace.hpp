@@ -54,19 +54,15 @@ class BfsWorkspace {
     /// `frontier_bits`, for kNaive the `claim` fill) and discards the
     /// queue and channel residue, so a run stopped by its token, a
     /// deadline or a fault never poisons the next.
-    void prepare(const CsrGraph& g, BfsEngine engine, const BfsOptions& options,
+    template <BackendGraph Graph>
+    void prepare(const Graph& g, BfsEngine engine, const BfsOptions& options,
                  ThreadTeam& team);
-    void prepare(const CompressedCsrGraph& g, BfsEngine engine,
-                 const BfsOptions& options, ThreadTeam& team);
-    void prepare(const PagedGraph& g, BfsEngine engine,
-                 const BfsOptions& options, ThreadTeam& team);
 
     /// Readies the MS-BFS lane buffers (seen/frontier/next masks), the
     /// per-thread tallies and the [0, n) plan for one multi_source_bfs
     /// call on `team`; each worker zeroes its own slice of the lanes.
-    void prepare_ms(const CsrGraph& g, ThreadTeam& team);
-    void prepare_ms(const CompressedCsrGraph& g, ThreadTeam& team);
-    void prepare_ms(const PagedGraph& g, ThreadTeam& team);
+    template <BackendGraph Graph>
+    void prepare_ms(const Graph& g, ThreadTeam& team);
 
     // ---- engine-facing state ------------------------------------------
 
@@ -154,15 +150,6 @@ class BfsWorkspace {
     BfsWorkspaceStats stats;
 
   private:
-    // Backend-generic bodies behind the prepare()/prepare_ms() overload
-    // sets (defined in bfs_workspace.cpp — legal because the overloads
-    // there are the only instantiation points).
-    template <class Graph>
-    void prepare_impl(const Graph& g, BfsEngine engine,
-                      const BfsOptions& options, ThreadTeam& team);
-    template <class Graph>
-    void prepare_ms_impl(const Graph& g, ThreadTeam& team);
-
     void allocate(vertex_t n, BfsEngine engine, const BfsOptions& options,
                   ThreadTeam& team);
     void ensure_range_wq(ThreadTeam& team);

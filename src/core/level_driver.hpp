@@ -291,9 +291,15 @@ void run_single_source(const Graph& g, vertex_t root, const char* name,
     result.num_levels = run.levels;
 }
 
-// The engines: each builds its step and hands it to run_single_source.
-// Defined (and instantiated for the three graph backends) in
-// bfs_<engine>.cpp.
+// The engines, defined (and instantiated for the three graph backends)
+// in bfs_<engine>.cpp. Each parallel one builds its step and hands it to
+// run_single_source.
+
+/// The sequential reference: two queues, no team, no atomics
+/// (bfs_serial.cpp).
+template <class Graph>
+void bfs_serial(const Graph& g, vertex_t root, const BfsOptions& options,
+                BfsResult& result);
 
 /// Algorithm 1 (bfs_naive.cpp).
 template <class Graph>

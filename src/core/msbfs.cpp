@@ -132,11 +132,13 @@ class MsBfsStep {
     const int threads_;
 };
 
-template <class Graph>
-std::uint32_t multi_source_bfs_impl(const Graph& g,
-                                    std::span<const vertex_t> sources,
-                                    const MsBfsVisitor& visit,
-                                    const MsBfsOptions& options) {
+}  // namespace
+
+template <BackendGraph Graph>
+std::uint32_t multi_source_bfs(const Graph& g,
+                               std::span<const vertex_t> sources,
+                               const MsBfsVisitor& visit,
+                               const MsBfsOptions& options) {
     const vertex_t n = g.num_vertices();
     if (sources.empty() || sources.size() > 64)
         throw std::invalid_argument(
@@ -182,27 +184,17 @@ std::uint32_t multi_source_bfs_impl(const Graph& g,
         .levels;
 }
 
-}  // namespace
-
-std::uint32_t multi_source_bfs(const CsrGraph& g,
-                               std::span<const vertex_t> sources,
-                               const MsBfsVisitor& visit,
-                               const MsBfsOptions& options) {
-    return multi_source_bfs_impl(g, sources, visit, options);
-}
-
-std::uint32_t multi_source_bfs(const CompressedCsrGraph& g,
-                               std::span<const vertex_t> sources,
-                               const MsBfsVisitor& visit,
-                               const MsBfsOptions& options) {
-    return multi_source_bfs_impl(g, sources, visit, options);
-}
-
-std::uint32_t multi_source_bfs(const PagedGraph& g,
-                               std::span<const vertex_t> sources,
-                               const MsBfsVisitor& visit,
-                               const MsBfsOptions& options) {
-    return multi_source_bfs_impl(g, sources, visit, options);
-}
+template std::uint32_t multi_source_bfs(const CsrGraph&,
+                                        std::span<const vertex_t>,
+                                        const MsBfsVisitor&,
+                                        const MsBfsOptions&);
+template std::uint32_t multi_source_bfs(const CompressedCsrGraph&,
+                                        std::span<const vertex_t>,
+                                        const MsBfsVisitor&,
+                                        const MsBfsOptions&);
+template std::uint32_t multi_source_bfs(const PagedGraph&,
+                                        std::span<const vertex_t>,
+                                        const MsBfsVisitor&,
+                                        const MsBfsOptions&);
 
 }  // namespace sge

@@ -72,28 +72,17 @@ struct MsBfsOptions {
 /// affordable on the paper's workloads.
 ///
 /// Levels are synchronous across all lanes, computed with the same
-/// frontier/next + fetch_or discipline as the paper's Algorithm 2.
+/// frontier/next + fetch_or discipline as the paper's Algorithm 2, on the
+/// backend `g`'s type names: a CompressedCsrGraph decodes each row on the
+/// fly (BfsLevelStats::bytes_decoded/decode_ns report the decode work
+/// when stats are collected); on a PagedGraph the lane frontier is a
+/// whole-graph bitmap, so the frontier-ahead prefetcher does not apply
+/// and scans fault pages on demand.
 /// Returns the number of levels executed (max over lanes).
 /// Throws std::invalid_argument for > 64 or zero sources, or duplicate
 /// source vertices; std::out_of_range for bad ids.
-std::uint32_t multi_source_bfs(const CsrGraph& g,
-                               std::span<const vertex_t> sources,
-                               const MsBfsVisitor& visit,
-                               const MsBfsOptions& options = {});
-
-/// Compressed-backend overload: identical semantics, decoding each
-/// adjacency row on the fly (BfsLevelStats::bytes_decoded/decode_ns
-/// report the decode work when stats are collected).
-std::uint32_t multi_source_bfs(const CompressedCsrGraph& g,
-                               std::span<const vertex_t> sources,
-                               const MsBfsVisitor& visit,
-                               const MsBfsOptions& options = {});
-
-/// Paged-backend overload: identical semantics over the semi-external
-/// mapping. The lane frontier is a whole-graph bitmap, so the
-/// frontier-ahead prefetcher does not apply; scans fault pages on
-/// demand.
-std::uint32_t multi_source_bfs(const PagedGraph& g,
+template <BackendGraph Graph>
+std::uint32_t multi_source_bfs(const Graph& g,
                                std::span<const vertex_t> sources,
                                const MsBfsVisitor& visit,
                                const MsBfsOptions& options = {});

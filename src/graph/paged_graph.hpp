@@ -54,13 +54,13 @@ struct PagedOpenOptions {
 
     /// Run the full bounds-checked payload validation (well_formed) at
     /// open. Required for untrusted files — after it passes, the
-    /// engines' unchecked hot-path scan is safe. The runner's own
-    /// spill-to-disk path disables it (the payload was just written
-    /// from a validated in-memory graph).
+    /// engines' unchecked hot-path scan is safe. A caller that spills
+    /// a graph and maps it straight back may skip it (the payload was
+    /// just written from a validated in-memory graph).
     bool validate_payload = true;
 
-    /// Unlink the manifest and stripes when the graph is destroyed —
-    /// the spill-file mode of BfsRunner.
+    /// Unlink the manifest and stripes when the graph is destroyed: a
+    /// scratch spill that lives only as long as its PagedGraph.
     bool owns_files = false;
 };
 

@@ -49,6 +49,14 @@ GraphService::GraphService(VersionedGraphStore& store, ServiceOptions options)
     start();
 }
 
+GraphService::Pinned GraphService::pin() const {
+    if (store_ == nullptr) return {SnapshotRef{}, *graph_, 0};
+    SnapshotRef ref = store_->acquire();
+    const CsrGraph& graph = ref.graph();
+    const std::uint64_t version = ref.version();
+    return {std::move(ref), graph, version};
+}
+
 vertex_t GraphService::graph_vertices() const noexcept {
     return store_ != nullptr ? store_->num_vertices() : graph_->num_vertices();
 }
@@ -218,9 +226,7 @@ void GraphService::worker_loop(Worker& w) {
     if (w.runner && graph_vertices() > 0) {
         try {
             w.token.reset();
-            const SnapshotRef pin =
-                store_ != nullptr ? store_->acquire() : SnapshotRef{};
-            w.runner->run_into(w.scratch, pin ? pin.graph() : *graph_, 0);
+            w.runner->run_into(w.scratch, pin().graph, 0);
         } catch (...) {
         }
     }
@@ -347,11 +353,9 @@ void GraphService::run_wave(Worker& w,
     // One pin for the whole wave: every member answers against the
     // same published version (exact on that snapshot, stale by however
     // many batches publish while the wave runs).
-    const SnapshotRef pin =
-        store_ != nullptr ? store_->acquire() : SnapshotRef{};
-    const CsrGraph& graph = pin ? pin.graph() : *graph_;
+    const Pinned pinned = pin();
 
-    const std::size_t n = graph.num_vertices();
+    const std::size_t n = pinned.graph.num_vertices();
     w.lane_levels.resize(roots.size());
     for (std::size_t l = 0; l < roots.size(); ++l)
         w.lane_levels[l].assign(n, kInvalidLevel);
@@ -374,7 +378,7 @@ void GraphService::run_wave(Worker& w,
     };
 
     try {
-        multi_source_bfs(graph, roots, visitor, mo);
+        multi_source_bfs(pinned.graph, roots, visitor, mo);
     } catch (const BfsDeadlineError& e) {
         // Wave cancelled (tightest deadline fired): expired members are
         // done; the rest get an individual run with their own slack.
@@ -419,7 +423,7 @@ void GraphService::run_wave(Worker& w,
         r.outcome = Outcome::kCompleted;
         r.root = batch[i]->request.root;
         r.batched = true;
-        r.snapshot_version = pin ? pin.version() : 0;
+        r.snapshot_version = pinned.version;
         r.level = lanes[lane];  // copy: each caller owns its answer
         r.vertices_visited = lane_summary[lane].first;
         r.num_levels = lane_summary[lane].second;
@@ -440,12 +444,10 @@ void GraphService::run_single(Worker& w, const AdmissionQueue::Item& item) {
     }
 
     arm_token(w, item->deadline);
-    const SnapshotRef pin =
-        store_ != nullptr ? store_->acquire() : SnapshotRef{};
+    const Pinned pinned = pin();
 
     try {
-        w.runner->run_into(w.scratch, pin ? pin.graph() : *graph_,
-                           item->request.root);
+        w.runner->run_into(w.scratch, pinned.graph, item->request.root);
     } catch (const BfsDeadlineError& e) {
         resolve_cancelled(item, &e);
         return;
@@ -457,7 +459,7 @@ void GraphService::run_single(Worker& w, const AdmissionQueue::Item& item) {
     QueryResult r;
     r.outcome = Outcome::kCompleted;
     r.root = item->request.root;
-    r.snapshot_version = pin ? pin.version() : 0;
+    r.snapshot_version = pinned.version;
     r.level = w.scratch.level;  // copy: the scratch is reused
     r.vertices_visited = w.scratch.vertices_visited;
     r.num_levels = w.scratch.num_levels;
@@ -486,16 +488,14 @@ void GraphService::run_degraded(Worker& w, const AdmissionQueue::Item& item) {
     so.compute_levels = true;
     so.cancel = &w.token;
 
-    const SnapshotRef pin =
-        store_ != nullptr ? store_->acquire() : SnapshotRef{};
+    const Pinned pinned = pin();
 
     QueryResult r;
     r.root = item->request.root;
     try {
-        const BfsResult res =
-            bfs(pin ? pin.graph() : *graph_, item->request.root, so);
+        const BfsResult res = bfs(pinned.graph, item->request.root, so);
         r.outcome = Outcome::kDegraded;
-        r.snapshot_version = pin ? pin.version() : 0;
+        r.snapshot_version = pinned.version;
         r.level = res.level;
         r.vertices_visited = res.vertices_visited;
         r.num_levels = res.num_levels;

@@ -55,7 +55,7 @@ namespace sge::service {
 
 struct ServiceOptions {
     /// Engine configuration for the parallel attempts (engine, threads,
-    /// topology, backend...). `cancel` is overridden per worker: each
+    /// topology...). `cancel` is overridden per worker: each
     /// worker's CancelToken carries its requests' deadlines.
     BfsOptions bfs;
 
@@ -186,6 +186,15 @@ class GraphService {
 
   private:
     struct Worker;
+
+    /// The graph one run answers on, held for the run: a pinned
+    /// snapshot of the live store, or the static graph at version 0.
+    struct Pinned {
+        SnapshotRef ref;  // empty for a static service
+        const CsrGraph& graph;
+        std::uint64_t version;
+    };
+    [[nodiscard]] Pinned pin() const;
 
     void start();
     SubmitResult enqueue(const AdmissionQueue::Item& item,

@@ -567,31 +567,6 @@ TEST(CompressedCsrBfs, SerialParentsBitIdentical) {
         ASSERT_EQ(plain.parent[v], compressed.parent[v]) << "vertex " << v;
 }
 
-// BfsOptions::backend routes a *plain* graph through the encoder: the
-// runner compresses once, caches by graph identity, and must keep
-// answering correctly across graphs and roots.
-TEST(CompressedCsrBfs, RunnerBackendOptionEncodesAndCaches) {
-    BfsOptions opts;
-    opts.engine = BfsEngine::kBitmap;
-    opts.threads = 4;
-    opts.topology = Topology::emulate(1, 4, 1);
-    opts.backend = GraphBackend::kCompressed;
-    BfsRunner runner(opts);
-
-    const CsrGraph a = test::path_graph(50);
-    const CsrGraph b = test::star_graph(50);
-    for (const vertex_t root : {0u, 10u, 49u}) {
-        const BfsResult ra = runner.run(a, root);
-        EXPECT_TRUE(validate_bfs_tree(a, root, ra).ok);
-        const BfsResult rb = runner.run(b, root);
-        EXPECT_TRUE(validate_bfs_tree(b, root, rb).ok);
-    }
-
-    BfsOptions serial;
-    serial.engine = BfsEngine::kSerial;
-    expect_equivalent(bfs(a, 0, serial), runner.run(a, 0));
-}
-
 TEST(CompressedCsrBfs, RunnerReusableAcrossCompressedGraphs) {
     BfsOptions opts;
     opts.engine = BfsEngine::kMultiSocket;

@@ -3,13 +3,11 @@
 // are the parameter, so failures reproduce exactly.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
 #include <deque>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -24,8 +22,6 @@
 #include "gen/small_world.hpp"
 #include "gen/uniform.hpp"
 #include "graph/builder.hpp"
-#include "graph/csr_compressed.hpp"
-#include "graph/paged_graph.hpp"
 #include "runtime/prng.hpp"
 #include "test_util.hpp"
 
@@ -153,16 +149,15 @@ TEST_P(EngineFuzz, AllEnginesMatchSerialOnRandomWorkloads) {
     opts.channel_capacity = 2 + rng.next_below(512);
     opts.bitmap_double_check = rng.next() & 1;
     opts.remote_sender_filter = rng.next() & 1;
-    const GraphBackend backends[] = {GraphBackend::kPlain,
-                                     GraphBackend::kCompressed,
-                                     GraphBackend::kPaged};
-    opts.backend = backends[rng.next_below(3)];
+    // Plain, compressed or paged plain targets.
+    const int backend = static_cast<int>(rng.next_below(3));
     opts.collect_stats = rng.next() & 1;
 
-    const BfsResult actual = bfs(g, root, opts);
+    const BfsResult actual = test::with_backend(
+        backend, g, [&](const auto& graph) { return bfs(graph, root, opts); });
     const std::string config =
         to_string(opts.engine) + " t=" + std::to_string(opts.threads) +
-        " backend=" + to_string(opts.backend) +
+        " backend=" + test::kBackendNames[backend] +
         " stats=" + std::to_string(opts.collect_stats) +
         " undirected=" + std::to_string(g.symmetric());
     SCOPED_TRACE(config);
@@ -208,19 +203,6 @@ std::vector<vertex_t> draw_sources(Xoshiro256& rng, vertex_t n) {
 
 class MsBfsFuzz : public ::testing::TestWithParam<std::uint64_t> {
   protected:
-    void TearDown() override { std::filesystem::remove_all(dir_); }
-
-    /// Calls `fn` with `g` on backend 0 (plain), 1 (compressed) or 2
-    /// (paged, spilled under a per-test directory as `name`).
-    template <class Fn>
-    void with_backend(int backend, const CsrGraph& g, const std::string& name,
-                      Fn&& fn) {
-        if (backend == 0) return fn(g);
-        if (backend == 1) return fn(csr_compress(g));
-        std::filesystem::create_directories(dir_);
-        return fn(make_paged(g, (dir_ / name).string()));
-    }
-
     /// Runs one wave from `sources` and checks every lane's levels
     /// against the serial engine on `plain`, the return value against
     /// the deepest lane, and — with stats — the level counters against
@@ -277,11 +259,6 @@ class MsBfsFuzz : public ::testing::TestWithParam<std::uint64_t> {
         }
         EXPECT_EQ(frontier, calls.load());
     }
-
-    std::filesystem::path dir_ =
-        std::filesystem::temp_directory_path() /
-        ("sge_msbfs_fuzz_" + std::to_string(::getpid()) + "_" +
-         std::to_string(GetParam()));
 };
 
 TEST_P(MsBfsFuzz, EveryLaneMatchesSerial) {
@@ -307,7 +284,7 @@ TEST_P(MsBfsFuzz, EveryLaneMatchesSerial) {
     if (!reuse) {
         mo.threads = threads;
         mo.topology = topology;
-        with_backend(backend, g, "g", [&](const auto& graph) {
+        test::with_backend(backend, g, [&](const auto& graph) {
             check_wave(graph, g, draw_sources(rng, n), mo);
         });
         return;
@@ -330,7 +307,7 @@ TEST_P(MsBfsFuzz, EveryLaneMatchesSerial) {
     SCOPED_TRACE("runner=" + to_string(bo.engine));
     BfsOptions serial;
     serial.engine = BfsEngine::kSerial;
-    with_backend(backend, g, "g", [&](const auto& graph) {
+    test::with_backend(backend, g, [&](const auto& graph) {
         check_wave(graph, g, draw_sources(rng, n), mo);
         const auto root = static_cast<vertex_t>(rng.next_below(n));
         const BfsResult got = runner.run(graph, root);
@@ -342,7 +319,7 @@ TEST_P(MsBfsFuzz, EveryLaneMatchesSerial) {
     params.degree = static_cast<std::uint32_t>(1 + rng.next_below(12));
     params.seed = rng.next();
     const CsrGraph g2 = csr_from_edges(generate_uniform(params));
-    with_backend(backend, g2, "g2", [&](const auto& graph) {
+    test::with_backend(backend, g2, [&](const auto& graph) {
         check_wave(graph, g2, draw_sources(rng, n), mo);
     });
     WorkQueue fresh(mo.team->size(), detail::team_socket_map(*mo.team));

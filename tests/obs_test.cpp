@@ -20,7 +20,6 @@
 #include "core/msbfs.hpp"
 #include "gen/grid.hpp"
 #include "graph/builder.hpp"
-#include "graph/csr_compressed.hpp"
 #include "runtime/obs.hpp"
 #include "test_util.hpp"
 
@@ -428,7 +427,6 @@ TEST(ObsCounters, GatedCountersReadZeroWithoutObs) {
     grid.width = 16;
     grid.height = 16;
     const CsrGraph g = csr_from_edges(generate_grid(grid));
-    const CompressedCsrGraph z = csr_compress(g);
     const auto check = [](const std::string& run,
                           const std::vector<BfsLevelStats>& levels) {
         SCOPED_TRACE(run);
@@ -455,38 +453,39 @@ TEST(ObsCounters, GatedCountersReadZeroWithoutObs) {
         int threads;
         Topology topology;
     };
-    for (const Engine& e :
-         {Engine{BfsEngine::kSerial, 1, Topology::emulate(1, 1, 1)},
-          Engine{BfsEngine::kNaive, 2, Topology::emulate(1, 2, 1)},
-          Engine{BfsEngine::kBitmap, 2, Topology::emulate(1, 2, 1)},
-          Engine{BfsEngine::kHybrid, 2, Topology::emulate(1, 2, 1)},
-          Engine{BfsEngine::kMultiSocket, 2, Topology::emulate(2, 1, 1)}}) {
-        for (const GraphBackend backend :
-             {GraphBackend::kPlain, GraphBackend::kCompressed}) {
-            BfsOptions options;
-            options.engine = e.engine;
-            options.threads = e.threads;
-            options.topology = e.topology;
-            options.backend = backend;
-            options.collect_stats = true;
-            check(to_string(e.engine) + "/" + to_string(backend),
-                  bfs(g, 0, options).level_stats);
-        }
-    }
-
     std::vector<vertex_t> sources(64);
     std::iota(sources.begin(), sources.end(), vertex_t{0});
-    std::vector<BfsLevelStats> levels;
-    MsBfsOptions options;
-    options.threads = 2;
-    options.topology = Topology::emulate(1, 2, 1);
-    options.collect_stats = true;
-    options.level_stats = &levels;
-    const auto ignore = [](int, level_t, vertex_t, std::uint64_t) {};
-    multi_source_bfs(g, sources, ignore, options);
-    check("msbfs/plain", levels);
-    multi_source_bfs(z, sources, ignore, options);
-    check("msbfs/compressed", levels);
+    for (int backend = 0; backend < test::kBackends; ++backend) {
+        const std::string name = test::kBackendNames[backend];
+        test::with_backend(backend, g, [&](const auto& graph) {
+            for (const Engine& e :
+                 {Engine{BfsEngine::kSerial, 1, Topology::emulate(1, 1, 1)},
+                  Engine{BfsEngine::kNaive, 2, Topology::emulate(1, 2, 1)},
+                  Engine{BfsEngine::kBitmap, 2, Topology::emulate(1, 2, 1)},
+                  Engine{BfsEngine::kHybrid, 2, Topology::emulate(1, 2, 1)},
+                  Engine{BfsEngine::kMultiSocket, 2,
+                         Topology::emulate(2, 1, 1)}}) {
+                BfsOptions options;
+                options.engine = e.engine;
+                options.threads = e.threads;
+                options.topology = e.topology;
+                options.collect_stats = true;
+                check(to_string(e.engine) + "/" + name,
+                      bfs(graph, 0, options).level_stats);
+            }
+
+            std::vector<BfsLevelStats> levels;
+            MsBfsOptions options;
+            options.threads = 2;
+            options.topology = Topology::emulate(1, 2, 1);
+            options.collect_stats = true;
+            options.level_stats = &levels;
+            multi_source_bfs(
+                graph, sources, [](int, level_t, vertex_t, std::uint64_t) {},
+                options);
+            check("msbfs/" + name, levels);
+        });
+    }
 }
 
 // ---------------------------------------------------------------------

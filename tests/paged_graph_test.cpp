@@ -561,44 +561,6 @@ TEST_F(PagedGraphTest, SerialParentsBitIdentical) {
     }
 }
 
-// ---------------------------------------------------------------------
-// Runner integration: BfsOptions::backend spills + caches.
-// ---------------------------------------------------------------------
-
-TEST_F(PagedGraphTest, RunnerBackendOptionSpillsAndCaches) {
-    setenv("SGE_PAGED_DIR", dir_.string().c_str(), 1);
-    for (const GraphBackend backend :
-         {GraphBackend::kPaged, GraphBackend::kPagedCompressed}) {
-        SCOPED_TRACE(to_string(backend));
-        BfsOptions opts;
-        opts.engine = BfsEngine::kBitmap;
-        opts.threads = 4;
-        opts.topology = Topology::emulate(1, 4, 1);
-        opts.backend = backend;
-        BfsRunner runner(opts);
-
-        const CsrGraph a = test::path_graph(50);
-        const CsrGraph b = test::star_graph(50);
-        for (const vertex_t root : {0u, 10u, 49u}) {
-            const BfsResult ra = runner.run(a, root);
-            EXPECT_TRUE(validate_bfs_tree(a, root, ra).ok);
-            const BfsResult rb = runner.run(b, root);
-            EXPECT_TRUE(validate_bfs_tree(b, root, rb).ok);
-        }
-
-        BfsOptions serial;
-        serial.engine = BfsEngine::kSerial;
-        expect_equivalent(bfs(a, 0, serial), runner.run(a, 0));
-    }
-    unsetenv("SGE_PAGED_DIR");
-    // The spills were owns_files: nothing left behind.
-    std::size_t leftovers = 0;
-    for (const auto& entry : std::filesystem::directory_iterator(dir_))
-        if (entry.path().filename().string().rfind("sge_paged_", 0) == 0)
-            ++leftovers;
-    EXPECT_EQ(leftovers, 0u);
-}
-
 TEST_F(PagedGraphTest, RunnerReusableAcrossPagedGraphs) {
     BfsOptions opts;
     opts.engine = BfsEngine::kMultiSocket;

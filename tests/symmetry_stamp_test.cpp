@@ -20,6 +20,7 @@
 #include "graph/reorder.hpp"
 #include "graph/subgraph.hpp"
 #include "stream/versioned_store.hpp"
+#include "test_util.hpp"
 
 namespace sge {
 namespace {
@@ -114,33 +115,34 @@ TEST(SymmetryStamp, StreamSnapshotsInheritTheSource) {
     EXPECT_TRUE(grown.acquire().graph().symmetric());
 }
 
-TEST(SymmetryStamp, ReachesHybridThroughTheRunnerBackends) {
-    // The runner's cached encodings and spills must keep the stamp, or
-    // hybrid would silently degrade to top-down on those backends.
+TEST(SymmetryStamp, ReachesHybridThroughTheBackends) {
+    // csr_compress and make_paged must keep the stamp, or hybrid would
+    // silently degrade to top-down on those backends.
     UniformParams params;
     params.num_vertices = 4096;
     params.degree = 16;
     params.seed = 5;
     const CsrGraph g = csr_from_edges(generate_uniform(params));
 
-    const auto scanned = [&](BfsEngine engine, GraphBackend backend) {
+    const auto scanned = [](const auto& graph, BfsEngine engine) {
         BfsOptions opts;
         opts.engine = engine;
-        opts.backend = backend;
         opts.threads = 2;
         opts.topology = Topology::emulate(1, 2, 1);
         opts.collect_stats = true;
         std::uint64_t total = 0;
-        for (const BfsLevelStats& s : bfs(g, 0, opts).level_stats)
+        for (const BfsLevelStats& s : bfs(graph, 0, opts).level_stats)
             total += s.edges_scanned;
         return total;
     };
-    const std::uint64_t top_down = scanned(BfsEngine::kBitmap, GraphBackend::kPlain);
-    for (const GraphBackend backend :
-         {GraphBackend::kPlain, GraphBackend::kCompressed, GraphBackend::kPaged,
-          GraphBackend::kPagedCompressed})
-        EXPECT_LT(scanned(BfsEngine::kHybrid, backend), top_down / 2)
-            << to_string(backend);
+    const std::uint64_t top_down = scanned(g, BfsEngine::kBitmap);
+    for (int backend = 0; backend < test::kBackends; ++backend) {
+        const std::uint64_t hybrid =
+            test::with_backend(backend, g, [&](const auto& graph) {
+                return scanned(graph, BfsEngine::kHybrid);
+            });
+        EXPECT_LT(hybrid, top_down / 2) << test::kBackendNames[backend];
+    }
 }
 
 }  // namespace

@@ -4,8 +4,12 @@
 // structure plus comparison helpers against the serial reference.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "core/bfs.hpp"
@@ -13,6 +17,7 @@
 #include "graph/csr_compressed.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/edge_list.hpp"
+#include "graph/paged_graph.hpp"
 
 namespace sge::test {
 
@@ -70,6 +75,38 @@ inline CsrGraph two_cliques(vertex_t k) {
         for (vertex_t a = base; a < base + k; ++a)
             for (vertex_t b = a + 1; b < base + k; ++b) edges.add(a, b);
     return csr_from_edges(edges);
+}
+
+/// The ways with_backend hands a traversal a CsrGraph, by index: the
+/// graph itself, its delta+varint encoding, and a spill of its plain
+/// targets or of the varint blob.
+inline constexpr int kBackends = 4;
+inline constexpr const char* kBackendNames[kBackends] = {
+    "plain", "compressed", "paged", "paged_compressed"};
+
+/// A fresh spill basename under the system temp directory: the pid plus
+/// a process-wide counter.
+inline std::string spill_path() {
+    static std::atomic<std::uint64_t> spills{0};
+    return (std::filesystem::temp_directory_path() /
+            ("sge_test_" + std::to_string(::getpid()) + "_" +
+             std::to_string(spills.fetch_add(1))))
+        .string();
+}
+
+/// Calls `fn` with `g` on backend `backend` (an index into
+/// kBackendNames) and returns what it returns. A spill owns its files,
+/// so they go with the graph once `fn` returns.
+template <class Fn>
+auto with_backend(int backend, const CsrGraph& g, Fn&& fn) {
+    if (backend == 0) return fn(g);
+    if (backend == 1) return fn(csr_compress(g));
+    PagedWriteOptions wopts;
+    wopts.payload = backend == 2 ? PagedPayload::kPlainTargets
+                                 : PagedPayload::kVarintBlob;
+    PagedOpenOptions oopts;
+    oopts.owns_files = true;
+    return fn(make_paged(g, spill_path(), wopts, oopts));
 }
 
 /// Asserts two BFS results agree: identical reached sets and levels.

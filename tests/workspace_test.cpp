@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <exception>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -21,10 +19,10 @@
 #include "core/bfs_workspace.hpp"
 #include "core/msbfs.hpp"
 #include "core/validate.hpp"
-#include "gen/permute.hpp"
 #include "gen/rmat.hpp"
 #include "gen/uniform.hpp"
 #include "graph/builder.hpp"
+#include "graph/csr_compressed.hpp"
 #include "runtime/aligned_buffer.hpp"
 #include "test_util.hpp"
 
@@ -212,81 +210,6 @@ TEST(WorkspaceSwap, HybridRangePlanInvalidatedOnGraphChange) {
 }
 
 // ---------------------------------------------------------------------
-// Graph identity: a graph rebuilt at a freed graph's address, with the
-// same shape, is still a new graph to every cache.
-// ---------------------------------------------------------------------
-
-TEST(WorkspaceIdentity, RecycledAddressGetsFreshEncodingAndSpill) {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "sanitizer allocators quarantine freed blocks, so no "
-                    "address is ever recycled";
-#endif
-    // Relabellings of one graph: same n and m, different levels from 0.
-    UniformParams params;
-    params.num_vertices = 4096;
-    params.degree = 8;
-    params.seed = 3;
-    const EdgeList base = generate_uniform(params);
-    const auto relabelled = [&](std::uint64_t seed) {
-        EdgeList edges = base;
-        permute_vertices(edges, seed);
-        return edges;
-    };
-    BfsOptions serial;
-    serial.engine = BfsEngine::kSerial;
-
-    // Graphs are built on this thread; the runner's own allocations (the
-    // encoding or spill it caches) and the serial oracle's happen on a
-    // helper thread, whose malloc arena is not this one. Rebuilding here
-    // then soon settles into a cycle in which each graph gets the block
-    // its predecessor freed — the block the runner keyed its cache on.
-    const auto off_thread = [](const auto& fn) {
-        std::exception_ptr error;
-        std::thread([&] {
-            try {
-                fn();
-            } catch (...) {
-                error = std::current_exception();
-            }
-        }).join();
-        if (error) std::rethrow_exception(error);
-    };
-    constexpr int kTries = 40;
-    for (const GraphBackend backend :
-         {GraphBackend::kCompressed, GraphBackend::kPaged}) {
-        SCOPED_TRACE(to_string(backend));
-        BfsOptions opts;
-        opts.engine = BfsEngine::kBitmap;
-        opts.threads = 2;
-        opts.topology = Topology::emulate(1, 2, 1);
-        opts.backend = backend;
-        BfsRunner runner(opts);
-        BfsResult result;
-        std::optional<CsrGraph> g(csr_from_edges(relabelled(0)));
-        int recycled = 0;
-        for (int attempt = 1; attempt <= kTries && recycled < 3; ++attempt) {
-            off_thread([&] { runner.run_into(result, *g, 0); });
-            const edge_offset_t* const cached = g->offsets().data();
-            const EdgeList edges = relabelled(attempt);
-            g.reset();
-            g.emplace(csr_from_edges(edges));
-            if (g->offsets().data() != cached) continue;
-            ++recycled;
-            std::vector<level_t> expected;
-            off_thread([&] {
-                runner.run_into(result, *g, 0);
-                expected = bfs(*g, 0, serial).level;
-            });
-            EXPECT_EQ(result.level, expected) << "relabelling " << attempt;
-        }
-        // Otherwise the runner never faced a recycled address and the
-        // checks above proved nothing.
-        ASSERT_GT(recycled, 0) << "no rebuild landed at the cached address in "
-                               << kTries << " tries";
-    }
-}
-
-// ---------------------------------------------------------------------
 // run_into buffer reuse.
 // ---------------------------------------------------------------------
 
@@ -311,29 +234,31 @@ TEST(WorkspaceRunInto, ReusesResultBuffers) {
 
 TEST(WorkspaceRunInto, PreparedQueriesAllocateNothing) {
     // Single-runner process, so the process-wide count sees only this
-    // runner's workers: after the first query prepares the workspace
-    // (and encodes the graph), traversals allocate no AlignedBuffer.
+    // runner's workers: with the graph encoded up front and the first
+    // query preparing the workspace, traversals allocate no
+    // AlignedBuffer.
     const CsrGraph g = rmat_test_graph(10, 8192, 5);
-    for (const GraphBackend backend :
-         {GraphBackend::kPlain, GraphBackend::kCompressed}) {
+    const CompressedCsrGraph z = csr_compress(g);
+    const auto check = [](const auto& graph, const std::string& label) {
         for (const BfsEngine engine :
              {BfsEngine::kNaive, BfsEngine::kBitmap, BfsEngine::kMultiSocket,
               BfsEngine::kHybrid}) {
-            SCOPED_TRACE(to_string(engine) + "/" + to_string(backend));
+            SCOPED_TRACE(to_string(engine) + "/" + label);
             BfsOptions opts;
             opts.engine = engine;
             opts.threads = 4;
             opts.topology = Topology::emulate(2, 2, 1);
-            opts.backend = backend;
             BfsRunner runner(opts);
             BfsResult result;
-            runner.run_into(result, g, 0);
+            runner.run_into(result, graph, 0);
             const std::uint64_t before = aligned_alloc_count().load();
             for (vertex_t root = 1; root <= 8; ++root)
-                runner.run_into(result, g, root);
+                runner.run_into(result, graph, root);
             EXPECT_EQ(aligned_alloc_count().load(), before);
         }
-    }
+    };
+    check(g, "plain");
+    check(z, "compressed");
 }
 
 TEST(WorkspaceRunInto, SerialEngineWritesOutParam) {
