@@ -64,7 +64,7 @@ Cell measure(const Graph& g, vertex_t root, BfsEngine engine,
     options.engine = engine;
     options.threads = kThreads;
     options.topology = topo;
-    options.collect_stats = obs::enabled();
+    options.collect_stats = true;
     BfsRunner runner(options);
 
     (void)runner.run(g, root);  // warmup: page in the arrays
@@ -220,9 +220,6 @@ int main() {
     const Topology topo = Topology::emulate(2, 2, 2);
     std::printf("topology: %s, %d threads, %d timed runs per cell\n",
                 topo.describe().c_str(), kThreads, kRuns);
-    if (!obs::enabled() || !obs::compiled_in())
-        std::printf("note: decoded-bytes/decode-ms columns need an SGE_OBS "
-                    "build with SGE_OBS != 0\n");
 
     BenchReport report("ablation_compress", "compressed-backend ablation");
     report.set_topology(topo.describe());

@@ -8,11 +8,12 @@
 // and the outcome mix — with and without injected faults at the
 // service sites.
 //
-// Series params: batching (0 = every request runs individually, 1 =
-// wave coalescing on) x faults (0 = clean run, 1 = service fault sites
-// armed at p=1e-3). CI guards the clean runs via check_bench_json.py:
-// a faults=0 series must report zero degraded and zero shed requests —
-// degradation is a fault response, never a steady-state behaviour.
+// Series params: batching (0 = batch_max_roots 1, every request runs
+// alone; 1 = batch_max_roots 64, wave coalescing on) x faults (0 =
+// clean run, 1 = service fault sites armed at p=1e-3). CI guards the
+// clean runs via check_bench_json.py: a faults=0 series must report
+// zero degraded and zero shed requests — degradation is a fault
+// response, never a steady-state behaviour.
 
 #include <algorithm>
 #include <cstdio>
@@ -82,7 +83,8 @@ int main() {
             // Large enough for the whole stream: a clean run must never
             // shed (check_bench_json.py guards faults=0 => shed == 0).
             options.queue_capacity = kRequests;
-            options.batching = batching;
+            // One root per pop never forms a wave.
+            options.batch_max_roots = batching ? 64 : 1;
             options.batch_window_seconds = 0.0005;
             GraphService svc(graph, options);
 

@@ -65,7 +65,6 @@ REQUIRED_TOP = {
     "figure": str,
     "unix_time": int,
     "scale_shift": int,
-    "obs_compiled_in": bool,
     "series": list,
 }
 

@@ -3,10 +3,10 @@
 // Machine-readable benchmark reports (BENCH_<slug>.json).
 //
 // Every fig* driver prints its paper-style tables to stdout for humans;
-// when SGE_BENCH_JSON is set (and the SGE_OBS runtime switch is not 0)
-// it *also* drops a JSON report so CI and plotting scripts never have
-// to scrape the tables. Validate with bench/check_bench_json.py; the
-// schema is documented in docs/OBSERVABILITY.md.
+// when SGE_BENCH_JSON is set it *also* drops a JSON report so CI and
+// plotting scripts never have to scrape the tables. Validate with
+// bench/check_bench_json.py; the schema is documented in
+// docs/OBSERVABILITY.md.
 //
 //   SGE_BENCH_JSON=1           -> write BENCH_<slug>.json in the CWD
 //   SGE_BENCH_JSON=/some/dir   -> write it there
@@ -31,7 +31,6 @@ inline std::string bench_json_dir() {
     const std::string v = env_string("SGE_BENCH_JSON").value_or("");
     if (v.empty() || v == "0" || v == "false" || v == "no" || v == "off")
         return {};
-    if (!obs::enabled()) return {};  // SGE_OBS=0 silences the exporters
     if (v == "1" || v == "true" || v == "yes" || v == "on") return ".";
     return v;
 }
@@ -111,7 +110,6 @@ class BenchReport {
         w.field("unix_time",
                 static_cast<std::int64_t>(std::time(nullptr)));
         w.field("scale_shift", scale_shift());
-        w.field("obs_compiled_in", obs::compiled_in());
         if (!topology_.empty()) w.field("topology", topology_);
         if (!family_.empty()) {
             w.key("workload");

@@ -305,7 +305,10 @@ int main(int argc, char** argv) {
         PagedOpenOptions oopt;
         oopt.owns_files = true;
         oopt.validate_payload = false;  // just written from this process
-        pgraph = make_paged(graph, path, wopt, oopt);
+        // --compress spills the graph encoded above instead of encoding
+        // it again.
+        pgraph = cli.compress ? make_paged(zgraph, path, wopt, oopt)
+                              : make_paged(graph, path, wopt, oopt);
         std::printf("paged: %s payload, %zu B in %zu KB stripes at %s\n",
                     to_string(wopt.payload).c_str(), pgraph.payload_bytes(),
                     wopt.stripe_bytes >> 10, path.c_str());
@@ -317,9 +320,7 @@ int main(int argc, char** argv) {
     options.threads = cli.threads;
     if (cli.alpha > 0) options.hybrid_alpha = cli.alpha;
     if (cli.beta > 0) options.hybrid_beta = cli.beta;
-    // --stats/--trace honour the SGE_OBS=0 runtime master switch.
-    const bool instrument =
-        (cli.stats || !cli.trace.empty()) && obs::enabled();
+    const bool instrument = cli.stats || !cli.trace.empty();
     options.collect_stats = instrument;
 
     if (cli.serve > 0) {
@@ -445,10 +446,7 @@ int main(int argc, char** argv) {
         // One column per BfsLevelStats value whose counter is nonzero in
         // the run, headed by its export key and unit.
         std::printf("\nper-level counters (last run; all-zero counters "
-                    "omitted%s):\n",
-                    obs::compiled_in()
-                        ? ""
-                        : "; extended counters need an SGE_OBS build");
+                    "omitted):\n");
         const auto shown = nonzero_level_counters(last.level_stats);
         const auto width = [](const LevelCounterRow& row, std::size_t e) {
             return std::max<int>(

@@ -178,7 +178,7 @@ obs::ChromeTrace make_bfs_trace(const BfsResult& result,
                            s.start_ns, s.end_ns,
                            {{"level", static_cast<std::uint64_t>(s.level)}});
     } else if (!result.level_stats.empty()) {
-        // No per-thread spans (serial engine, or SGE_OBS compiled out):
+        // No per-thread spans (the serial engine):
         // synthesize one track from the per-level wall times so the
         // trace still shows the level structure.
         trace.set_thread_name(0, "levels");

@@ -76,8 +76,10 @@ struct BfsOptions {
     /// Fill BfsResult::level (hop distance per vertex).
     bool compute_levels = true;
 
-    /// Collect per-level counters (frontier sizes, bitmap checks,
-    /// atomic ops, remote tuples) into BfsResult::level_stats.
+    /// Copy the per-level counters, which every run tallies, into
+    /// BfsResult::level_stats; also time barrier waits into
+    /// barrier_wait_ns and log per-thread level spans into
+    /// BfsResult::thread_spans.
     bool collect_stats = false;
 
     /// Algorithm 2's cheap-test-before-atomic optimization. Disabling it
@@ -172,14 +174,12 @@ using BatchOccupancy = std::uint64_t[kBatchOccupancyBuckets];
 /// Per-level instrumentation (Figure 4 reproduces from this; see
 /// docs/OBSERVABILITY.md for the full counter glossary and
 /// docs/PERF_MODEL.md for which paper claim each field evidences). One
-/// field per row of core/level_counters.def, which documents each;
-/// fields gated `obs` need the extended counters (CMake option SGE_OBS,
-/// on by default — `obs::compiled_in()`) and read zero when compiled
-/// out. Every field is 8-byte values, so the struct doubles as a
-/// level's packed block of values in list order.
+/// field per row of core/level_counters.def, which documents each.
+/// Every field is 8-byte values, so the struct doubles as a level's
+/// packed block of values in list order.
 struct BfsLevelStats {
-#define SGE_LEVEL_COUNTER(name, type, unit, merge, gate) \
-    type name = {};                                      \
+#define SGE_LEVEL_COUNTER(name, type, unit, merge) \
+    type name = {};                                \
     static_assert(sizeof(type) % 8 == 0, #name " must be 8-byte values");
 #include "core/level_counters.def"
 #undef SGE_LEVEL_COUNTER
@@ -187,7 +187,7 @@ struct BfsLevelStats {
 
 /// The per-level counters, in list order.
 enum class LevelCounter : std::uint8_t {
-#define SGE_LEVEL_COUNTER(name, type, unit, merge, gate) name,
+#define SGE_LEVEL_COUNTER(name, type, unit, merge) name,
 #include "core/level_counters.def"
 #undef SGE_LEVEL_COUNTER
 };
@@ -203,14 +203,13 @@ struct LevelCounterRow {
     std::string_view unit;
     CounterMerge merge;
     LevelCounter source;  ///< the per-worker tally a kMax row merges
-    bool gated;           ///< compiled out by -DSGE_OBS=OFF
     bool floating;        ///< a double, else integer counts
     std::size_t slot;
     std::size_t extent;  ///< 1, or a histogram's buckets
 };
 
-/// The counter list, expanded once; its merge and gate columns name the
-/// locals declared here.
+/// The counter list, expanded once; its merge column names the locals
+/// declared here.
 inline constexpr auto kLevelCounterRows = [] {
     using enum LevelCounter;
     struct Merge {
@@ -221,11 +220,10 @@ inline constexpr auto kLevelCounterRows = [] {
     constexpr auto max = [](LevelCounter tally) {
         return Merge{CounterMerge::kMax, tally};
     };
-    constexpr bool always = false, obs = true;
     return std::array{
-#define SGE_LEVEL_COUNTER(name, type, unit, merge, gate)                      \
-    LevelCounterRow{LevelCounter::name, #name, unit, Merge(merge).rule,       \
-                    Merge(merge).source, gate, std::is_floating_point_v<type>, \
+#define SGE_LEVEL_COUNTER(name, type, unit, merge)                        \
+    LevelCounterRow{LevelCounter::name, #name, unit, Merge(merge).rule,   \
+                    Merge(merge).source, std::is_floating_point_v<type>, \
                     offsetof(BfsLevelStats, name) / 8, sizeof(type) / 8},
 #include "core/level_counters.def"
 #undef SGE_LEVEL_COUNTER
@@ -248,8 +246,8 @@ nonzero_level_counters(const std::vector<BfsLevelStats>& levels);
 
 /// One thread's participation in one BFS level, stamped against the
 /// traversal's start. Collected by the parallel engines when
-/// BfsOptions::collect_stats is set (and SGE_OBS is compiled in); the
-/// raw material of the Chrome trace export (make_bfs_trace).
+/// BfsOptions::collect_stats is set; the raw material of the Chrome
+/// trace export (make_bfs_trace).
 struct BfsThreadSpan {
     int thread = 0;             ///< worker id within the team
     std::uint32_t level = 0;    ///< BFS depth this span covers
@@ -279,8 +277,8 @@ struct BfsResult {
     /// Filled when BfsOptions::collect_stats.
     std::vector<BfsLevelStats> level_stats;
 
-    /// Per-thread, per-level timeline (parallel engines, collect_stats
-    /// + SGE_OBS builds only). Ordered by thread, then level.
+    /// Per-thread, per-level timeline (parallel engines with
+    /// collect_stats only). Ordered by thread, then level.
     std::vector<BfsThreadSpan> thread_spans;
 
     [[nodiscard]] double edges_per_second() const noexcept {
@@ -364,11 +362,11 @@ BfsResult bfs(const Graph& g, vertex_t root, const BfsOptions& options = {});
 /// Builds a Chrome trace-event timeline from an instrumented run (run
 /// with BfsOptions::collect_stats): one track per worker thread carrying
 /// its level spans (falling back to a single synthesized track from
-/// level_stats when thread_spans is empty, e.g. the serial engine or a
-/// SGE_OBS=OFF build), plus one counter series per BfsLevelStats field
-/// that is nonzero in the run, sampled at each level boundary. Write
-/// with obs::ChromeTrace::write_file and load in chrome://tracing or
-/// Perfetto; see docs/OBSERVABILITY.md.
+/// level_stats when thread_spans is empty, as for the serial engine),
+/// plus one counter series per BfsLevelStats field that is nonzero in
+/// the run, sampled at each level boundary. Write with
+/// obs::ChromeTrace::write_file and load in chrome://tracing or Perfetto;
+/// see docs/OBSERVABILITY.md.
 [[nodiscard]] obs::ChromeTrace make_bfs_trace(const BfsResult& result,
                                               const std::string& name = "bfs");
 

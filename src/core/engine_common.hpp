@@ -17,7 +17,6 @@
 #include "core/frontier.hpp"
 #include "core/frontier_compact.hpp"
 #include "runtime/cacheline.hpp"
-#include "runtime/obs.hpp"
 #include "runtime/stats.hpp"
 #include "runtime/timer.hpp"
 
@@ -43,13 +42,10 @@ inline bool poll_cancel(const BfsOptions& options) noexcept {
         level_reached, vertices_settled);
 }
 
-/// Row C of the counter list (core/level_counters.def), and whether this
-/// build counts it: its gate is `always`, or SGE_OBS is on.
+/// Row C of the counter list (core/level_counters.def).
 template <LevelCounter C>
 inline constexpr const LevelCounterRow& kRow =
     kLevelCounterRows[static_cast<std::size_t>(C)];
-template <LevelCounter C>
-inline constexpr bool kCounted = !kRow<C>.gated || obs::compiled_in();
 
 /// Values in a level's packed block (a BfsLevelStats, bit for bit).
 inline constexpr std::size_t kLevelSlots =
@@ -79,10 +75,9 @@ struct LevelAccum {
     /// Adds to sum row C directly, for work a worker does after its
     /// ThreadCounters were flushed (barrier waits, copy-out, harvest).
     template <LevelCounter C>
-    void add([[maybe_unused]] std::uint64_t n) noexcept {
+    void add(std::uint64_t n) noexcept {
         static_assert(kRow<C>.merge == CounterMerge::kSum);
-        if constexpr (kCounted<C>)
-            values[kRow<C>.slot].fetch_add(n, std::memory_order_relaxed);
+        values[kRow<C>.slot].fetch_add(n, std::memory_order_relaxed);
     }
 
     /// Stores set row C (thread 0, once per level).
@@ -138,13 +133,12 @@ struct alignas(kCacheLineSize) ThreadCounters {
     std::uint64_t values[kLevelSlots] = {};
     std::uint64_t decode_calls = 0;  // sampling clock; never flushed
 
-    /// Tallies `n` into sum row C (into `bucket` of a histogram). One
-    /// local add; nothing at all when this build does not count C.
+    /// Tallies `n` into sum row C (into `bucket` of a histogram): one
+    /// local add.
     template <LevelCounter C>
-    void add([[maybe_unused]] std::uint64_t n,
-             [[maybe_unused]] std::size_t bucket = 0) noexcept {
+    void add(std::uint64_t n, std::size_t bucket = 0) noexcept {
         static_assert(kRow<C>.merge == CounterMerge::kSum);
-        if constexpr (kCounted<C>) values[kRow<C>.slot + bucket] += n;
+        values[kRow<C>.slot + bucket] += n;
     }
 
     /// Merges the tallies into `slot` by each row's rule — a sum adds, a
@@ -152,7 +146,6 @@ struct alignas(kCacheLineSize) ThreadCounters {
     /// rewinds them. Zero tallies skip the shared line.
     void flush_into(LevelAccum& slot) noexcept {
         for (const LevelCounterRow& row : kLevelCounterRows) {
-            if (row.gated && !obs::compiled_in()) continue;
             if (row.merge == CounterMerge::kMax) {
                 const std::uint64_t mine = values[kLevelCounterRows[
                     static_cast<std::size_t>(row.source)].slot];
@@ -190,10 +183,6 @@ struct alignas(kCacheLineSize) ThreadCounters {
 /// barrier that precedes set_size().
 inline void compact_copy_out(const FrontierCompactor& fc, int tid,
                              vertex_t* dst, LevelAccum& slot) {
-    if (!kCounted<LevelCounter::prefix_sum_ns>) {
-        fc.copy_out(tid, dst);
-        return;
-    }
     WallTimer timer;
     const std::size_t copied = fc.copy_out(tid, dst);
     slot.add<LevelCounter::prefix_sum_ns>(timer.nanoseconds());
@@ -203,12 +192,11 @@ inline void compact_copy_out(const FrontierCompactor& fc, int tid,
 /// Per-thread level-span log for the Chrome trace export. Each worker
 /// appends into its own cache-padded vector (no synchronisation in the
 /// hot path beyond the two timer reads); collect_into() concatenates
-/// after the team has joined. Construct with enabled=false (e.g. stats
-/// off or SGE_OBS compiled out) to make record() free.
+/// after the team has joined. Construct with enabled=false (stats off)
+/// to make record() free.
 class SpanRecorder {
   public:
-    SpanRecorder(int threads, bool enabled)
-        : enabled_(enabled && obs::compiled_in()) {
+    SpanRecorder(int threads, bool enabled) : enabled_(enabled) {
         if (enabled_) logs_.resize(static_cast<std::size_t>(threads));
     }
 
@@ -269,31 +257,26 @@ inline constexpr std::uint64_t kDecodeSampleEvery = 64;
 
 /// One row decode on the compressed backend: `decode()` returns the
 /// bytes it consumed, counted into bytes_decoded; every
-/// kDecodeSampleEvery-th call is also timed into decode_ns, scaled. Both
-/// compile away without SGE_OBS.
+/// kDecodeSampleEvery-th call is also timed into decode_ns, scaled.
 template <class Decode>
 inline void counted_decode(ThreadCounters& tc, Decode&& decode) {
-    if constexpr (kCounted<LevelCounter::decode_ns>) {
-        if (tc.decode_calls++ % kDecodeSampleEvery == 0) {
-            WallTimer timer;
-            tc.add<LevelCounter::bytes_decoded>(decode());
-            tc.add<LevelCounter::decode_ns>(timer.nanoseconds() *
-                                            kDecodeSampleEvery);
-        } else {
-            tc.add<LevelCounter::bytes_decoded>(decode());
-        }
+    if (tc.decode_calls++ % kDecodeSampleEvery == 0) {
+        WallTimer timer;
+        tc.add<LevelCounter::bytes_decoded>(decode());
+        tc.add<LevelCounter::decode_ns>(timer.nanoseconds() *
+                                        kDecodeSampleEvery);
     } else {
-        decode();
+        tc.add<LevelCounter::bytes_decoded>(decode());
     }
 }
 
 /// Full adjacency scan of `u`: calls `fn(w)` per neighbour, counts the
 /// scanned edges into `tc`'s edges_scanned, and on the compressed backend
-/// also accounts bytes_decoded (always) and sampled decode_ns (SGE_OBS
-/// builds). `hint(w)` is the plain backend's lookahead prefetch —
-/// called kVisitedPrefetchDistance neighbours ahead of `fn` so the
-/// visited/claim word is resident by the time the scan reaches it; pass
-/// a no-op lambda for engines that do not want it.
+/// also accounts bytes_decoded and sampled decode_ns. `hint(w)` is the
+/// plain backend's lookahead prefetch — called kVisitedPrefetchDistance
+/// neighbours ahead of `fn` so the visited/claim word is resident by the
+/// time the scan reaches it; pass a no-op lambda for engines that do not
+/// want it.
 template <class Graph, class Hint, class Fn>
 inline void scan_adjacency(const Graph& g, vertex_t u, ThreadCounters& tc,
                            Hint&& hint, Fn&& fn) {

@@ -40,8 +40,7 @@ struct LevelCtx {
     /// stragglers). False when the run was aborted: the caller must
     /// return at once.
     bool wait() {
-        if (!kCounted<LevelCounter::barrier_wait_ns> || !timed)
-            return barrier.arrive_and_wait();
+        if (!timed) return barrier.arrive_and_wait();
         WallTimer timer;
         const bool ok = barrier.arrive_and_wait();
         slot.add<LevelCounter::barrier_wait_ns>(timer.nanoseconds());

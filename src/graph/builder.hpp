@@ -19,8 +19,8 @@ struct BuildOptions {
     /// Collapse parallel edges after sorting.
     bool deduplicate = true;
     /// Sort each adjacency ascending. Costs one more counting-sort pass
-    /// at build time, enables O(log deg) has_edge and makes traversal
-    /// order deterministic for the serial reference.
+    /// at build time and makes traversal order deterministic for the
+    /// serial reference.
     bool sort_neighbors = true;
 };
 

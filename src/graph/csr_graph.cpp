@@ -7,10 +7,6 @@ namespace sge {
 bool CsrGraph::has_edge(vertex_t u, vertex_t v) const noexcept {
     if (u >= num_vertices()) return false;
     const auto adj = neighbors(u);
-    // Sorted adjacencies are the builder default; fall back to a linear
-    // scan when the prefix looks unsorted (cheap heuristic: check once).
-    if (adj.size() > 8 && std::is_sorted(adj.begin(), adj.end()))
-        return std::binary_search(adj.begin(), adj.end(), v);
     return std::find(adj.begin(), adj.end(), v) != adj.end();
 }
 

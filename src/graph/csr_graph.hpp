@@ -110,8 +110,7 @@ class CsrGraph {
         prefetch_read(&offsets_[v]);
     }
 
-    /// True when edge (u, v) exists. O(log deg(u)) when the graph was
-    /// built with sorted adjacencies (the builder default), else O(deg).
+    /// True when edge (u, v) exists: a linear scan of u's row, O(deg(u)).
     [[nodiscard]] bool has_edge(vertex_t u, vertex_t v) const noexcept;
 
     [[nodiscard]] std::span<const edge_offset_t> offsets() const noexcept {

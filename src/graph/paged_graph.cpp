@@ -584,6 +584,15 @@ PagedGraph make_paged(const CsrGraph& g, const std::string& path,
     return paged;
 }
 
+PagedGraph make_paged(const CompressedCsrGraph& g, const std::string& path,
+                      const PagedWriteOptions& write_options,
+                      const PagedOpenOptions& open_options) {
+    write_paged_graph(g, path, write_options);
+    PagedGraph paged = open_paged_graph(path, open_options);
+    paged.symmetric_ = g.symmetric();
+    return paged;
+}
+
 void remove_paged_files(const std::string& path) noexcept {
     std::ifstream in(path, std::ios::binary);
     std::uint64_t num_stripes = 0;

@@ -238,6 +238,9 @@ class PagedGraph {
     friend PagedGraph make_paged(const CsrGraph&, const std::string&,
                                  const PagedWriteOptions&,
                                  const PagedOpenOptions&);
+    friend PagedGraph make_paged(const CompressedCsrGraph&,
+                                 const std::string&, const PagedWriteOptions&,
+                                 const PagedOpenOptions&);
 
     struct Io;  // mapping, stripe fds, prefetcher (paged_graph.cpp)
 
@@ -274,6 +277,13 @@ void write_paged_graph(const CompressedCsrGraph& g, const std::string& path,
 /// write + open in one step (bench/test convenience); the opened graph
 /// keeps `g`'s symmetry stamp.
 [[nodiscard]] PagedGraph make_paged(const CsrGraph& g, const std::string& path,
+                                    const PagedWriteOptions& write_options = {},
+                                    const PagedOpenOptions& open_options = {});
+
+/// Same from an already-encoded graph (payload kVarintBlob, whatever
+/// write_options.payload says); keeps `g`'s symmetry stamp.
+[[nodiscard]] PagedGraph make_paged(const CompressedCsrGraph& g,
+                                    const std::string& path,
                                     const PagedWriteOptions& write_options = {},
                                     const PagedOpenOptions& open_options = {});
 

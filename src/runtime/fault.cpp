@@ -25,8 +25,6 @@ const char* site_name(Site s) noexcept {
     return i < kSiteCount ? kSiteNames[i] : "unknown";
 }
 
-#if defined(SGE_FAULT_INJECTION_ENABLED) && SGE_FAULT_INJECTION_ENABLED
-
 namespace detail {
 std::atomic<unsigned> g_armed_mask{0};
 }  // namespace detail
@@ -174,18 +172,5 @@ void load_from_env() {
         arm(static_cast<Site>(i), *trigger);
     }
 }
-
-#else  // fault sites compiled out: keep the API as inert stubs.
-
-void arm(Site, Trigger) noexcept {}
-void disarm(Site) noexcept {}
-void disarm_all() noexcept {}
-void reseed(std::uint64_t) noexcept {}
-std::optional<Trigger> armed_trigger(Site) noexcept { return std::nullopt; }
-std::uint64_t hits(Site) noexcept { return 0; }
-std::uint64_t fired(Site) noexcept { return 0; }
-void load_from_env() {}
-
-#endif
 
 }  // namespace sge::fault

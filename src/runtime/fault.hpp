@@ -23,9 +23,7 @@
 //    SGE_FAULT_SERVICE_FLUSH, SGE_FAULT_SERVICE_WORKER,
 //    SGE_FAULT_PAGED_READ)
 //
-// Building with -DSGE_FAULT_INJECTION=OFF removes the sites entirely:
-// should_fire() becomes a constexpr `false` and every call compiles
-// away. See docs/ROBUSTNESS.md for site semantics.
+// See docs/ROBUSTNESS.md for site semantics.
 
 namespace sge::fault {
 
@@ -63,20 +61,10 @@ class FaultInjected : public std::runtime_error {
     using std::runtime_error::runtime_error;
 };
 
-/// True when the library was built with fault sites compiled in.
-[[nodiscard]] constexpr bool compiled_in() noexcept {
-#if defined(SGE_FAULT_INJECTION_ENABLED) && SGE_FAULT_INJECTION_ENABLED
-    return true;
-#else
-    return false;
-#endif
-}
-
 /// Short lowercase site name ("alloc", "pin", "channel_push", ...).
 [[nodiscard]] const char* site_name(Site s) noexcept;
 
 /// Arms `site` with `trigger` (resets the site's hit/fired counters).
-/// No-op when !compiled_in().
 void arm(Site site, Trigger trigger) noexcept;
 
 /// Disarms one site / all sites. Counters are preserved until re-armed.
@@ -99,8 +87,6 @@ void reseed(std::uint64_t seed) noexcept;
 /// nothing unless SGE_FAULT_INJECTION is truthy.
 void load_from_env();
 
-#if defined(SGE_FAULT_INJECTION_ENABLED) && SGE_FAULT_INJECTION_ENABLED
-
 namespace detail {
 /// Bitmask of armed sites; the only thing the fast path reads.
 extern std::atomic<unsigned> g_armed_mask;
@@ -116,12 +102,6 @@ extern std::atomic<unsigned> g_armed_mask;
         return false;
     return detail::fire_slow(site);
 }
-
-#else
-
-[[nodiscard]] constexpr bool should_fire(Site) noexcept { return false; }
-
-#endif
 
 /// Convenience: throws FaultInjected("<site> fault injected") when the
 /// site fires.

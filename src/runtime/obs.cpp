@@ -5,14 +5,7 @@
 #include <cstdio>
 #include <fstream>
 
-#include "runtime/env.hpp"
-
 namespace sge::obs {
-
-bool enabled() noexcept {
-    static const bool on = env_bool("SGE_OBS", true);
-    return on;
-}
 
 // ---------------------------------------------------------------------
 // JsonWriter

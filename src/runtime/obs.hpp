@@ -7,49 +7,18 @@
 #include <utility>
 #include <vector>
 
-// sge::obs — the observability subsystem.
-//
-// Three layers, mirroring the fault-injection pattern (runtime/fault.hpp):
-//
-//  1. A *compile-time* gate: building with -DSGE_OBS=OFF removes the
-//     extended per-thread counters (bitmap skip/win tallies, channel
-//     batch occupancy histograms, barrier wait timing, per-thread level
-//     spans) from the BFS hot loops entirely — compiled_in() becomes a
-//     constexpr `false` and every gated increment folds away. The
-//     always-on counters the engines need for their own accounting
-//     (edges traversed, frontier sizes) are unaffected.
-//
-//  2. A *runtime* master switch: SGE_OBS=0 in the environment makes
-//     enabled() false, which the benchmark drivers and examples consult
-//     before collecting per-level stats or emitting reports. Library
-//     callers opt in per run via BfsOptions::collect_stats regardless.
-//
-//  3. Exporters, always available (they are never on a hot path):
-//     a minimal streaming JSON writer and a Chrome trace-event
-//     timeline (chrome://tracing / https://ui.perfetto.dev), used by
-//     core/make_bfs_trace() and the bench/ BENCH_*.json reports.
+// sge::obs — the observability exporters, never on a hot path: a
+// minimal streaming JSON writer and a Chrome trace-event timeline
+// (chrome://tracing / https://ui.perfetto.dev), used by
+// core/make_bfs_trace() and the bench/ BENCH_*.json reports. The
+// counters they export are the per-level rows of
+// core/level_counters.def, which every engine always tallies; callers
+// ask for a run's copy with BfsOptions::collect_stats.
 //
 // See docs/OBSERVABILITY.md for counter definitions, the report schema
 // and a trace-viewing walkthrough.
 
 namespace sge::obs {
-
-/// True when the library was built with the extended observability
-/// counters compiled into the BFS engines (CMake option SGE_OBS,
-/// default ON).
-[[nodiscard]] constexpr bool compiled_in() noexcept {
-#if defined(SGE_OBS_ENABLED) && SGE_OBS_ENABLED
-    return true;
-#else
-    return false;
-#endif
-}
-
-/// Runtime master switch for the *tools* (bench drivers, examples):
-/// SGE_OBS=0 disables stats collection and report/trace emission in
-/// them. Defaults to true. Library API behaviour
-/// (BfsOptions::collect_stats) is independent of this switch.
-[[nodiscard]] bool enabled() noexcept;
 
 // ---------------------------------------------------------------------
 // Minimal streaming JSON writer.

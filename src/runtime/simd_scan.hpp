@@ -8,15 +8,13 @@
 // by runtime CPUID dispatch, vector-skips runs of four uninteresting
 // words at a time; every *interesting* word is then re-examined by the
 // same scalar code, so both paths report bit-identical (index, mask)
-// sequences. SGE_SIMD=scalar (or 0) forces the portable path, which is
-// how the equality tests compare both on one host.
+// sequences. The scans take the level as an argument, which is how the
+// equality tests compare both on one host.
 
 #include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-
-#include "runtime/env.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -45,14 +43,10 @@ enum class IsaLevel { kScalar, kAvx2 };
 }
 
 /// The process-wide dispatch decision, made once: AVX2 when supported,
-/// scalar otherwise or when SGE_SIMD=scalar|0 overrides (tests,
-/// A/B measurements). Engines read this once per run, not per word.
+/// scalar otherwise. Engines read this once per run, not per word.
 [[nodiscard]] inline IsaLevel active_level() {
-    static const IsaLevel level = [] {
-        if (const auto v = env_string("SGE_SIMD"))
-            if (*v == "scalar" || *v == "0") return IsaLevel::kScalar;
-        return avx2_supported() ? IsaLevel::kAvx2 : IsaLevel::kScalar;
-    }();
+    static const IsaLevel level =
+        avx2_supported() ? IsaLevel::kAvx2 : IsaLevel::kScalar;
     return level;
 }
 

@@ -286,7 +286,7 @@ void GraphService::process_batch(Worker& w,
     }
     if (queries.empty()) return;
 
-    if (options_.batching && queries.size() >= 2) {
+    if (queries.size() >= 2) {
         run_wave(w, queries);
     } else {
         for (const auto& item : queries) run_single(w, item);

@@ -67,7 +67,8 @@ struct ServiceOptions {
     std::size_t queue_capacity = 256;
 
     /// Coalescing: batch up to this many distinct roots into one MS-BFS
-    /// wave (clamped to 64, the lane width) ...
+    /// wave (clamped to [1, 64], 64 being the lane width; 1 runs every
+    /// request alone) ...
     std::size_t batch_max_roots = 64;
 
     /// ... flushing early once this window has elapsed since the first
@@ -78,10 +79,6 @@ struct ServiceOptions {
     /// Deadline applied to requests that do not carry their own
     /// (QueryRequest::deadline_seconds <= 0). 0 = no default deadline.
     double default_deadline_seconds = 0.0;
-
-    /// Disable wave coalescing (every request runs individually) —
-    /// the A/B switch bench_service measures.
-    bool batching = true;
 
     /// stop() waits this long for in-flight + queued work to drain
     /// before hard-cancelling the stragglers.

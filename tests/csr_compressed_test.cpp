@@ -22,7 +22,6 @@
 #include "graph/builder.hpp"
 #include "graph/csr_compressed.hpp"
 #include "graph/io.hpp"
-#include "runtime/obs.hpp"
 #include "test_util.hpp"
 
 namespace sge {
@@ -630,20 +629,10 @@ TEST(CompressedCsrMsBfs, LevelsMatchPlainBackend) {
 }
 
 // ---------------------------------------------------------------------
-// Observability: decode accounting. The fixture name matches the
-// no-obs CI job's -R "Obs" filter, so it must skip itself when the
-// extended counters are compiled out.
+// Observability: decode accounting.
 // ---------------------------------------------------------------------
 
-class CompressedCsrObs : public ::testing::Test {
-  protected:
-    void SetUp() override {
-        if (!obs::compiled_in())
-            GTEST_SKIP() << "SGE_OBS compiled out; decode counters are stubs";
-    }
-};
-
-TEST_F(CompressedCsrObs, BytesDecodedMatchesVisitedRowsExactly) {
+TEST(CompressedCsrObs, BytesDecodedMatchesVisitedRowsExactly) {
     // Top-down engines decode each visited vertex's row exactly once, so
     // summing bytes_decoded over levels must reproduce the row-byte sum
     // over reached vertices — exact, because bytes (unlike decode_ns)
@@ -677,7 +666,7 @@ TEST_F(CompressedCsrObs, BytesDecodedMatchesVisitedRowsExactly) {
     }
 }
 
-TEST_F(CompressedCsrObs, HybridDecodesSomethingAndPlainDecodesNothing) {
+TEST(CompressedCsrObs, HybridDecodesSomethingAndPlainDecodesNothing) {
     UniformParams params;
     params.num_vertices = 4096;
     params.degree = 8;

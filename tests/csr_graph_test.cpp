@@ -48,6 +48,25 @@ TEST(CsrBuilder, DirectedMode) {
     EXPECT_EQ(g.num_edges(), 4u);
     EXPECT_TRUE(g.has_edge(0, 1));
     EXPECT_FALSE(g.has_edge(1, 0));
+
+    // Rows longer than 8, kept as given (no sort, no dedup): row 0 is
+    // unsorted, row 1 sorted. has_edge hits both ends of each and
+    // misses an absent id.
+    const std::vector<vertex_t> unsorted{9, 3, 11, 1, 7, 12, 5, 2, 10, 6};
+    EdgeList rows(13);
+    for (const vertex_t w : unsorted) rows.add(0, w);
+    for (vertex_t w = 2; w <= 11; ++w) rows.add(1, w);
+    opts.sort_neighbors = false;
+    opts.deduplicate = false;
+    const CsrGraph h = csr_from_edges(rows, opts);
+    const auto row0 = h.neighbors(0);
+    ASSERT_EQ(std::vector<vertex_t>(row0.begin(), row0.end()), unsorted);
+    EXPECT_TRUE(h.has_edge(0, 9));
+    EXPECT_TRUE(h.has_edge(0, 6));
+    EXPECT_FALSE(h.has_edge(0, 4));
+    EXPECT_TRUE(h.has_edge(1, 2));
+    EXPECT_TRUE(h.has_edge(1, 11));
+    EXPECT_FALSE(h.has_edge(1, 12));
 }
 
 TEST(CsrBuilder, RemovesSelfLoops) {
@@ -298,7 +317,6 @@ TEST(CsrBuilder, OutOfRangeEndpointInAnyPartThrows) {
 }
 
 TEST(CsrBuilder, AllocationFailureLeavesTeamReusable) {
-    if (!fault::compiled_in()) GTEST_SKIP() << "fault sites compiled out";
     ThreadTeam team(3, Topology::emulate(1, 3, 1));
     RmatParams rp;
     rp.scale = 10;

@@ -29,8 +29,6 @@ class FaultBfsTest : public ::testing::Test {
   protected:
     void SetUp() override {
         fault::disarm_all();
-        if (!fault::compiled_in())
-            GTEST_SKIP() << "built with SGE_FAULT_INJECTION=OFF";
         RmatParams params;
         params.scale = 12;
         params.num_edges = 16384;

@@ -19,7 +19,6 @@
 #include "gen/permute.hpp"
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
-#include "runtime/obs.hpp"
 #include "runtime/simd_scan.hpp"
 #include "test_util.hpp"
 
@@ -250,7 +249,7 @@ TEST(CompactFrontier, HybridForcedFlipMatchesSerial) {
 }
 
 // ---------------------------------------------------------------------
-// Counter invariants (exact only in SGE_OBS builds; zero otherwise).
+// Counter invariants.
 // ---------------------------------------------------------------------
 
 TEST(CompactFrontier, CompactWritesCoverEveryDiscoveryExactlyOnce) {
@@ -273,30 +272,22 @@ TEST(CompactFrontier, CompactWritesCoverEveryDiscoveryExactlyOnce) {
             writes += s.compact_writes;
             wins += s.atomic_wins;
             // Level d's copy-out builds level d+1's frontier.
-            if (obs::compiled_in() && obs::enabled() &&
-                d + 1 < result.level_stats.size()) {
+            if (d + 1 < result.level_stats.size()) {
                 EXPECT_EQ(s.compact_writes,
                           result.level_stats[d + 1].frontier_size)
                     << "level " << d;
             }
         }
-        if (obs::compiled_in() && obs::enabled()) {
-            // sum(compact_writes) == |NQ| summed over levels: every
-            // discovery lands in a next-queue exactly once (the root is
-            // seeded, not discovered), and every non-root vertex is
-            // claimed exactly once.
-            EXPECT_EQ(writes, result.vertices_visited - 1);
-            EXPECT_EQ(wins, result.vertices_visited - 1);
-        } else {
-            EXPECT_EQ(writes, 0u);
-            EXPECT_EQ(wins, 0u);
-        }
+        // sum(compact_writes) == |NQ| summed over levels: every
+        // discovery lands in a next-queue exactly once (the root is
+        // seeded, not discovered), and every non-root vertex is claimed
+        // exactly once.
+        EXPECT_EQ(writes, result.vertices_visited - 1);
+        EXPECT_EQ(wins, result.vertices_visited - 1);
     }
 }
 
 TEST(CompactFrontier, HybridCompactCountsSimdWordsInBottomUpLevels) {
-    if (!obs::compiled_in() || !obs::enabled())
-        GTEST_SKIP() << "needs SGE_OBS build with SGE_OBS != 0";
     const CsrGraph g = skewed_graph();
     BfsOptions options;
     options.engine = BfsEngine::kHybrid;

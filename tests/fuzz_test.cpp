@@ -153,8 +153,9 @@ TEST_P(EngineFuzz, AllEnginesMatchSerialOnRandomWorkloads) {
     const int backend = static_cast<int>(rng.next_below(3));
     opts.collect_stats = rng.next() & 1;
 
+    BfsRunner runner(opts);
     const BfsResult actual = test::with_backend(
-        backend, g, [&](const auto& graph) { return bfs(graph, root, opts); });
+        backend, g, [&](const auto& graph) { return runner.run(graph, root); });
     const std::string config =
         to_string(opts.engine) + " t=" + std::to_string(opts.threads) +
         " backend=" + test::kBackendNames[backend] +
@@ -165,17 +166,30 @@ TEST_P(EngineFuzz, AllEnginesMatchSerialOnRandomWorkloads) {
     const ValidationReport report = validate_bfs_tree(g, root, actual);
     ASSERT_TRUE(report.ok) << config << ": " << report.error;
 
-    // Per-level accounting: every non-root vertex is claimed exactly
-    // once, and every visited vertex is some level's frontier.
-    if (opts.collect_stats && obs::compiled_in()) {
+    // Per-level accounting (docs/OBSERVABILITY.md): every non-root vertex
+    // is claimed exactly once, every visited vertex is some level's
+    // frontier, a steal is a claim and a skipped check is a check. A run
+    // that never goes bottom-up stages every discovery through the
+    // compactor exactly once.
+    if (opts.collect_stats) {
         std::uint64_t wins = 0;
         std::uint64_t frontier = 0;
-        for (const BfsLevelStats& s : actual.level_stats) {
+        std::uint64_t writes = 0;
+        for (std::size_t d = 0; d < actual.level_stats.size(); ++d) {
+            const BfsLevelStats& s = actual.level_stats[d];
             wins += s.atomic_wins;
             frontier += s.frontier_size;
+            writes += s.compact_writes;
+            EXPECT_LE(s.chunks_stolen, s.chunks_claimed) << "level " << d;
+            EXPECT_LE(s.bitmap_skips, s.bitmap_checks) << "level " << d;
         }
         EXPECT_EQ(wins, actual.vertices_visited - 1);
         EXPECT_EQ(frontier, actual.vertices_visited);
+        const BfsEngine engine = runner.resolved_engine();
+        if (engine != BfsEngine::kSerial &&
+            !(engine == BfsEngine::kHybrid && g.symmetric())) {
+            EXPECT_EQ(writes, actual.vertices_visited - 1);
+        }
     }
 }
 

@@ -20,7 +20,6 @@
 #include "graph/csr_compressed.hpp"
 #include "graph/paged_graph.hpp"
 #include "runtime/fault.hpp"
-#include "runtime/obs.hpp"
 #include "test_util.hpp"
 
 namespace sge {
@@ -297,12 +296,10 @@ class PagedFaultTest : public PagedGraphTest {
   protected:
     void SetUp() override {
         PagedGraphTest::SetUp();
-        if (!fault::compiled_in())
-            GTEST_SKIP() << "fault sites compiled out";
         fault::disarm_all();
     }
     void TearDown() override {
-        if (fault::compiled_in()) fault::disarm_all();
+        fault::disarm_all();
         PagedGraphTest::TearDown();
     }
 };
@@ -624,18 +621,10 @@ TEST_F(PagedGraphTest, MsBfsLevelsMatchPlainBackend) {
 
 // ---------------------------------------------------------------------
 // Observability: bytes_decoded on the paged backend counts payload
-// bytes streamed from the mapping. The fixture name matches the no-obs
-// CI job's -R "Obs" filter, so it skips itself when counters are out.
+// bytes streamed from the mapping.
 // ---------------------------------------------------------------------
 
-class PagedGraphObs : public PagedGraphTest {
-  protected:
-    void SetUp() override {
-        PagedGraphTest::SetUp();
-        if (!obs::compiled_in())
-            GTEST_SKIP() << "SGE_OBS compiled out; byte counters are stubs";
-    }
-};
+using PagedGraphObs = PagedGraphTest;
 
 TEST_F(PagedGraphObs, BytesStreamedMatchVisitedRowsExactly) {
     UniformParams params;

@@ -16,7 +16,6 @@
 #include "gen/permute.hpp"
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
-#include "runtime/obs.hpp"
 #include "test_util.hpp"
 
 namespace sge {
@@ -234,13 +233,10 @@ TEST(Scheduler, MultisocketPartialBatchesFullyDrained) {
 }
 
 // ---------------------------------------------------------------------
-// Counter consistency (needs an SGE_OBS build; the counters are
-// compiled to zero otherwise).
+// Counter consistency.
 // ---------------------------------------------------------------------
 
 TEST(Scheduler, ChunkCounterInvariants) {
-    if (!obs::compiled_in() || !obs::enabled())
-        GTEST_SKIP() << "needs SGE_OBS build with SGE_OBS != 0";
     const CsrGraph g = skewed_graph();
     BfsOptions options;
     options.engine = BfsEngine::kBitmap;

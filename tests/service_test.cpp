@@ -415,7 +415,7 @@ class ServiceTest : public ::testing::Test {
 
 TEST_F(ServiceTest, AnswersMatchTheSerialReference) {
     ServiceOptions options = base_options();
-    options.batching = false;
+    options.batch_max_roots = 1;
     GraphService svc(graph_, options);
 
     for (const vertex_t root : {vertex_t{0}, vertex_t{7}, vertex_t{100}}) {
@@ -434,7 +434,6 @@ TEST_F(ServiceTest, AnswersMatchTheSerialReference) {
 TEST_F(ServiceTest, ConcurrentRequestsCoalesceIntoOneWaveBitIdentically) {
     constexpr int kRequests = 40;
     ServiceOptions options = base_options();
-    options.batching = true;
     options.batch_max_roots = 64;
     options.batch_window_seconds = 0.5;  // generous: one wave catches all
     GraphService svc(graph_, options);
@@ -510,7 +509,7 @@ TEST_F(ServiceTest, DeadlineInsideARunCancelsAndNeverDegrades) {
     // is exact.
     const CsrGraph g = rmat_test_graph(16, 1 << 20, 7);
     ServiceOptions options = base_options();
-    options.batching = false;
+    options.batch_max_roots = 1;
     GraphService svc(g, options);
     const std::vector<level_t> expected = serial_levels(g, 0);
 
@@ -571,14 +570,7 @@ TEST_F(ServiceTest, SubmitRejectsOutOfRangeRoot) {
 // Fault sites: injected failures degrade, never lose requests.
 // ---------------------------------------------------------------------
 
-class ServiceFaultTest : public ServiceTest {
-  protected:
-    void SetUp() override {
-        ServiceTest::SetUp();
-        if (!fault::compiled_in())
-            GTEST_SKIP() << "built with SGE_FAULT_INJECTION=OFF";
-    }
-};
+using ServiceFaultTest = ServiceTest;
 
 TEST_F(ServiceFaultTest, SubmitFaultShedsInsteadOfThrowing) {
     GraphService svc(graph_, base_options());
@@ -755,7 +747,7 @@ TEST(LiveServiceTest, AnswersAreExactOnTheirReportedVersion) {
         constexpr vertex_t kN = 128;
         VersionedGraphStore store(kN);
         ServiceOptions options = live_options(2);
-        options.batching = batching;
+        if (!batching) options.batch_max_roots = 1;
         GraphService svc(store, options);
 
         // Reference levels per published version, recorded as each
@@ -829,8 +821,6 @@ TEST(LiveServiceTest, MutationRejectsOutOfRangeVertex) {
 }
 
 TEST(LiveServiceTest, FailedMutationLeavesNoTrace) {
-    if (!fault::compiled_in())
-        GTEST_SKIP() << "built with SGE_FAULT_INJECTION=OFF";
     VersionedGraphStore store(64);
     GraphService svc(store, live_options());
     ASSERT_TRUE(svc.submit(0).result.get().answered());  // workers warm
@@ -873,8 +863,6 @@ TEST(LiveServiceTest, FailedMutationLeavesNoTrace) {
 // mutation count (each admitted mutation lands exactly once or
 // resolves shed/cancelled — never half-applied, never twice).
 TEST(LiveServiceChaos, MutateQuerySoakLosesNothing) {
-    if (!fault::compiled_in())
-        GTEST_SKIP() << "built with SGE_FAULT_INJECTION=OFF";
     constexpr int kRequests = 800;
     constexpr vertex_t kN = 256;
 

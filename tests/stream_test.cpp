@@ -784,8 +784,6 @@ StoreState state_of(const VersionedGraphStore& store, vertex_t root) {
 }
 
 TEST(VersionedStore, FailedApplyLeavesNoTrace) {
-    if (!fault::compiled_in())
-        GTEST_SKIP() << "built with SGE_FAULT_INJECTION=OFF";
     // `store` meets an allocation failure at each alloc-site hit of
     // every apply() in turn until one succeeds; `clean` applies the same
     // batches without faults. A failure leaves nothing behind, and the

@@ -90,6 +90,9 @@ TEST_F(SymmetryStampFiles, CarriesThroughSpillsButNotFileReaders) {
         const CsrGraph g = stamp ? stamped() : unstamped();
         const std::string name = stamp ? "stamped.pgr" : "unstamped.pgr";
         EXPECT_EQ(make_paged(g, path(name.c_str())).symmetric(), stamp);
+        const std::string zname = "z" + name;
+        EXPECT_EQ(make_paged(csr_compress(g), path(zname.c_str())).symmetric(),
+                  stamp);
     }
     EXPECT_FALSE(open_paged_graph(path("stamped.pgr")).symmetric());
 

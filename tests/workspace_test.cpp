@@ -297,9 +297,7 @@ TEST(WorkspaceRunInto, CollectStatsStableAcrossReuse) {
             frontiers.push_back(s.frontier_size);
             wins += s.atomic_wins;
         }
-        if (obs::compiled_in()) {
-            EXPECT_EQ(wins, result.vertices_visited - 1) << "query " << q;
-        }
+        EXPECT_EQ(wins, result.vertices_visited - 1) << "query " << q;
         if (q == 0)
             first_frontiers = frontiers;
         else
