@@ -16,9 +16,12 @@ namespace sge {
 ///           ... first visitor wins ...
 ///
 /// test_and_set is the paper's LockedReadSet, one locked instruction.
-/// One bit per vertex keeps the randomly-accessed working set 32x
-/// smaller than the parent array (Figure 2: worth >=4x in raw
-/// random-read rate), so 4 MB covers a 32 M-vertex graph.
+/// A writer that owns a whole word for the level (the hybrid's
+/// bottom-up claims, cut at cache lines) publishes it with
+/// or_word_owned instead, a plain store. One bit per vertex keeps the
+/// randomly-accessed working set 32x smaller than the parent array
+/// (Figure 2: worth >=4x in raw random-read rate), so 4 MB covers a
+/// 32 M-vertex graph.
 ///
 /// A bitmap holds no query state beyond its bits: whoever reuses one
 /// zeroes it first (BfsWorkspace::prepare, the hybrid's after-read
@@ -53,6 +56,16 @@ class AtomicBitmap {
         return (words_[i / kBitsPerWord].fetch_or(
                     bit(i), std::memory_order_acq_rel) &
                 bit(i)) != 0;
+    }
+
+    /// Sets the slots of `mask` in word `wi`: a relaxed load, an OR and
+    /// a relaxed store, no locked instruction. Precondition: no other
+    /// thread writes word `wi` before the next barrier (the caller owns
+    /// it, as a bottom-up claim owns the cache lines of its vertices);
+    /// that barrier orders the store before any other thread's read.
+    void or_word_owned(std::size_t wi, std::uint64_t mask) noexcept {
+        words_[wi].store(words_[wi].load(std::memory_order_relaxed) | mask,
+                         std::memory_order_relaxed);
     }
 
     /// Zeroes every slot. Not thread-safe against concurrent writers.

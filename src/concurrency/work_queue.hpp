@@ -71,14 +71,19 @@ class WorkQueue {
     // ---- planning (single-threaded, between barriers) ----
 
     /// Weight-balanced chunks over [0, count): cut so every chunk
-    /// carries roughly total_weight / max_chunks, never more than one
-    /// item past the target (a single over-heavy item — a hub — gets a
-    /// chunk of its own; no cut can split an item), then dealt into
+    /// carries roughly total_weight / max_chunks, then dealt into
     /// near-equal contiguous per-claimant spans (chunks are
-    /// weight-balanced, so equal counts ≈ equal edges). `weight(i)` must
-    /// be >= 1 so zero-degree items still advance the cut.
+    /// weight-balanced, so equal counts ≈ equal edges). The cut rule:
+    /// a chunk ends after item i once its weight reaches the target and
+    /// i + 1 is a multiple of `granule`; the last chunk ends at count.
+    /// With granule 1 no chunk runs more than one item past the target
+    /// (a single over-heavy item — a hub — gets a chunk of its own; no
+    /// cut can split an item); a coarser granule lets it run on to the
+    /// next multiple. `weight(i)` must be >= 1 so zero-degree items
+    /// still advance the cut.
     template <typename WeightFn>
-    void plan(std::size_t count, std::size_t max_chunks, WeightFn&& weight) {
+    void plan(std::size_t count, std::size_t max_chunks, WeightFn&& weight,
+              std::size_t granule = 1) {
         bounds_.clear();
         bounds_.push_back(0);
         if (count > 0) {
@@ -91,7 +96,7 @@ class WorkQueue {
             std::uint64_t acc = 0;
             for (std::size_t i = 0; i < count; ++i) {
                 acc += weight(i);
-                if (acc >= target && i + 1 < count) {
+                if (acc >= target && (i + 1) % granule == 0 && i + 1 < count) {
                     bounds_.push_back(i + 1);
                     acc = 0;
                 }

@@ -232,7 +232,9 @@ class HybridStep {
         return lv.wait();
     }
 
-    bool visited(std::size_t v) const noexcept { return ws_.visited.test(v); }
+    std::uint64_t unvisited(std::size_t wi) const noexcept {
+        return ~ws_.visited.words()[wi].load(std::memory_order_relaxed);
+    }
 
     /// Library convention: ma = sum of degrees over visited vertices, so
     /// rates are comparable across engines regardless of how much work
@@ -282,6 +284,13 @@ class HybridStep {
     /// the surviving unvisited bits. Visited vertices skipped wholesale
     /// are accounted in simd_words_scanned, not bitmap_skips; each
     /// emitted vertex counts one bitmap_check.
+    ///
+    /// The range plan cuts at cache lines, so every visited and
+    /// next-frontier word a claim touches is this worker's alone for the
+    /// level: it gathers a word's discoveries and publishes them with one
+    /// plain store per bitmap (or_word_owned), and the level issues no
+    /// locked RMW. The barrier ending the level orders those stores
+    /// before the next level's reads.
     void scan_bottom_up(LevelCtx& lv, BfsWorkspace::LevelTally& tally) {
         constexpr std::size_t W = AtomicBitmap::kBitsPerWord;
         const Graph& g = g_;
@@ -293,43 +302,42 @@ class HybridStep {
         std::uint64_t discovered_degree = 0;
         // The early-exit probe: scan_adjacency_until accounts
         // edges_scanned per examined neighbour; the callback returns false
-        // to stop at the first frontier parent.
+        // to stop at the first frontier parent, which v settles on. True
+        // when v found one.
         const auto hunt = [&](vertex_t v) {
+            bool hit = false;
             scan_adjacency_until(g, v, counters, [&](vertex_t w) {
                 counters.add<LevelCounter::bitmap_checks>(1);
-                if (!fb_cur.test(w)) return true;
-                // v's chunk is claimed exactly once, so the test_and_set
-                // cannot lose; it still provides the release ordering the
-                // next level needs.
-                counters.add<LevelCounter::atomic_ops>(1);
-                visited.test_and_set(v);
-                lv.settle(v, w);
-                ++discovered;
-                discovered_degree += g.degree(v);
-                counters.add<LevelCounter::atomic_ops>(1);
-                fb_next.test_and_set(v);
-                return false;
+                hit = fb_cur.test(w);
+                if (hit) lv.settle(v, w);
+                return !hit;
             });
+            return hit;
         };
         const std::atomic<std::uint64_t>* const words = visited.words();
         std::uint64_t words_scanned = 0;
         for_each_claim(*ws_.range_wq, lv.tid, counters, [&](std::size_t base,
                                                             std::size_t stop) {
-            const std::size_t wlo = base / W;
             const std::size_t whi = (stop + W - 1) / W;
             simd::for_each_unvisited_word(
-                words, wlo, whi, isa_, words_scanned,
+                words, base / W, whi, isa_, words_scanned,
                 [&](std::size_t wi, std::uint64_t mask) {
-                    // Clip boundary words to [base, stop): they may
-                    // straddle a neighbouring claim.
-                    if (wi == wlo && base % W != 0)
-                        mask &= ~std::uint64_t{0} << (base % W);
+                    // Only the claim ending at n can end inside a word.
                     if (wi + 1 == whi && stop % W != 0)
                         mask &= (std::uint64_t{1} << (stop % W)) - 1;
+                    std::uint64_t found = 0;
                     simd::for_each_bit(mask, [&](unsigned b) {
                         counters.add<LevelCounter::bitmap_checks>(1);
-                        hunt(static_cast<vertex_t>(wi * W + b));
+                        const auto v = static_cast<vertex_t>(wi * W + b);
+                        if (!hunt(v)) return;
+                        found |= std::uint64_t{1} << b;
+                        ++discovered;
+                        discovered_degree += g.degree(v);
                     });
+                    if (found != 0) {
+                        visited.or_word_owned(wi, found);
+                        fb_next.or_word_owned(wi, found);
+                    }
                 });
         });
         counters.add<LevelCounter::simd_words_scanned>(words_scanned);

@@ -159,7 +159,9 @@ class MultiSocketStep {
 
     bool convert(LevelCtx&) noexcept { return true; }
 
-    bool visited(std::size_t v) const noexcept { return ws_.visited.test(v); }
+    std::uint64_t unvisited(std::size_t wi) const noexcept {
+        return ~ws_.visited.words()[wi].load(std::memory_order_relaxed);
+    }
 
     std::uint64_t edges_traversed(std::uint64_t scanned) const noexcept {
         return scanned;

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <atomic>
 
 #include "core/level_driver.hpp"
@@ -83,8 +84,17 @@ class NaiveStep {
 
     bool convert(LevelCtx&) noexcept { return true; }
 
-    bool visited(std::size_t v) const noexcept {
-        return claim_[v].load(std::memory_order_relaxed) != kInvalidVertex;
+    /// Word wi of the unclaimed set, gathered from P[].
+    std::uint64_t unvisited(std::size_t wi) const noexcept {
+        constexpr std::size_t W = AtomicBitmap::kBitsPerWord;
+        const std::size_t base = wi * W;
+        const std::size_t end =
+            std::min<std::size_t>(base + W, g_.num_vertices());
+        std::uint64_t mask = 0;
+        for (std::size_t v = base; v < end; ++v)
+            if (claim_[v].load(std::memory_order_relaxed) == kInvalidVertex)
+                mask |= std::uint64_t{1} << (v - base);
+        return mask;
     }
 
     std::uint64_t edges_traversed(std::uint64_t scanned) const noexcept {

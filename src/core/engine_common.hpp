@@ -12,11 +12,13 @@
 #include <string>
 #include <vector>
 
+#include "concurrency/atomic_bitmap.hpp"
 #include "concurrency/work_queue.hpp"
 #include "core/bfs.hpp"
 #include "core/frontier.hpp"
 #include "core/frontier_compact.hpp"
 #include "runtime/cacheline.hpp"
+#include "runtime/simd_scan.hpp"
 #include "runtime/stats.hpp"
 #include "runtime/timer.hpp"
 
@@ -355,17 +357,25 @@ inline void reset_result(BfsResult& result, vertex_t n, bool levels) {
 }
 
 /// Post-traversal sweep writing the unreached sentinels into [lo, hi):
-/// the replacement for the old O(n) pre-initialisation pass. Writes only
-/// the slots `visited(v)` says no winner claimed, so on a fully-reached
-/// graph it is a read-only scan of the (cache-resident) visited state.
-template <class Visited>
+/// the replacement for the old O(n) pre-initialisation pass. It walks
+/// 64-vertex words: `unvisited(wi)` is the mask of word wi's vertices
+/// no winner claimed (bit b is vertex 64 * wi + b), clipped here to
+/// [lo, hi), and only its set bits are written. A fully reached word
+/// costs one read of the visited state.
+template <class Unvisited>
 inline void fill_unreached(std::size_t lo, std::size_t hi, vertex_t* parent,
-                           level_t* level, const Visited& visited) noexcept {
-    for (std::size_t v = lo; v < hi; ++v) {
-        if (!visited(v)) {
-            parent[v] = kInvalidVertex;
-            if (level != nullptr) level[v] = kInvalidLevel;
-        }
+                           level_t* level,
+                           const Unvisited& unvisited) noexcept {
+    constexpr std::size_t W = AtomicBitmap::kBitsPerWord;
+    for (std::size_t wi = lo / W; wi * W < hi; ++wi) {
+        const std::size_t base = wi * W;
+        std::uint64_t mask = unvisited(wi);
+        if (base < lo) mask &= ~std::uint64_t{0} << (lo - base);
+        if (hi - base < W) mask &= (std::uint64_t{1} << (hi - base)) - 1;
+        simd::for_each_bit(mask, [&](unsigned b) {
+            parent[base + b] = kInvalidVertex;
+            if (level != nullptr) level[base + b] = kInvalidLevel;
+        });
     }
 }
 
@@ -422,9 +432,18 @@ inline void plan_frontier(WorkQueue& wq, const vertex_t* items,
             });
 }
 
+/// Vertices per cache line of bitmap words: 64 bytes of 64-bit words,
+/// 512 vertices.
+inline constexpr std::size_t kVertexRangeGranule =
+    kCacheLineSize / sizeof(std::uint64_t) * AtomicBitmap::kBitsPerWord;
+
 /// Plans `wq` over the whole vertex range [0, n) — the hybrid engine's
 /// bottom-up sweep and MS-BFS's dense scan, where the "frontier" is
-/// every vertex and the chunk item IS the vertex id.
+/// every vertex and the chunk item IS the vertex id. Degree-balanced
+/// like plan_frontier, but cut only at multiples of
+/// kVertexRangeGranule and at n: no two chunks share a bitmap word or a
+/// cache line, so the worker holding a chunk owns those words for the
+/// level.
 template <class Graph>
 inline void plan_vertex_range(WorkQueue& wq, const Graph& g) {
     wq.plan(g.num_vertices(),
@@ -432,7 +451,8 @@ inline void plan_vertex_range(WorkQueue& wq, const Graph& g) {
             [&g](std::size_t v) {
                 return static_cast<std::uint64_t>(
                            g.degree(static_cast<vertex_t>(v))) + 1;
-            });
+            },
+            kVertexRangeGranule);
 }
 
 /// Claims chunks of `wq` for `claimant` until it and its same-socket

@@ -249,7 +249,10 @@ LevelRun run_levels(const char* name, const BfsOptions& options,
 ///
 ///   void seed(vertex_t root)        claim `root` and plan level 0 (caller
 ///                                   thread, before the team starts)
-///   bool visited(std::size_t v)     the unreached-sentinel test
+///   std::uint64_t unvisited(std::size_t wi)
+///                                   the unclaimed vertices of 64-vertex
+///                                   word wi, one bit each: what
+///                                   fill_unreached writes sentinels to
 ///   std::uint64_t edges_traversed(std::uint64_t scanned)
 ///                                   the run's `ma`, given Σ edges_scanned
 template <class Graph, class Step>
@@ -282,7 +285,7 @@ void run_single_source(const Graph& g, vertex_t root, const char* name,
                 hi - lo, ws.socket_threads[static_cast<std::size_t>(my)],
                 ws.rank_in_socket[static_cast<std::size_t>(tid)]);
             fill_unreached(lo + b, lo + e, parent, level,
-                           [&](std::size_t v) { return step.visited(v); });
+                           [&](std::size_t wi) { return step.unvisited(wi); });
         });
     result.seconds = run.seconds;
     result.vertices_visited = run.visited;

@@ -97,11 +97,10 @@ __attribute__((target("avx2"))) inline std::size_t skip_zero_u64_avx2(
 /// [wlo, whi) with at least one clear slot. `words_scanned` accrues
 /// whi - wlo (vector-skipped words count — they were examined).
 ///
-/// Safe under the bottom-up sweep's concurrency: the first and last
-/// word of the range may straddle a neighbouring claim and are loaded
-/// atomically; the interior is only ever written by the calling thread
-/// within a level (a claim's interior words hold only that claim's
-/// vertices), so the AVX2 path's plain vector loads race with nothing.
+/// Safe under the bottom-up sweep's concurrency: the range is the
+/// calling thread's claim, cut at cache lines, so no other thread writes
+/// any of its words within the level and the AVX2 path's plain vector
+/// loads race with nothing.
 template <typename Fn>
 inline void for_each_unvisited_word(const std::atomic<std::uint64_t>* words,
                                     std::size_t wlo, std::size_t whi,
@@ -114,18 +113,15 @@ inline void for_each_unvisited_word(const std::atomic<std::uint64_t>* words,
         if (m != 0) fn(i, m);
     };
 #if SGE_SIMD_X86
-    if (level == IsaLevel::kAvx2 && whi - wlo > 2) {
-        scalar_word(wlo);  // possibly shared with the previous claim
-        const std::size_t last = whi - 1;
+    if (level == IsaLevel::kAvx2) {
         const auto* raw = reinterpret_cast<const std::uint64_t*>(words);
-        std::size_t i = wlo + 1;
-        while (i < last) {
-            i = detail::skip_equal_u64_avx2(raw, i, last, ~std::uint64_t{0});
-            if (i >= last) break;
+        std::size_t i = wlo;
+        while (i < whi) {
+            i = detail::skip_equal_u64_avx2(raw, i, whi, ~std::uint64_t{0});
+            if (i >= whi) break;
             scalar_word(i);
             ++i;
         }
-        scalar_word(last);  // possibly shared with the next claim
         return;
     }
 #endif

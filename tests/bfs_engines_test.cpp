@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/bfs.hpp"
 #include "core/validate.hpp"
@@ -122,6 +125,66 @@ TEST_P(BfsEngineMatrix, RootAtPartitionBoundary) {
     params.degree = 6;
     const CsrGraph g = csr_from_edges(generate_uniform(params));
     check_against_serial(g, 999);
+}
+
+/// n = 1000: fifteen full 64-vertex words and a 40-vertex tail word.
+/// Even words leave their bits 0 and 63 isolated, odd words bits 1 and
+/// 62, and the tail word also its last vertex, so every word mixes
+/// reached and unreached vertices, both kinds at its edges. The
+/// vertices at bit 31 form a path of their own that root 5 never
+/// reaches; the rest are one component.
+CsrGraph mixed_words_graph() {
+    constexpr vertex_t n = 1000;
+    std::vector<vertex_t> reached;
+    std::vector<vertex_t> apart;
+    for (vertex_t v = 0; v + 1 < n; ++v) {
+        const vertex_t bit = v % 64;
+        if ((v / 64) % 2 == 0 ? bit == 0 || bit == 63 : bit == 1 || bit == 62)
+            continue;
+        (bit == 31 ? apart : reached).push_back(v);
+    }
+    EdgeList edges(n);
+    for (std::size_t i = 0; i + 1 < apart.size(); ++i)
+        edges.add(apart[i], apart[i + 1]);
+    // A path through the component in shuffled order keeps it connected;
+    // random chords cut its diameter.
+    std::mt19937 rng(5);
+    std::shuffle(reached.begin(), reached.end(), rng);
+    for (std::size_t i = 0; i + 1 < reached.size(); ++i)
+        edges.add(reached[i], reached[i + 1]);
+    for (std::size_t i = 0; i < 2 * reached.size(); ++i)
+        edges.add(reached[rng() % reached.size()],
+                  reached[rng() % reached.size()]);
+    return csr_from_edges(edges);
+}
+
+TEST_P(BfsEngineMatrix, SentinelsAtWordAndSliceEdges) {
+    // The unreached fill sweeps 64-vertex words, clipped to each worker's
+    // slice, which the partition and thread split cut mid-word. Every
+    // slot starts poisoned, so a slot the fill skips keeps the poison and
+    // one it overwrites loses its parent.
+    const CsrGraph g = mixed_words_graph();
+    const vertex_t n = g.num_vertices();
+    BfsOptions serial;
+    serial.engine = BfsEngine::kSerial;
+    const BfsResult expected = bfs(g, 5, serial);
+    ASSERT_LT(expected.vertices_visited, n);
+    BfsRunner runner(options());
+    BfsResult r;
+    for (int run = 0; run < 2; ++run) {  // a fresh and a reused workspace
+        r.parent.assign(n, n + 1);
+        r.level.assign(n, n + 1);
+        runner.run_into(r, g, 5);
+        for (vertex_t v = 0; v < n && !HasFailure(); ++v) {
+            const bool reached = expected.parent[v] != kInvalidVertex;
+            if (reached ? r.parent[v] >= n : r.parent[v] != kInvalidVertex)
+                ADD_FAILURE() << "parent of " << v << ": " << r.parent[v];
+            if (r.level[v] != expected.level[v])
+                ADD_FAILURE() << "level of " << v << ": " << r.level[v];
+        }
+        const ValidationReport report = validate_bfs_tree(g, 5, r);
+        EXPECT_TRUE(report.ok) << report.error;
+    }
 }
 
 TEST_P(BfsEngineMatrix, StatsAccounting) {

@@ -268,6 +268,59 @@ TEST(BfsHybrid, DirectedGraphsNeverGoBottomUp) {
     }
 }
 
+TEST(BfsHybrid, BottomUpLevelsIssueNoLockedRmw) {
+    // A stamped R-MAT whose n is not a multiple of 64, so the last claim
+    // ends inside a word. Bottom-up claims own whole cache lines of the
+    // bitmaps and publish with plain stores: those levels report no
+    // atomic_ops, yet every discovery still counts one win.
+    RmatParams params;
+    params.scale = 13;
+    params.num_edges = std::uint64_t{1} << 16;
+    params.seed = 9;
+    const vertex_t n = (vertex_t{1} << params.scale) - 37;
+    EdgeList edges(n);
+    for (const Edge& e : generate_rmat(params))
+        if (e.src < n && e.dst < n) edges.add(e.src, e.dst);
+    const CsrGraph g = csr_from_edges(edges);
+    ASSERT_TRUE(g.symmetric());
+    ASSERT_NE(n % 64, 0u);
+    vertex_t root = 0;
+    for (vertex_t v = 1; v < n; ++v)
+        if (g.degree(v) > g.degree(root)) root = v;
+    BfsOptions serial;
+    serial.engine = BfsEngine::kSerial;
+    const BfsResult expected = bfs(g, root, serial);
+
+    struct Team {
+        int threads;
+        Topology topology;
+    };
+    for (const Team& team : {Team{3, Topology::emulate(1, 3, 1)},
+                             Team{4, Topology::emulate(2, 2, 1)}}) {
+        for (int backend = 0; backend < test::kBackends; ++backend) {
+            SCOPED_TRACE(std::to_string(team.threads) + " threads, " +
+                         test::kBackendNames[backend]);
+            BfsOptions opts = hybrid_options(team.threads);
+            opts.topology = team.topology;
+            const BfsResult r = test::with_backend(
+                backend, g, [&](const auto& graph) {
+                    return bfs(graph, root, opts);
+                });
+            EXPECT_EQ(r.level, expected.level);
+            std::uint64_t wins = 0;
+            std::size_t bottom_up = 0;
+            for (const BfsLevelStats& s : r.level_stats) {
+                wins += s.atomic_wins;
+                if (s.simd_words_scanned == 0) continue;  // top-down
+                ++bottom_up;
+                EXPECT_EQ(s.atomic_ops, 0u);
+            }
+            EXPECT_GT(bottom_up, 0u);
+            EXPECT_EQ(wins, r.vertices_visited - 1);
+        }
+    }
+}
+
 TEST(BfsHybrid, TinyAlphaOnPathScansEachArcOnce) {
     const CsrGraph g = test::path_graph(2000);
     BfsOptions opts = hybrid_options();

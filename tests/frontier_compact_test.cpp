@@ -150,8 +150,8 @@ TEST(SimdScan, UnvisitedWordsMatchScalarOnRandomBitmaps) {
                                 std::size_t{8}, std::size_t{64},
                                 std::size_t{65}, std::size_t{1000}}) {
         const auto words = random_bitmap_words(n, 17 * n);
-        // Whole range plus offset sub-ranges (odd boundaries exercise
-        // the scalar head/tail around the vectorized interior).
+        // Whole range plus offset sub-ranges (odd boundaries leave a
+        // scalar tail after the vector blocks).
         for (const std::size_t wlo : {std::size_t{0}, n / 3}) {
             for (const std::size_t whi : {n, n - n / 4}) {
                 std::uint64_t scanned_scalar = 0;
@@ -297,13 +297,24 @@ TEST(CompactFrontier, HybridCompactCountsSimdWordsInBottomUpLevels) {
     options.hybrid_beta = 4.0;
     options.collect_stats = true;
     const BfsResult result = bfs(g, 0, options);
-    std::uint64_t simd_words = 0;
-    for (const BfsLevelStats& s : result.level_stats)
-        simd_words += s.simd_words_scanned;
+    // Top-down levels scan no words. Each bottom-up level sweeps every
+    // visited word once, ceil(n/64) in all: its claims are cut at cache
+    // lines, so none shares a word with another. When a top-down level
+    // follows, the harvest adds its two passes over the frontier words.
+    const std::uint64_t words = (g.num_vertices() + 63) / 64;
+    const std::vector<BfsLevelStats>& levels = result.level_stats;
+    std::size_t bottom_up = 0;
+    for (std::size_t d = 0; d < levels.size(); ++d) {
+        if (levels[d].simd_words_scanned == 0) continue;
+        ++bottom_up;
+        const bool harvest = d + 1 < levels.size() &&
+                             levels[d + 1].simd_words_scanned == 0;
+        EXPECT_EQ(levels[d].simd_words_scanned, (harvest ? 3 : 1) * words)
+            << "level " << d;
+    }
     // At least one bottom-up level ran (alpha=1 flips on the first
-    // explosive level), and each one sweeps ceil(n/32) words spread
-    // across the claimed ranges.
-    EXPECT_GT(simd_words, 0u);
+    // explosive level).
+    EXPECT_GT(bottom_up, 0u);
 }
 
 }  // namespace

@@ -302,7 +302,17 @@ TEST(ObsCounters, HybridExactCounts) {
     EXPECT_EQ(t.frontier, n);
     // The wins invariant holds even across direction switches.
     EXPECT_EQ(t.wins, n - 1);
-    EXPECT_LE(t.wins, t.atomics);
+    // Top-down levels claim with locked RMWs, so their wins are bounded
+    // by them; bottom-up levels own every word they publish and win with
+    // none.
+    bool lock_free_wins = false;
+    for (const BfsLevelStats& s : r.level_stats) {
+        if (s.atomic_ops > 0)
+            EXPECT_LE(s.atomic_wins, s.atomic_ops);
+        else if (s.atomic_wins > 0)
+            lock_free_wins = true;
+    }
+    EXPECT_TRUE(lock_free_wins) << "no bottom-up level won a vertex";
 }
 
 TEST(ObsCounters, ParallelEnginesRecordBarrierWait) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -172,6 +173,47 @@ TEST(WorkQueue, ResetCursorsReplaysTheSamePlan) {
     wq.reset_cursors();
     const auto second = drain(wq, 0);
     EXPECT_EQ(first, second);
+}
+
+/// Degrees without a graph: every 97th vertex a hub, the rest 0-4.
+struct SkewedDegrees {
+    vertex_t n;
+    [[nodiscard]] vertex_t num_vertices() const noexcept { return n; }
+    [[nodiscard]] vertex_t degree(vertex_t v) const noexcept {
+        return v % 97 == 0 ? 300 : v % 5;
+    }
+};
+
+TEST(WorkQueue, VertexRangePlanCutsOnlyAtCacheLinesAndAtN) {
+    // 512 vertices are one 64-byte line of visited words: a chunk that
+    // starts or ends elsewhere would share a line with its neighbour.
+    for (const vertex_t n : {1u, 511u, 512u, 513u, 5000u, 65573u}) {
+        for (int claimants = 1; claimants <= 4; ++claimants) {
+            for (const int sockets : {1, 2}) {
+                std::vector<int> socket_of;
+                for (int c = 0; c < claimants; ++c)
+                    socket_of.push_back(c * sockets / claimants);
+                WorkQueue wq(claimants, socket_of);
+                detail::plan_vertex_range(wq, SkewedDegrees{n});
+                SCOPED_TRACE("n=" + std::to_string(n) +
+                             " claimants=" + std::to_string(claimants) +
+                             " sockets=" + std::to_string(sockets));
+                EXPECT_LE(wq.num_chunks(),
+                          static_cast<std::size_t>(claimants) *
+                              detail::kChunksPerClaimant);
+                std::vector<std::pair<std::size_t, std::size_t>> all;
+                for (int c = 0; c < claimants; ++c) {
+                    for (const auto& [b, e] : drain(wq, c)) {
+                        EXPECT_EQ(b % 512, 0u) << "chunk starts at " << b;
+                        EXPECT_TRUE(e % 512 == 0 || e == n)
+                            << "chunk ends at " << e;
+                        all.emplace_back(b, e);
+                    }
+                }
+                expect_exact_cover(std::move(all), n);
+            }
+        }
+    }
 }
 
 TEST(WorkQueue, EmptyPlanYieldsNoClaims) {
