@@ -9,7 +9,7 @@
 namespace sge {
 
 /// Concurrent one-bit-per-vertex bitmap: the visited set of Algorithm 2's
-/// double-checked protocol and the hybrid's frontier bitmaps.
+/// double-checked protocol.
 ///
 ///   if (!bitmap.test(v))              // plain load, no bus lock
 ///       if (!bitmap.test_and_set(v))  // lock bts / lock or
@@ -17,15 +17,14 @@ namespace sge {
 ///
 /// test_and_set is the paper's LockedReadSet, one locked instruction.
 /// A writer that owns a whole word for the level (the hybrid's
-/// bottom-up claims, cut at cache lines) publishes it with
-/// or_word_owned instead, a plain store. One bit per vertex keeps the
+/// bottom-up claims, cut at cache lines) publishes its discoveries in it
+/// with or_word_owned instead, a plain store. One bit per vertex keeps the
 /// randomly-accessed working set 32x smaller than the parent array
 /// (Figure 2: worth >=4x in raw random-read rate), so 4 MB covers a
 /// 32 M-vertex graph.
 ///
 /// A bitmap holds no query state beyond its bits: whoever reuses one
-/// zeroes it first (BfsWorkspace::prepare, the hybrid's after-read
-/// clear), O(n/64) words per reset.
+/// zeroes it first (BfsWorkspace::prepare), O(n/64) words per reset.
 class AtomicBitmap {
   public:
     static constexpr std::size_t kBitsPerWord = 64;

@@ -1,5 +1,3 @@
-#include <bit>
-
 #include "core/level_driver.hpp"
 #include "graph/csr_compressed.hpp"
 #include "graph/paged_graph.hpp"
@@ -14,13 +12,12 @@ namespace {
 enum class Direction { kTopDown, kBottomUp };
 
 /// Sum of the out-degrees of `count` discovered vertices — the
-/// direction heuristic's pending arcs. Top-down levels take it once per
-/// level, after their claims, and out of line: the reads are
-/// independent, so they overlap instead of each waiting behind its
-/// locked claim. With the degree read (or this loop inlined) in the edge
-/// callback, top-down levels ran ~3% slower than Algorithm 2's on a
-/// 1024x1024 grid (2 threads, 4-vCPU Xeon guest); out here they match
-/// it.
+/// direction heuristic's pending arcs. Every level takes it once, after
+/// its scan, and out of line: the reads are independent, so they overlap
+/// instead of each waiting behind a claim. With the degree read (or this
+/// loop inlined) in the top-down edge callback, top-down levels ran ~3%
+/// slower than Algorithm 2's on a 1024x1024 grid (2 threads, 4-vCPU Xeon
+/// guest); out here they match it.
 template <class Graph>
 [[gnu::noinline]] std::uint64_t degree_sum(const Graph& g,
                                            const vertex_t* items,
@@ -54,6 +51,11 @@ template <class Graph>
 /// do. The traversal flips back once the frontier shrinks below n/beta
 /// vertices.
 ///
+/// Both directions stage their discoveries and compact them into NQ, so
+/// the queue is the only frontier: a bottom-up level finds its frontier
+/// in `visited` (scan_bottom_up), and the level after it scans the queue
+/// that level compacted.
+///
 /// Bottom-up reads out-arcs as in-arcs, so flips are on only for kHybrid
 /// on a graph stamped symmetric (g.symmetric()). With flips off every
 /// level is top-down and no degrees are tallied: the claims and
@@ -63,11 +65,9 @@ template <class Graph>
 /// engines; BfsLevelStats::edges_scanned records the work actually
 /// done, which is the point of the optimization.
 ///
-/// Workspace reuse: prepare() zeroes the visited set and both frontier
-/// bitmaps, and within a query end_level() zeroes a frontier bitmap once
-/// a level has read it, so a flip always finds its target clear. The
-/// [0, n) range plan, shared with MS-BFS, survives across queries on the
-/// same graph — only its cursors rewind.
+/// Workspace reuse: prepare() zeroes the visited set and empties the
+/// queues. The [0, n) range plan, shared with MS-BFS, survives across
+/// queries on the same graph — only its cursors rewind.
 template <class Graph>
 class HybridStep {
   public:
@@ -87,21 +87,16 @@ class HybridStep {
         plan_frontier(*ws_.wq, ws_.queues[0].data(), 1, g_);
     }
 
-    /// Top-down levels compact their discoveries into NQ; bottom-up
-    /// levels produce the next frontier as bits instead.
-    bool compacts() const noexcept { return direction_ == Direction::kTopDown; }
+    bool compacts() const noexcept { return true; }
 
     bool scan(LevelCtx& lv) {
-        BfsWorkspace::LevelTally& tally =
-            ws_.scratch[static_cast<std::size_t>(lv.tid)].tally;
-        if (direction_ == Direction::kTopDown) {
+        if (direction_ == Direction::kTopDown)
             scan_top_down(lv);
-            tally.discovered = lv.staged;
-            if (flips_)
-                tally.discovered_degree = degree_sum(g_, lv.out, lv.staged);
-        } else {
-            scan_bottom_up(lv, tally);
-        }
+        else if (!scan_bottom_up(lv))
+            return false;
+        if (flips_)
+            ws_.scratch[static_cast<std::size_t>(lv.tid)]
+                .tally.discovered_degree = degree_sum(g_, lv.out, lv.staged);
         return true;
     }
 
@@ -110,18 +105,15 @@ class HybridStep {
     }
 
     std::uint64_t end_level() {
-        const int cur = current_;
-        std::uint64_t next_size = 0;
-        std::uint64_t next_degree = 0;
-        // This team's tallies only: a wave on a larger team grows scratch.
-        for (int t = 0; t < threads_; ++t) {
-            const BfsWorkspace::LevelTally& tally =
-                ws_.scratch[static_cast<std::size_t>(t)].tally;
-            next_size += tally.discovered;
-            next_degree += tally.discovered_degree;
-        }
+        const std::uint64_t next_size = ws_.compactor.total();
         Direction next = direction_;
         if (flips_) {
+            // This team's tallies only: a wave on a larger team grows
+            // scratch.
+            std::uint64_t next_degree = 0;
+            for (int t = 0; t < threads_; ++t)
+                next_degree += ws_.scratch[static_cast<std::size_t>(t)]
+                                   .tally.discovered_degree;
             explored_degree_ += next_degree;
             const std::uint64_t total_arcs = g_.num_edges();
             const std::uint64_t unexplored = total_arcs - explored_degree_;
@@ -142,94 +134,21 @@ class HybridStep {
                 next = Direction::kTopDown;
             }
         }
-        // The level just run read frontier_bits[cur] if it went
-        // bottom-up or began with the harvest. Zero it now: it is the
-        // next level's write target, or a later flip's. Top-down levels
-        // never touch the bits, so they skip this.
-        if (direction_ == Direction::kBottomUp || convert_to_queue_)
-            ws_.frontier_bits[cur].clear();
-        convert_to_bits_ =
-            next == Direction::kBottomUp && direction_ == Direction::kTopDown;
-        convert_to_queue_ =
-            next == Direction::kTopDown && direction_ == Direction::kBottomUp;
-
-        ws_.queues[cur].reset();
-        if (direction_ == Direction::kTopDown)
-            ws_.queues[1 - cur].set_size(ws_.compactor.total());
-        current_ = 1 - cur;
+        ws_.queues[current_].reset();
+        current_ = 1 - current_;
+        ws_.queues[current_].set_size(next_size);
         direction_ = next;
         return next_size;
     }
 
     /// Schedules the next level. A queue-borne frontier is re-cut per
     /// level; the [0, n) range plan is cut once per graph and merely
-    /// rewound. After a bottom-up level the queue does not exist yet:
-    /// convert() harvests and plans it.
+    /// rewound.
     void plan_next() {
         if (direction_ == Direction::kBottomUp)
             ws_.vertex_range_plan(g_);
-        else if (!convert_to_queue_)
+        else
             plan_queue(ws_.queues[current_]);
-    }
-
-    /// Representation conversions on a direction flip, threads-parallel.
-    /// Their barrier waits land in the level just completed; the work
-    /// itself shows up as the inter-span gap in the trace.
-    bool convert(LevelCtx& lv) {
-        FrontierQueue& cq = ws_.queues[current_];
-        AtomicBitmap& fb = ws_.frontier_bits[current_];
-        if (convert_to_bits_) {
-            // Mirror the new current queue into the current frontier
-            // bitmap, one fixed slice of the queue per worker.
-            const auto [begin, end] = split_range(cq.size(), threads_, lv.tid);
-            for (std::size_t i = begin; i < end; ++i) fb.test_and_set(cq[i]);
-            return lv.wait();
-        }
-        if (!convert_to_queue_) return true;
-
-        // The bottom-up level filled the frontier bitmap but no queue:
-        // harvest its set bits over fixed word slices, two passes. Pass 1
-        // popcounts this thread's slice of the (now quiescent) bitmap;
-        // the barrier orders the counts, so pass 2 can write vertex ids
-        // straight into a disjoint queue segment — the queue comes out in
-        // ascending vertex order with zero atomics, deterministically.
-        constexpr std::size_t W = AtomicBitmap::kBitsPerWord;
-        FrontierCompactor& fc = ws_.compactor;
-        // Plain reads of the atomic words: the bottom-up level's writes
-        // finished behind a barrier, and nothing writes them until the
-        // next level's.
-        const auto* const words =
-            reinterpret_cast<const std::uint64_t*>(fb.words());
-        const auto [wlo, whi] = split_range(fb.num_words(), threads_, lv.tid);
-        std::uint64_t words_scanned = 0;
-        std::size_t found = 0;
-        simd::for_each_nonzero_u64(words, wlo, whi, isa_, words_scanned,
-                                   [&](std::size_t, std::uint64_t mask) {
-                                       found += static_cast<unsigned>(
-                                           std::popcount(mask));
-                                   });
-        fc.publish(lv.tid, found);
-        if (!lv.wait()) return false;
-        WallTimer harvest_timer;
-        vertex_t* out = cq.slots_mut() + fc.offset_of(lv.tid);
-        simd::for_each_nonzero_u64(
-            words, wlo, whi, isa_, words_scanned,
-            [&](std::size_t wi, std::uint64_t mask) {
-                simd::for_each_bit(mask, [&](unsigned b) {
-                    *out++ = static_cast<vertex_t>(wi * W + b);
-                });
-            });
-        lv.slot.add<LevelCounter::prefix_sum_ns>(harvest_timer.nanoseconds());
-        lv.slot.add<LevelCounter::compact_writes>(found);
-        lv.slot.add<LevelCounter::simd_words_scanned>(words_scanned);
-        if (!lv.wait()) return false;
-        // The harvested queue only exists now: size it and cut its plan
-        // for the top-down level about to start.
-        if (lv.tid == 0) {
-            cq.set_size(fc.total());
-            plan_queue(cq);
-        }
-        return lv.wait();
     }
 
     std::uint64_t unvisited(std::size_t wi) const noexcept {
@@ -285,34 +204,33 @@ class HybridStep {
     /// are accounted in simd_words_scanned, not bitmap_skips; each
     /// emitted vertex counts one bitmap_check.
     ///
-    /// The range plan cuts at cache lines, so every visited and
-    /// next-frontier word a claim touches is this worker's alone for the
-    /// level: it gathers a word's discoveries and publishes them with one
-    /// plain store per bitmap (or_word_owned), and the level issues no
+    /// A hunt tests `visited` for the frontier. When this level starts,
+    /// `visited` holds exactly the vertices at distance <= d, so on a
+    /// symmetric graph a visited neighbour of an unvisited vertex is at
+    /// distance d: it is in the frontier. That holds only while no hunt
+    /// can see this level's discoveries, so they are staged (discover)
+    /// and reach `visited` after a barrier that every hunt has passed.
+    /// The range plan cuts at cache lines, so every visited word a
+    /// worker's discoveries fall in is its alone: it ORs each word in
+    /// with one plain store (or_word_owned), and the level issues no
     /// locked RMW. The barrier ending the level orders those stores
-    /// before the next level's reads.
-    void scan_bottom_up(LevelCtx& lv, BfsWorkspace::LevelTally& tally) {
+    /// before the next level's reads. False when a barrier was aborted.
+    bool scan_bottom_up(LevelCtx& lv) {
         constexpr std::size_t W = AtomicBitmap::kBitsPerWord;
         const Graph& g = g_;
         ThreadCounters& counters = lv.counters;
         AtomicBitmap& visited = ws_.visited;
-        const AtomicBitmap& fb_cur = ws_.frontier_bits[current_];
-        AtomicBitmap& fb_next = ws_.frontier_bits[1 - current_];
-        std::uint64_t discovered = 0;
-        std::uint64_t discovered_degree = 0;
         // The early-exit probe: scan_adjacency_until accounts
         // edges_scanned per examined neighbour; the callback returns false
-        // to stop at the first frontier parent, which v settles on. True
-        // when v found one.
+        // to stop at the first frontier parent, from which v is
+        // discovered.
         const auto hunt = [&](vertex_t v) {
-            bool hit = false;
             scan_adjacency_until(g, v, counters, [&](vertex_t w) {
                 counters.add<LevelCounter::bitmap_checks>(1);
-                hit = fb_cur.test(w);
-                if (hit) lv.settle(v, w);
-                return !hit;
+                if (!visited.test(w)) return true;
+                lv.discover(v, w);
+                return false;
             });
-            return hit;
         };
         const std::atomic<std::uint64_t>* const words = visited.words();
         std::uint64_t words_scanned = 0;
@@ -325,24 +243,28 @@ class HybridStep {
                     // Only the claim ending at n can end inside a word.
                     if (wi + 1 == whi && stop % W != 0)
                         mask &= (std::uint64_t{1} << (stop % W)) - 1;
-                    std::uint64_t found = 0;
                     simd::for_each_bit(mask, [&](unsigned b) {
                         counters.add<LevelCounter::bitmap_checks>(1);
-                        const auto v = static_cast<vertex_t>(wi * W + b);
-                        if (!hunt(v)) return;
-                        found |= std::uint64_t{1} << b;
-                        ++discovered;
-                        discovered_degree += g.degree(v);
+                        hunt(static_cast<vertex_t>(wi * W + b));
                     });
-                    if (found != 0) {
-                        visited.or_word_owned(wi, found);
-                        fb_next.or_word_owned(wi, found);
-                    }
                 });
         });
         counters.add<LevelCounter::simd_words_scanned>(words_scanned);
-        tally.discovered = discovered;
-        tally.discovered_degree = discovered_degree;
+        // Precondition of the hunts above: no worker publishes into
+        // `visited` until every worker has finished hunting. Without this
+        // barrier a hunt could take a vertex discovered this level for a
+        // frontier parent.
+        if (!lv.wait()) return false;
+        // Claims hand out ascending ids and own whole words, so a word's
+        // discoveries sit next to each other in the staging buffer.
+        for (std::size_t i = 0; i < lv.staged;) {
+            const std::size_t wi = lv.out[i] / W;
+            std::uint64_t found = 0;
+            for (; i < lv.staged && lv.out[i] / W == wi; ++i)
+                found |= std::uint64_t{1} << (lv.out[i] % W);
+            visited.or_word_owned(wi, found);
+        }
+        return true;
     }
 
     void plan_queue(const FrontierQueue& q) {
@@ -363,8 +285,6 @@ class HybridStep {
     std::uint64_t explored_degree_ = 0;  // arcs of the visited vertices
     int current_ = 0;
     Direction direction_ = Direction::kTopDown;
-    bool convert_to_bits_ = false;
-    bool convert_to_queue_ = false;
 };
 
 }  // namespace

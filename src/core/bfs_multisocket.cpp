@@ -157,8 +157,6 @@ class MultiSocketStep {
             prefetch_next_frontier(g_, q.data(), q.size());
     }
 
-    bool convert(LevelCtx&) noexcept { return true; }
-
     std::uint64_t unvisited(std::size_t wi) const noexcept {
         return ~ws_.visited.words()[wi].load(std::memory_order_relaxed);
     }

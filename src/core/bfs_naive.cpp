@@ -82,8 +82,6 @@ class NaiveStep {
         prefetch_next_frontier(g_, cq.data(), cq.size());
     }
 
-    bool convert(LevelCtx&) noexcept { return true; }
-
     /// Word wi of the unclaimed set, gathered from P[].
     std::uint64_t unvisited(std::size_t wi) const noexcept {
         constexpr std::size_t W = AtomicBitmap::kBitsPerWord;

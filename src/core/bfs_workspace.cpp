@@ -96,8 +96,6 @@ void BfsWorkspace::allocate(vertex_t n, BfsEngine engine,
     // engine's. A runner only dispatches one engine, so the workspace
     // only ever pays for one.
     visited = AtomicBitmap();
-    frontier_bits[0] = AtomicBitmap();
-    frontier_bits[1] = AtomicBitmap();
     claim = AlignedBuffer<std::atomic<vertex_t>>();
     queues[0] = FrontierQueue();
     queues[1] = FrontierQueue();
@@ -151,10 +149,6 @@ void BfsWorkspace::allocate(vertex_t n, BfsEngine engine,
             wq = std::make_unique<WorkQueue>(threads,
                                              detail::team_socket_map(team));
             scratch.resize(static_cast<std::size_t>(threads));
-            if (engine == BfsEngine::kHybrid) {
-                frontier_bits[0] = AtomicBitmap(n, /*zeroed=*/false);
-                frontier_bits[1] = AtomicBitmap(n, /*zeroed=*/false);
-            }
             break;
         case BfsEngine::kSerial:
         case BfsEngine::kAuto:
@@ -250,10 +244,6 @@ void BfsWorkspace::first_touch(BfsEngine engine, ThreadTeam& team) {
             case BfsEngine::kBitmap:
             case BfsEngine::kHybrid:
                 visited.clear_words(wlo, whi);
-                if (engine == BfsEngine::kHybrid) {
-                    frontier_bits[0].clear_words(wlo, whi);
-                    frontier_bits[1].clear_words(wlo, whi);
-                }
                 for (FrontierQueue& q : queues)
                     std::memset(q.slots_mut() + vlo, 0,
                                 (vhi - vlo) * sizeof(vertex_t));
@@ -288,10 +278,6 @@ void BfsWorkspace::reset_for_query(BfsEngine engine) {
         case BfsEngine::kBitmap:
         case BfsEngine::kHybrid:
             visited.clear();
-            if (engine == BfsEngine::kHybrid) {
-                frontier_bits[0].clear();
-                frontier_bits[1].clear();
-            }
             queues[0].reset();
             queues[1].reset();
             break;

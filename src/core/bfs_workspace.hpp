@@ -33,8 +33,8 @@ class ThreadTeam;
 /// socket's pinned workers (the paper's placement rule: "if graph node
 /// v ∈ socket s then both P[v] and Bitmap[v] ∈ socket s"). Back-to-back
 /// queries then skip allocation and placement: each query zeroes only
-/// the state it will write, one bit per vertex for the bitmaps (O(n/64)
-/// words) and Algorithm 1's 4-byte P[] for the naive engine.
+/// the state it will write, one bit per vertex for the visited bitmap
+/// (O(n/64) words) and Algorithm 1's 4-byte P[] for the naive engine.
 ///
 /// All members are public engine-facing state, not a stable API: the
 /// engine steps (bfs_naive/multisocket/hybrid, multi_source_bfs) are the
@@ -50,10 +50,10 @@ class BfsWorkspace {
     /// `team`: (re)allocates + first-touches when the graph size,
     /// engine or team changed (stats.prepares), otherwise reuses the
     /// arena (stats.workspace_reuses). Either way it then zeroes the
-    /// state the query will write (`visited`, for kHybrid both
-    /// `frontier_bits`, for kNaive the `claim` fill) and discards the
-    /// queue and channel residue, so a run stopped by its token, a
-    /// deadline or a fault never poisons the next.
+    /// state the query will write (`visited`, or for kNaive the `claim`
+    /// fill) and discards the queue and channel residue, so a run
+    /// stopped by its token, a deadline or a fault never poisons the
+    /// next.
     template <BackendGraph Graph>
     void prepare(const Graph& g, BfsEngine engine, const BfsOptions& options,
                  ThreadTeam& team);
@@ -69,14 +69,12 @@ class BfsWorkspace {
     /// Visited set (bitmap/multisocket/hybrid engines).
     AtomicBitmap visited;
 
-    /// Frontier-as-bitmap pair (kHybrid only; kBitmap never flips).
-    AtomicBitmap frontier_bits[2];
-
     /// Naive engine's claim array, Algorithm 1's P[]: kInvalidVertex
     /// until one CAS writes the winning parent.
     AlignedBuffer<std::atomic<vertex_t>> claim;
 
-    /// Global CQ/NQ pair (naive/bitmap/hybrid engines).
+    /// Global CQ/NQ pair (naive/bitmap/hybrid engines): the hybrid's
+    /// only frontier, whichever direction built it.
     FrontierQueue queues[2];
 
     /// Per-socket CQ/NQ pairs, socket_queues[phase][socket]
@@ -113,13 +111,14 @@ class BfsWorkspace {
     std::vector<int> rank_in_socket;
     std::vector<int> socket_threads;
 
-    /// One thread's discoveries in the level just scanned (hybrid and
-    /// MS-BFS steps): written by its owner before the level barrier,
-    /// summed by thread 0 after it. A line of its own, so the owner's
-    /// store never invalidates a line another worker reads.
+    /// One thread's discoveries in the level just scanned: written by
+    /// its owner before the level barrier, summed by thread 0 after it.
+    /// A line of its own, so the owner's store never invalidates a line
+    /// another worker reads.
     struct alignas(kCacheLineSize) LevelTally {
-        std::uint64_t discovered = 0;         ///< vertices claimed
-        std::uint64_t discovered_degree = 0;  ///< their summed out-degrees
+        std::uint64_t discovered = 0;  ///< MS-BFS: vertices reached
+        /// kHybrid: the summed out-degrees of the staged discoveries.
+        std::uint64_t discovered_degree = 0;
     };
 
     /// Per-thread staging hoisted out of the engines' level loops so a

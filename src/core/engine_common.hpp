@@ -75,7 +75,7 @@ struct LevelAccum {
     }
 
     /// Adds to sum row C directly, for work a worker does after its
-    /// ThreadCounters were flushed (barrier waits, copy-out, harvest).
+    /// ThreadCounters were flushed (barrier waits, copy-out).
     template <LevelCounter C>
     void add(std::uint64_t n) noexcept {
         static_assert(kRow<C>.merge == CounterMerge::kSum);

@@ -12,10 +12,10 @@ namespace sge {
 /// Level frontier: a flat vertex array and its published size.
 ///
 /// The modern realization of the paper's LockedEnqueue queue without the
-/// lock: the FrontierCompactor (or the hybrid's bitmap harvest) copies
-/// each worker's discoveries into a disjoint segment and one thread
-/// publishes the total; consumers claim scan chunks through a WorkQueue
-/// plan over the filled slots. Because every vertex enters a frontier at
+/// lock: the FrontierCompactor copies each worker's discoveries (from
+/// either direction of a hybrid level) into a disjoint segment and one
+/// thread publishes the total; consumers claim scan chunks through a
+/// WorkQueue plan over the filled slots. Because every vertex enters a frontier at
 /// most once per BFS (the bitmap guarantees it), capacity == n always
 /// suffices and the array never reallocates mid-level.
 class FrontierQueue {

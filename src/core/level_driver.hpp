@@ -22,7 +22,7 @@
 namespace sge::detail {
 
 /// One worker's view of the level in flight, built by the driver at the
-/// top of every level and handed to the step's scan and convert hooks.
+/// top of every level and handed to the step's scan hook.
 struct LevelCtx {
     int tid;
     level_t depth;
@@ -47,17 +47,13 @@ struct LevelCtx {
         return ok;
     }
 
-    /// Records a claim of `v` from parent `u` that this worker won.
-    void settle(vertex_t v, vertex_t u) noexcept {
+    /// Records a claim of `v` from parent `u` that this worker won, and
+    /// stages `v` for the next frontier (a plain store into the worker's
+    /// private buffer; the driver compacts it into NQ).
+    void discover(vertex_t v, vertex_t u) noexcept {
         counters.add<LevelCounter::atomic_wins>(1);
         parent[v] = u;  // winner-only plain store
         if (level != nullptr) level[v] = depth + 1;
-    }
-
-    /// settle(), then stage `v` for the next frontier (a plain store into
-    /// the worker's private buffer; the driver compacts it into NQ).
-    void discover(vertex_t v, vertex_t u) noexcept {
-        settle(v, u);
         out[staged++] = v;
     }
 };
@@ -79,8 +75,8 @@ inline bool double_checked_claim(AtomicBitmap& visited, vertex_t v,
     return !visited.test_and_set(v);
 }
 
-/// Where a level loop writes: the settle targets LevelCtx hands the
-/// step (null when the step settles no parents) and, with
+/// Where a level loop writes: the parent and level arrays discover()
+/// writes (null when the step discovers no parents) and, with
 /// collect_stats, the per-level counters (then required) and the
 /// thread spans (null: none recorded).
 struct LevelSinks {
@@ -105,26 +101,27 @@ struct LevelRun {
 /// progress block, level slots and timing, thread spans, both checks of
 /// the cancel token, the compact copy-out, the allocation-free check and
 /// the epilogue. `finish(tid)` runs on every worker once the last level
-/// is done. `step` supplies the rest, resolved at compile time:
+/// is done. `step` supplies the rest in six hooks, resolved at compile
+/// time:
 ///
 ///   bool compacts() const           this level's discoveries go through
 ///                                   the compactor (read by every worker
 ///                                   at the top of the level)
 ///   bool scan(LevelCtx&)            scan and claim this worker's share of
-///                                   the frontier; false when a barrier
-///                                   inside the step was aborted
+///                                   the frontier (a compacting level
+///                                   stages each discovery with
+///                                   LevelCtx::discover); false when a
+///                                   barrier inside the step was aborted
 ///   vertex_t* next_slots(int tid)   the queue slots tid's segment lands in
 ///   std::uint64_t end_level()       thread 0, once the level is quiescent:
 ///                                   close it, return |next frontier|
 ///   void plan_next()                thread 0: schedule the next level
-///   bool convert(LevelCtx&)         every worker, between levels: change
-///                                   the frontier's representation
 ///   std::string diagnose() const    the state a stopped level left
 ///                                   behind, read after the workers joined
 ///
 /// A level costs three barriers (scan, copy-out, bookkeeping) plus any the
-/// step's scan or convert adds; a level that does not compact skips the
-/// copy-out's. The cancel token ends a run two ways, and both throw
+/// step's scan adds; a level that does not compact skips the copy-out's.
+/// The cancel token ends a run two ways, and both throw
 /// BfsDeadlineError: thread 0's poll after a level stops the run at that
 /// level's end, and the token's deadline, passed to team.run, aborts the
 /// barrier under a level still running then. An aborted level reports the
@@ -204,7 +201,6 @@ LevelRun run_levels(const char* name, const BfsOptions& options,
             if (!lv.wait()) return false;
             spans.record(tid, depth, span_start, spans.now(timer));
             if (shared.done) return true;
-            if (!step.convert(lv)) return false;
         }
     };
 

@@ -121,8 +121,6 @@ class MsBfsStep {
 
     void plan_next() { ws_.vertex_range_plan(g_); }
 
-    bool convert(detail::LevelCtx&) noexcept { return true; }
-
     std::string diagnose() const { return {}; }
 
   private:

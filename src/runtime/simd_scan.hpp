@@ -97,9 +97,9 @@ __attribute__((target("avx2"))) inline std::size_t skip_zero_u64_avx2(
 /// [wlo, whi) with at least one clear slot. `words_scanned` accrues
 /// whi - wlo (vector-skipped words count — they were examined).
 ///
-/// Safe under the bottom-up sweep's concurrency: the range is the
-/// calling thread's claim, cut at cache lines, so no other thread writes
-/// any of its words within the level and the AVX2 path's plain vector
+/// Safe under the bottom-up sweep's concurrency: no thread writes the
+/// visited words until every worker's sweep is done (the level publishes
+/// its discoveries behind a barrier), so the AVX2 path's plain vector
 /// loads race with nothing.
 template <typename Fn>
 inline void for_each_unvisited_word(const std::atomic<std::uint64_t>* words,
@@ -130,8 +130,7 @@ inline void for_each_unvisited_word(const std::atomic<std::uint64_t>* words,
 }
 
 /// Calls fn(index, value) for every nonzero word in [lo, hi): the
-/// MS-BFS lane-mask scan and the hybrid's bits->queue harvest.
-/// Quiescent-only over the scanned array.
+/// MS-BFS lane-mask scans. Quiescent-only over the scanned array.
 template <typename Fn>
 inline void for_each_nonzero_u64(const std::uint64_t* words, std::size_t lo,
                                  std::size_t hi, IsaLevel level,

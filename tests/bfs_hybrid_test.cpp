@@ -126,8 +126,8 @@ TEST(BfsHybrid, FewHubsNextToTheRootFlipOnTheirArcs) {
 /// The direction each level of `r` ran, read off its edges_scanned: 'T'
 /// when it scanned every arc of its frontier (top-down), 'B' when it
 /// scanned each still-unvisited vertex's arcs up to the first frontier
-/// neighbour (bottom-up), '?' for neither, as when a harvest put
-/// vertices of an earlier frontier back into the queue.
+/// neighbour (bottom-up), '?' for neither, as when a level rescanned
+/// vertices of an earlier frontier.
 std::string directions(const CsrGraph& g, const BfsResult& r) {
     std::string dirs;
     for (level_t d = 0; d < r.level_stats.size(); ++d) {
@@ -150,9 +150,9 @@ std::string directions(const CsrGraph& g, const BfsResult& r) {
 /// Two 64-cliques strung on paths. The root sees all of the first
 /// clique and the last of three path vertices all of the second, so
 /// each clique is one frontier holding most arcs: it flips bottom-up for
-/// one level, which finds the next path vertex and flips back through
-/// the harvest. The second clique lands on level 5, so its bottom-up
-/// level writes the bitmap the first harvest (level 2) read.
+/// one level, which finds the next path vertex and compacts it into the
+/// queue the top-down level after it scans. The second clique lands on
+/// level 5, so the traversal goes bottom-up a second time.
 CsrGraph cliques_on_a_path() {
     constexpr vertex_t kClique = 64;
     constexpr vertex_t kPath = 3;
@@ -178,11 +178,14 @@ CsrGraph cliques_on_a_path() {
 }
 
 TEST(BfsHybrid, ABitmapWrittenEarlierInTheQueryIsClearWhenReused) {
-    // Each frontier bitmap serves many levels of one query. A level that
-    // finds stale bits in it harvests an earlier frontier back into the
-    // queue and rescans it, which shows as a '?' level. Two ways to reuse
-    // a bitmap: two bottom-up levels in a row (the R-MAT's middle), and
-    // a return to bottom-up after a harvest (the second clique).
+    // The visited bitmap serves every level of one query, and the
+    // bottom-up levels find their frontier in it. A level that took a
+    // vertex discovered earlier in the same level for a frontier parent,
+    // or that rescanned an earlier frontier, shows as a '?' level. Two
+    // ways to reuse the bitmap: two bottom-up levels in a row (the
+    // R-MAT's middle), and a return to bottom-up after top-down levels
+    // (the second clique). Either way each discovery lands in a next
+    // queue exactly once.
     RmatParams params;
     params.scale = 12;
     params.num_edges = std::uint64_t{1} << 16;
@@ -208,9 +211,12 @@ TEST(BfsHybrid, ABitmapWrittenEarlierInTheQueryIsClearWhenReused) {
         const std::string dirs = directions(*g, r);
         SCOPED_TRACE(dirs);
         EXPECT_EQ(dirs.find('?'), std::string::npos);
+        std::uint64_t writes = 0;
+        for (const BfsLevelStats& s : r.level_stats) writes += s.compact_writes;
+        EXPECT_EQ(writes, r.vertices_visited - 1);
         const std::size_t first = dirs.find(pattern);
         ASSERT_NE(first, std::string::npos);
-        if (g == &cliques) {  // bottom-up again after the first harvest
+        if (g == &cliques) {  // bottom-up again after top-down levels
             EXPECT_NE(dirs.find(pattern, first + 2), std::string::npos);
         }
     }
@@ -330,16 +336,45 @@ TEST(BfsHybrid, TinyAlphaOnPathScansEachArcOnce) {
 }
 
 TEST(BfsHybrid, AggressiveAlphaStillCorrect) {
+    // Every level from 1 on runs bottom-up, and a bottom-up vertex takes
+    // the first neighbour in its row that `visited` held when the level
+    // began. So a vertex at level l >= 2 must have the first neighbour of
+    // its row at level l - 1 as its parent: a hunt that saw a vertex
+    // discovered in its own level would pick a neighbour at level l.
     const CsrGraph g = dense_uniform();
-    BfsOptions opts = hybrid_options();
-    opts.hybrid_alpha = 1e18;  // flip to bottom-up immediately
-    opts.hybrid_beta = 1e18;   // and never flip back (threshold n/beta -> 0)
-    const BfsResult r = bfs(g, 0, opts);
-    EXPECT_TRUE(validate_bfs_tree(g, 0, r).ok);
-
     BfsOptions serial;
     serial.engine = BfsEngine::kSerial;
-    test::expect_equivalent(bfs(g, 0, serial), r);
+    const BfsResult expected = bfs(g, 0, serial);
+    for (const int threads : {1, 4}) {
+        for (int backend = 0; backend < test::kBackends; ++backend) {
+            SCOPED_TRACE(std::to_string(threads) + " threads, " +
+                         test::kBackendNames[backend]);
+            BfsOptions opts = hybrid_options(threads);
+            opts.hybrid_alpha = 1e18;  // flip to bottom-up immediately
+            opts.hybrid_beta = 1e18;   // and never back (n/beta -> 0)
+            const BfsResult r = test::with_backend(
+                backend, g, [&](const auto& graph) {
+                    return bfs(graph, 0, opts);
+                });
+            EXPECT_TRUE(validate_bfs_tree(g, 0, r).ok);
+            test::expect_equivalent(expected, r);
+            for (std::size_t d = 0; d < r.level_stats.size(); ++d)
+                EXPECT_EQ(r.level_stats[d].simd_words_scanned != 0, d >= 1)
+                    << "level " << d;
+            for (vertex_t v = 0; v < g.num_vertices(); ++v) {
+                const level_t l = r.level[v];
+                if (l == kInvalidLevel || l < 2) continue;
+                vertex_t first = kInvalidVertex;
+                for (const vertex_t w : g.neighbors(v)) {
+                    if (r.level[w] == l - 1) {
+                        first = w;
+                        break;
+                    }
+                }
+                ASSERT_EQ(r.parent[v], first) << "vertex " << v;
+            }
+        }
+    }
 }
 
 TEST(BfsHybrid, RmatFromHubAndFromLeaf) {

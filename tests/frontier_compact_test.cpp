@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -226,8 +227,9 @@ TEST(CompactFrontier, AllEnginesMatchSerial) {
 
 TEST(CompactFrontier, HybridForcedFlipMatchesSerial) {
     // Force the direction flip (tiny alpha/beta make the heuristic
-    // eager) so the vectorized bottom-up sweep and the compacted
-    // harvest both run, then compare against the serial levels.
+    // eager) so the vectorized bottom-up sweep runs and the queue it
+    // compacts feeds the top-down levels after it, then compare against
+    // the serial levels.
     const CsrGraph g = skewed_graph();
     BfsOptions options;
     options.engine = BfsEngine::kHybrid;
@@ -253,37 +255,61 @@ TEST(CompactFrontier, HybridForcedFlipMatchesSerial) {
 // ---------------------------------------------------------------------
 
 TEST(CompactFrontier, CompactWritesCoverEveryDiscoveryExactlyOnce) {
-    const CsrGraph g = skewed_graph();
+    // With the forced flips below, the hybrid goes bottom-up for one
+    // level on skewed_graph, and for two in a row on an R-MAT twice its
+    // size: the second of those levels follows no top-down one.
+    RmatParams params;
+    params.scale = 11;
+    params.num_edges = 1 << 14;
+    params.seed = 7;
+    EdgeList edges = generate_rmat(params);
+    permute_vertices(edges, 11);
+    struct Case {
+        CsrGraph g;
+        const char* bottom_up;  // a run of the hybrid's level directions
+    };
+    const Case cases[] = {{skewed_graph(), "TB"},
+                          {csr_from_edges(edges), "BB"}};
     const BfsEngine engines[] = {BfsEngine::kNaive, BfsEngine::kBitmap,
-                                 BfsEngine::kMultiSocket};
-    for (const BfsEngine engine : engines) {
-        BfsOptions options;
-        options.engine = engine;
-        options.threads = 4;
-        options.topology = Topology::emulate(2, 2, 1);
-        options.collect_stats = true;
-        const BfsResult result = bfs(g, 0, options);
-        SCOPED_TRACE(to_string(engine));
-        ASSERT_FALSE(result.level_stats.empty());
-        std::uint64_t writes = 0;
-        std::uint64_t wins = 0;
-        for (std::size_t d = 0; d < result.level_stats.size(); ++d) {
-            const BfsLevelStats& s = result.level_stats[d];
-            writes += s.compact_writes;
-            wins += s.atomic_wins;
-            // Level d's copy-out builds level d+1's frontier.
-            if (d + 1 < result.level_stats.size()) {
-                EXPECT_EQ(s.compact_writes,
-                          result.level_stats[d + 1].frontier_size)
-                    << "level " << d;
+                                 BfsEngine::kMultiSocket, BfsEngine::kHybrid};
+    for (const auto& [g, bottom_up] : cases) {
+        for (const BfsEngine engine : engines) {
+            BfsOptions options;
+            options.engine = engine;
+            options.threads = 4;
+            options.topology = Topology::emulate(2, 2, 1);
+            options.hybrid_alpha = 1.0;
+            options.hybrid_beta = 4.0;
+            options.collect_stats = true;
+            const BfsResult result = bfs(g, 0, options);
+            SCOPED_TRACE(to_string(engine) + " on " +
+                         std::to_string(g.num_vertices()) + " vertices");
+            ASSERT_FALSE(result.level_stats.empty());
+            std::uint64_t writes = 0;
+            std::uint64_t wins = 0;
+            std::string dirs;
+            for (std::size_t d = 0; d < result.level_stats.size(); ++d) {
+                const BfsLevelStats& s = result.level_stats[d];
+                writes += s.compact_writes;
+                wins += s.atomic_wins;
+                dirs += s.simd_words_scanned != 0 ? 'B' : 'T';
+                // Level d's copy-out builds level d+1's frontier.
+                if (d + 1 < result.level_stats.size()) {
+                    EXPECT_EQ(s.compact_writes,
+                              result.level_stats[d + 1].frontier_size)
+                        << "level " << d;
+                }
+            }
+            // sum(compact_writes) == |NQ| summed over levels: every
+            // discovery lands in a next-queue exactly once (the root is
+            // seeded, not discovered), and every non-root vertex is
+            // claimed exactly once.
+            EXPECT_EQ(writes, result.vertices_visited - 1);
+            EXPECT_EQ(wins, result.vertices_visited - 1);
+            if (engine == BfsEngine::kHybrid) {
+                EXPECT_NE(dirs.find(bottom_up), std::string::npos) << dirs;
             }
         }
-        // sum(compact_writes) == |NQ| summed over levels: every
-        // discovery lands in a next-queue exactly once (the root is
-        // seeded, not discovered), and every non-root vertex is claimed
-        // exactly once.
-        EXPECT_EQ(writes, result.vertices_visited - 1);
-        EXPECT_EQ(wins, result.vertices_visited - 1);
     }
 }
 
@@ -299,18 +325,15 @@ TEST(CompactFrontier, HybridCompactCountsSimdWordsInBottomUpLevels) {
     const BfsResult result = bfs(g, 0, options);
     // Top-down levels scan no words. Each bottom-up level sweeps every
     // visited word once, ceil(n/64) in all: its claims are cut at cache
-    // lines, so none shares a word with another. When a top-down level
-    // follows, the harvest adds its two passes over the frontier words.
+    // lines, so none shares a word with another. A flip scans nothing
+    // more, since both directions hand over the same queue.
     const std::uint64_t words = (g.num_vertices() + 63) / 64;
     const std::vector<BfsLevelStats>& levels = result.level_stats;
     std::size_t bottom_up = 0;
     for (std::size_t d = 0; d < levels.size(); ++d) {
         if (levels[d].simd_words_scanned == 0) continue;
         ++bottom_up;
-        const bool harvest = d + 1 < levels.size() &&
-                             levels[d + 1].simd_words_scanned == 0;
-        EXPECT_EQ(levels[d].simd_words_scanned, (harvest ? 3 : 1) * words)
-            << "level " << d;
+        EXPECT_EQ(levels[d].simd_words_scanned, words) << "level " << d;
     }
     // At least one bottom-up level ran (alpha=1 flips on the first
     // explosive level).

@@ -168,9 +168,9 @@ TEST_P(EngineFuzz, AllEnginesMatchSerialOnRandomWorkloads) {
 
     // Per-level accounting (docs/OBSERVABILITY.md): every non-root vertex
     // is claimed exactly once, every visited vertex is some level's
-    // frontier, a steal is a claim and a skipped check is a check. A run
-    // that never goes bottom-up stages every discovery through the
-    // compactor exactly once.
+    // frontier, a steal is a claim and a skipped check is a check. Every
+    // parallel run, bottom-up levels included, stages every discovery
+    // through the compactor exactly once.
     if (opts.collect_stats) {
         std::uint64_t wins = 0;
         std::uint64_t frontier = 0;
@@ -185,9 +185,7 @@ TEST_P(EngineFuzz, AllEnginesMatchSerialOnRandomWorkloads) {
         }
         EXPECT_EQ(wins, actual.vertices_visited - 1);
         EXPECT_EQ(frontier, actual.vertices_visited);
-        const BfsEngine engine = runner.resolved_engine();
-        if (engine != BfsEngine::kSerial &&
-            !(engine == BfsEngine::kHybrid && g.symmetric())) {
+        if (runner.resolved_engine() != BfsEngine::kSerial) {
             EXPECT_EQ(writes, actual.vertices_visited - 1);
         }
     }

@@ -503,10 +503,9 @@ TEST_P(PagedEngineMatrix, RmatGraph) {
 }
 
 // Rows suffixed _atomic turn the double-check off, so every visited
-// claim is a locked RMW (the Figure 4/5 ablation; `static` in two labels
-// names a retired schedule). Algorithm 1 claims with an unconditional
-// CAS either way, so its _atomic row runs on two emulated sockets
-// instead, as does bitmap_4t_stealing: a global queue whose steal
+// claim is a locked RMW (the Figure 4/5 ablation). Rows named _2s_4t
+// run on two emulated sockets: Algorithm 1, which claims with an
+// unconditional CAS either way, and a global bitmap queue whose steal
 // domain splits in two.
 INSTANTIATE_TEST_SUITE_P(
     Backends, PagedEngineMatrix,
@@ -516,17 +515,17 @@ INSTANTIATE_TEST_SUITE_P(
         BackendConfig{BfsEngine::kNaive, 4, Topology::emulate(1, 4, 1),
                       true, "naive_4t"},
         BackendConfig{BfsEngine::kNaive, 4, Topology::emulate(2, 2, 1),
-                      false, "naive_4t_atomic"},
+                      false, "naive_2s_4t"},
         BackendConfig{BfsEngine::kBitmap, 4, Topology::emulate(1, 4, 1),
                       true, "bitmap_4t"},
         BackendConfig{BfsEngine::kBitmap, 4, Topology::emulate(1, 4, 1),
-                      false, "bitmap_4t_static_atomic"},
+                      false, "bitmap_4t_atomic"},
         BackendConfig{BfsEngine::kBitmap, 4, Topology::emulate(2, 2, 1),
-                      true, "bitmap_4t_stealing"},
+                      true, "bitmap_2s_4t"},
         BackendConfig{BfsEngine::kMultiSocket, 8, Topology::nehalem_ep(),
                       true, "multisocket_ep_8t"},
         BackendConfig{BfsEngine::kMultiSocket, 4, Topology::emulate(2, 2, 1),
-                      false, "multisocket_2s_static_atomic"},
+                      false, "multisocket_2s_atomic"},
         BackendConfig{BfsEngine::kHybrid, 4, Topology::emulate(1, 4, 1),
                       true, "hybrid_4t"},
         BackendConfig{BfsEngine::kHybrid, 4, Topology::emulate(1, 4, 1),

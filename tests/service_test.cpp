@@ -326,7 +326,6 @@ struct OneLevelStep {
     vertex_t* next_slots(int) noexcept { return nullptr; }
     std::uint64_t end_level() noexcept { return 0; }
     void plan_next() noexcept {}
-    bool convert(detail::LevelCtx&) noexcept { return true; }
     std::string diagnose() const { return {}; }
 };
 
